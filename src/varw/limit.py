@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IterationCapError, ValidationError
+from .errors import AcceptanceCheckError, IterationCapError, ValidationError
 from .model import ModelParams, SpectralData, critical_profile, eta_norm, validate_model
 
 DEFAULT_TOL = 1e-10
@@ -97,7 +97,10 @@ def solve_fixed_point(
     for iteration in range(1, max_iterations + 1):
         m_next = phi(params, m)
         if np.any(m_next < m - _MONOTONE_SLACK):
-            raise AssertionError("iterates from zero must be componentwise nondecreasing")
+            raise AcceptanceCheckError(
+                f"continuum iterates from zero must be componentwise nondecreasing; "
+                f"iteration {iteration} decreased"
+            )
         step = eta_norm(spectral, m_next - m)
         m = m_next
         if step <= threshold:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import IterationCapError, ValidationError
 
@@ -86,15 +88,29 @@ def critical_profile(params: ModelParams) -> np.ndarray:
     return lam / (1.0 + lam)
 
 
-def _support_closure(support: np.ndarray) -> np.ndarray:
-    """Reflexive-transitive closure of a boolean adjacency matrix."""
-    n = support.shape[0]
-    reach = support | np.eye(n, dtype=bool)
-    while True:
-        bigger = reach | ((reach.astype(np.uint8) @ reach.astype(np.uint8)) > 0)
-        if np.array_equal(bigger, reach):
-            return reach
-        reach = bigger
+def _unreachable_pair(support: np.ndarray) -> tuple[int, int] | None:
+    """A pair (x, y) with y unreachable from x in the support digraph, or
+    None when the digraph is strongly connected.
+
+    The diagonal is free (zero-step paths), so one village is always
+    strongly connected.
+    """
+    V = support.shape[0]
+    if V == 1:
+        return None
+    rows, cols = np.nonzero(support)
+    indptr = np.zeros(V + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=V), out=indptr[1:])
+    graph = csr_matrix((np.ones(cols.size), cols, indptr), shape=(V, V))
+    if connected_components(graph, directed=True, connection="strong")[0] == 1:
+        return None
+    # Not strongly connected: either some village is unreachable from 0, or
+    # every village is reachable from 0 and 0 is unreachable from some village.
+    missing = np.setdiff1d(np.arange(V), breadth_first_order(graph, 0, return_predecessors=False))
+    if missing.size:
+        return 0, int(missing[0])
+    reached = breadth_first_order(graph.T.tocsr(), 0, return_predecessors=False)
+    return int(np.setdiff1d(np.arange(V), reached)[0]), 0
 
 
 def validate_model(params: ModelParams, require_subcritical: bool = False) -> ModelParams:
@@ -133,9 +149,9 @@ def validate_model(params: ModelParams, require_subcritical: bool = False) -> Mo
 
     # Support-graph irreducibility; the diagonal is free (zero-step paths),
     # so only ordered pairs of distinct villages are constrained.
-    reach = _support_closure(P > 0)
-    if not np.all(reach):
-        x, y = np.argwhere(~reach)[0]
+    pair = _unreachable_pair(P > 0)
+    if pair is not None:
+        x, y = pair
         raise ValidationError(f"kernel support is reducible: village {y} unreachable from {x}")
 
     lam = params.sleep_rates
@@ -253,5 +269,11 @@ def load_model(path) -> ModelParams:
 
 
 def floor_counts(density: np.ndarray, n: int) -> np.ndarray:
-    """Integer counts floor(density_x * n), applied independently per village."""
+    """Integer counts floor(density_x * n), applied independently per village.
+
+    The product is the binary float64 one, not a decimal one: a density that
+    is not exactly representable can land just below an integer, so
+    floor(0.29 * 100) == 28, not 29.  Seeds, outputs and the continuum
+    comparison all use these counts, so the semantics are fixed.
+    """
     return np.array([math.floor(d * n) for d in density], dtype=np.int64)

@@ -1,15 +1,19 @@
 """Discrete village dynamics: stabilization and the single-loop evaluator.
 
-`stabilize` runs the particle system to its absorbing state by toppling one
-landlord notice at a time from a schedule of active houses; the abelian
-property makes the final odometer and sleeper counts independent of the
-schedule, which is exposed through interchangeable order policies.
+`single_loop` evaluates the one-pass odometer map Phi on shared stacks:
+given a jump count per village it routes all implied arrivals through the
+taxi tickets, finds each visited house's terminal landlord notice, and
+reports the resulting outflux.  Both run on one flat engine whose state is a
+few dense arrays over all V*n houses.
 
-`single_loop` evaluates the one-pass odometer map on the same stacks: given
-a hypothetical jump count per village it routes all implied arrivals
-through the taxi tickets, finds each visited house's terminal notice, and
-reports the resulting outflux.  On a shared stack source the stabilizing
-odometer is an exact integer fixed point of this map.
+`stabilize` computes the stabilizing odometer M* by default with the
+"single-loop-rounds" policy: Phi is monotone, so iterating M <- Phi(M) from
+M = 0 rises to its least fixed point, which by the least-action principle is
+M*.  Each round only reads the tickets and notices revealed since the last
+one, so the rounds read exactly the stack prefixes a toppling run consumes.
+The other order policies topple one landlord notice at a time from a
+schedule of active houses; by the abelian property every schedule gives the
+same result, and these scalar schedules are kept as the reference oracle.
 """
 
 from __future__ import annotations
@@ -24,8 +28,14 @@ from .errors import AcceptanceCheckError, StepCapError, ValidationError
 from .model import ModelParams, floor_counts, validate_model
 from .stacks import GRAVEYARD, SLEEP
 
-ORDER_POLICIES = ("fifo-house-queue", "village-round-robin", "lowest-index-first")
+ORDER_POLICIES = (
+    "single-loop-rounds",
+    "fifo-house-queue",
+    "village-round-robin",
+    "lowest-index-first",
+)
 DEFAULT_STEP_CAP = 10**9
+_SCAN_SLICE = 1 << 16  # houses per block of landlord reads
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +116,7 @@ def _init_state(params: ModelParams, n: int, src):
                 hid = base + i
                 counts[hid] += 1
                 sleeping[hid] = 0
-    return counts, sleeping, floor_sigma, floor_nu
+    return counts, sleeping, floor_nu
 
 
 def _to_config(n: int, V: int, counts, sleeping) -> DiscreteConfig:
@@ -123,7 +133,7 @@ def init_config(params: ModelParams, n: int, src) -> DiscreteConfig:
     validate_model(params)
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n!r}")
-    counts, sleeping, _, _ = _init_state(params, n, src)
+    counts, sleeping, _ = _init_state(params, n, src)
     return _to_config(n, params.num_villages, counts, sleeping)
 
 
@@ -196,25 +206,61 @@ def stabilize(
     params: ModelParams,
     n: int,
     src,
-    order_policy: str = "fifo-house-queue",
+    order_policy: str = ORDER_POLICIES[0],
     step_cap: int = DEFAULT_STEP_CAP,
 ) -> SimResult:
     """Run the particle system to its stable configuration.
 
-    Each schedule slot reveals exactly one landlord notice for the selected
-    active house.  SLEEP puts a lone particle to sleep and is a consumed
-    no-op in a multi-particle house; JUMP sends one particle through the
-    next airplane ticket (removal on GRAVEYARD) and, on arrival, the
-    destination village's next taxi ticket.  Raises StepCapError once more
-    than `step_cap` instructions have been executed.
+    The default policy iterates the single-loop map from M = 0 until
+    Phi(M) == M; the others topple one landlord notice at a time (see
+    `_topple`).  Every policy consumes the same stack prefixes and returns
+    the same result.  Raises StepCapError once more than `step_cap`
+    instructions (landlord notices, airplane tickets and post-landing taxi
+    tickets) have been executed.
     """
     validate_model(params)
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n!r}")
     V = params.num_villages
+    floor_sigma = floor_counts(params.init_sleepers, n)
+    if order_policy == ORDER_POLICIES[0]:
+        M_star, inflow, consumed, final = _single_loop_rounds(params, n, src, step_cap)
+    else:
+        schedule = _make_schedule(order_policy, V, n + 1)
+        M_star, inflow, consumed, final = _topple(params, n, src, schedule, step_cap)
+    S_star = final.sleepers_per_village()
+
+    if not final.is_stable:
+        raise AcceptanceCheckError("stabilization ended in a non-stable configuration")
+    balance = floor_sigma + inflow - M_star
+    if not np.array_equal(S_star, balance):
+        raise AcceptanceCheckError(
+            f"mass balance violated: S*={S_star.tolist()} but "
+            f"floor(sigma n)+inflow-M*={balance.tolist()}"
+        )
+    return SimResult(
+        M_star=M_star, S_star=S_star, inflow=inflow, consumed=consumed, final_config=final
+    )
+
+
+def _step_cap_error(step_cap: int) -> StepCapError:
+    return StepCapError(
+        f"stabilization exceeded the {step_cap} instruction guard; "
+        "input is runaway or the kernel is effectively stochastic"
+    )
+
+
+def _topple(params: ModelParams, n: int, src, schedule, step_cap: int):
+    """Scalar toppling loop, one landlord notice per schedule slot.
+
+    SLEEP puts a lone particle to sleep and is a consumed no-op in a
+    multi-particle house; JUMP sends one particle through the next airplane
+    ticket (removal on GRAVEYARD) and, on arrival, the destination village's
+    next taxi ticket.  Returns (M*, inflow, consumed, final configuration).
+    """
+    V = params.num_villages
     W = n + 1
-    counts, sleeping, floor_sigma, floor_nu = _init_state(params, n, src)
-    schedule = _make_schedule(order_policy, V, W)
+    counts, sleeping, floor_nu = _init_state(params, n, src)
 
     in_queue = bytearray(V * W)
     for hid in range(V * W):
@@ -280,33 +326,173 @@ def stabilize(
                     push(hid2)
                     in_queue[hid2] = 1
         if steps > step_cap:
-            raise StepCapError(
-                f"stabilization exceeded the {step_cap} instruction guard; "
-                "input is runaway or the kernel is effectively stochastic"
-            )
-
-    final = _to_config(n, V, counts, sleeping)
-    S_star = final.sleepers_per_village()
-    M_arr = np.array(M_star, dtype=np.int64)
-    inflow_arr = np.array(inflow, dtype=np.int64)
-
-    if not final.is_stable:
-        raise AcceptanceCheckError("stabilization ended in a non-stable configuration")
-    balance = floor_sigma + inflow_arr - M_arr
-    if not np.array_equal(S_star, balance):
-        raise AcceptanceCheckError(
-            f"mass balance violated: S*={S_star.tolist()} but "
-            f"floor(sigma n)+inflow-M*={balance.tolist()}"
-        )
+            raise _step_cap_error(step_cap)
 
     consumed = ConsumedCounters(
         airplane=np.array([v - 1 for v in air_next], dtype=np.int64),
         taxi=np.array([v - 1 for v in taxi_next], dtype=np.int64),
         landlord=np.array(landlord_used, dtype=np.int64),
     )
-    return SimResult(
-        M_star=M_arr, S_star=S_star, inflow=inflow_arr, consumed=consumed, final_config=final
+    M_arr = np.array(M_star, dtype=np.int64)
+    inflow_arr = np.array(inflow, dtype=np.int64)
+    return M_arr, inflow_arr, consumed, _to_config(n, V, counts, sleeping)
+
+
+class _LoopEngine:
+    """Single-loop state on flat arrays over all houses, advanced in rounds.
+
+    House (x, i) is flat index x*n + i - 1.  Per house the engine keeps the
+    arrivals so far (`hits`), the landlord notices read (`revealed`) and the
+    last of them, the terminal notice (`terminal`); per village the airplane
+    tickets read (`M`), the arrivals implied so far (`I`, initial immigrants
+    included) and the taxi tickets read.  Every read is the next unread
+    entry of its stack, so advancing through M_1 <= M_2 <= ... reads the
+    same prefixes as one evaluation at the last odometer.
+    """
+
+    def __init__(self, params: ModelParams, n: int, src, step_cap: int | None = None):
+        V = params.num_villages
+        self.n = n
+        self.src = src
+        self.step_cap = step_cap
+        self.floor_sigma = floor_counts(params.init_sleepers, n)
+        self.floor_nu = floor_counts(params.init_actives, n)
+        self.sleeper = np.arange(n) < self.floor_sigma[:, None]  # (V, n) initial sleepers
+        self.M = np.zeros(V, dtype=np.int64)
+        self.I = self.floor_nu.copy()
+        self.taxi_read = np.zeros(V, dtype=np.int64)
+        self.hits = np.zeros(V * n, dtype=np.int64)
+        self.revealed = np.zeros(V * n, dtype=np.int64)
+        self.terminal = np.zeros(V * n, dtype=np.uint8)
+        self.tickets = 0  # airplane tickets plus post-landing taxi tickets read
+        self.notices = 0  # landlord notices read
+
+    def advance(self, M: np.ndarray) -> None:
+        """Move the input odometer up to M (componentwise >= the current one)."""
+        touched, new_hits = self.route(M)
+        self._check_cap()
+        self._scan(touched, new_hits)
+
+    def route(self, M: np.ndarray):
+        """Inbound phase: read the airplane tickets past the current odometer
+        and land the arrivals they imply on the next taxi tickets.  Returns
+        the houses hit and how many arrivals each received."""
+        V, n, src = self.I.shape[0], self.n, self.src
+        read, want = self.M.tolist(), M.tolist()
+        parts = [
+            src.airplane_range(y, read[y] + 1, want[y] + 1)
+            for y in np.flatnonzero(M > self.M).tolist()
+        ]
+        self.M = M
+        if parts:
+            dests = np.concatenate(parts)
+            self.I = self.I + np.bincount(dests[dests != GRAVEYARD], minlength=V)
+        read, want = self.taxi_read.tolist(), self.I.tolist()
+        parts = [
+            src.taxi_range(x, read[x] + 1, want[x] + 1) + (x * n - 1)
+            for x in np.flatnonzero(self.I > self.taxi_read).tolist()
+        ]
+        self.taxi_read = self.I.copy()
+        self.tickets = int(M.sum() + self.I.sum() - self.floor_nu.sum())
+        if not parts:
+            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64)
+        new_hits = np.bincount(np.concatenate(parts), minlength=V * n)
+        touched = np.flatnonzero(new_hits)
+        new_hits = new_hits[touched]
+        self.hits[touched] += new_hits
+        return touched, new_hits
+
+    def _scan(self, touched: np.ndarray, new_hits: np.ndarray) -> None:
+        """Resume the landlord scan of every newly hit house until it has seen
+        one JUMP per particle but the last, then read one terminal notice."""
+        # Slices of houses keep the per-notice temporaries bounded at large n.
+        for lo in range(0, touched.size, _SCAN_SLICE):
+            self._scan_slice(touched[lo : lo + _SCAN_SLICE], new_hits[lo : lo + _SCAN_SLICE])
+
+    def _scan_slice(self, touched: np.ndarray, new_hits: np.ndarray) -> None:
+        hit_before = self.hits[touched] > new_hits
+        # Jumps still owed before the terminal notice.  A house hit before owes
+        # none and holds a terminal notice, which now becomes an ordinary one.
+        need = np.where(
+            hit_before,
+            new_hits - self.terminal[touched],
+            new_hits + self.sleeper.ravel()[touched] - 1,
+        )
+        x, i = np.divmod(touched, self.n)
+        read = self.src.landlord_reader(x, i + 1)
+        pos = np.arange(touched.size)
+        j = self.revealed[touched] + 1  # next unread notice
+        while pos.size:
+            # A house owing k JUMPs reads at least k + 1 more notices, and only
+            # the last of them can be terminal: read those k + 1 in one block.
+            width = need + 1
+            stops = np.cumsum(width)
+            starts = stops - width
+            draws = read(
+                np.repeat(pos, width), np.repeat(j - starts, width) + np.arange(stops[-1])
+            )
+            self.notices += int(stops[-1])
+            self._check_cap()
+            jumps = np.add.reduceat(draws, starts, dtype=np.int64)
+            last = draws[stops - 1]
+            final = jumps - last == need
+            if final.any():
+                done = touched[pos[final]]
+                self.terminal[done] = last[final]
+                self.revealed[done] = j[final] + need[final]
+                more = ~final
+                pos, j, need, width, jumps = pos[more], j[more], need[more], width[more], jumps[more]
+            need = need - jumps
+            j = j + width
+
+    def _check_cap(self) -> None:
+        if self.step_cap is not None and self.tickets + self.notices > self.step_cap:
+            raise _step_cap_error(self.step_cap)
+
+    def totals(self):
+        """(I, A, Q, J) per village: arrivals, visited houses, initial
+        sleepers never hit, and terminal JUMP notices."""
+        V, n = self.I.shape[0], self.n
+        visited = self.hits.reshape(V, n) > 0
+        A = np.count_nonzero(visited, axis=1).astype(np.int64)
+        Q = self.floor_sigma - np.count_nonzero(visited & self.sleeper, axis=1)
+        J = self.terminal.reshape(V, n).sum(axis=1, dtype=np.int64)
+        return self.I.copy(), A, Q, J
+
+
+def _outflux(floor_sigma, I, A, Q, J) -> np.ndarray:
+    """Phi: every particle through a visited house leaves it but the last,
+    which leaves on a terminal JUMP; unvisited houses send nothing."""
+    return floor_sigma - Q + I - A + J
+
+
+def _single_loop_rounds(params: ModelParams, n: int, src, step_cap: int):
+    """Iterate M <- Phi(M) from M = 0 on one engine until Phi(M) == M."""
+    V = params.num_villages
+    engine = _LoopEngine(params, n, src, step_cap)
+    M = np.zeros(V, dtype=np.int64)
+    while True:
+        engine.advance(M)
+        Phi = _outflux(engine.floor_sigma, *engine.totals())
+        if np.array_equal(Phi, M):
+            break
+        if np.any(Phi < M):
+            raise AcceptanceCheckError(
+                f"single-loop iterates from M=0 must be nondecreasing: Phi={Phi.tolist()} "
+                f"below M={M.tolist()}"
+            )
+        M = Phi
+
+    visited = engine.hits.reshape(V, n) > 0
+    terminal = engine.terminal.reshape(V, n)
+    counts = np.where(visited, 1 - terminal.astype(np.int64), engine.sleeper.astype(np.int64))
+    final = DiscreteConfig(n=n, counts=counts, sleeping=counts == 1)
+    consumed = ConsumedCounters(
+        airplane=M.copy(),
+        taxi=engine.I.copy(),
+        landlord=engine.revealed.reshape(V, n).sum(axis=1),
     )
+    return M, engine.I.copy(), consumed, final
 
 
 def _check_odometer(params: ModelParams, M) -> np.ndarray:
@@ -324,69 +510,6 @@ def _check_odometer(params: ModelParams, M) -> np.ndarray:
     return M
 
 
-def _loop_inbound(params: ModelParams, n: int, src, M: np.ndarray):
-    """Shared inbound phase: arrival counts, visited houses, through-traffic.
-
-    Returns (floor_sigma, I, A, Q, visited, traffic) where visited[x] is the
-    sorted array of houses of village x that received at least one arrival
-    and traffic[x] the matching total particle count (arrivals plus any
-    initial sleeper).
-    """
-    V = params.num_villages
-    floor_sigma = floor_counts(params.init_sleepers, n)
-    floor_nu = floor_counts(params.init_actives, n)
-    I = floor_nu.copy()
-    for y in range(V):
-        m_y = int(M[y])
-        if m_y:
-            dests = src.airplane_prefix(y, m_y)
-            dests = dests[dests != GRAVEYARD]
-            if dests.size:
-                I += np.bincount(dests, minlength=V).astype(np.int64)
-    A = np.zeros(V, dtype=np.int64)
-    Q = np.zeros(V, dtype=np.int64)
-    visited: list[np.ndarray] = []
-    traffic: list[np.ndarray] = []
-    for x in range(V):
-        u = int(I[x])
-        sc = int(floor_sigma[x])
-        if u:
-            hits = np.bincount(src.taxi_prefix(x, u), minlength=n + 1)
-            houses = np.flatnonzero(hits[1:]) + 1
-            A[x] = houses.size
-            Q[x] = sc - int(np.count_nonzero(hits[1 : sc + 1]))
-            T = hits[houses] + (houses <= sc)
-        else:
-            houses = np.empty(0, dtype=np.int64)
-            T = np.empty(0, dtype=np.int64)
-            Q[x] = sc
-        visited.append(houses)
-        traffic.append(T.astype(np.int64))
-    return floor_sigma, I, A, Q, visited, traffic
-
-
-def _terminal_notices(src, x: int, houses: np.ndarray, jumps_needed: np.ndarray):
-    """For each house, scan its landlord stack past `jumps_needed` JUMPs and
-    return (terminal notice value, number of notices revealed)."""
-    m = houses.shape[0]
-    remaining = jumps_needed.astype(np.int64, copy=True)
-    result = np.zeros(m, dtype=np.uint8)
-    revealed = np.zeros(m, dtype=np.int64)
-    alive = np.arange(m)
-    j = 1
-    while alive.size:
-        draws = src.landlord_batch(x, houses[alive], j)
-        done = remaining[alive] == 0
-        hit = alive[done]
-        result[hit] = draws[done]
-        revealed[hit] = j
-        keep = alive[~done]
-        remaining[keep] -= draws[~done].astype(np.int64)
-        alive = keep
-        j += 1
-    return result, revealed
-
-
 def single_loop(params: ModelParams, n: int, src, M) -> SingleLoopResult:
     """Evaluate the one-pass odometer map at input odometer M.
 
@@ -397,17 +520,11 @@ def single_loop(params: ModelParams, n: int, src, M) -> SingleLoopResult:
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n!r}")
     M = _check_odometer(params, M)
-    floor_sigma, I, A, Q, visited, traffic = _loop_inbound(params, n, src, M)
-    V = params.num_villages
-    J = np.zeros(V, dtype=np.int64)
-    for x in range(V):
-        houses = visited[x]
-        if houses.size:
-            last, revealed = _terminal_notices(src, x, houses, traffic[x] - 1)
-            J[x] = int(last.sum(dtype=np.int64))
-            src.record_landlord_served(x, houses, revealed)
-    Phi = floor_sigma - Q + I - A + J
-    S = -M + floor_sigma + I
+    engine = _LoopEngine(params, n, src)
+    engine.advance(M)
+    I, A, Q, J = engine.totals()
+    Phi = _outflux(engine.floor_sigma, I, A, Q, J)
+    S = -M + engine.floor_sigma + I
     return SingleLoopResult(Phi=Phi, S=S, I=I, A=A, Q=Q, J=J)
 
 
@@ -416,23 +533,23 @@ def single_loop_tilde(params: ModelParams, n: int, src, M, aux_seed: int) -> np.
 
     Identical inbound phase, but each visited house's terminal notice is
     replaced by a fresh Bernoulli(1/(1+lambda_x)) draw seeded by `aux_seed`,
-    independent of the landlord stacks.  Returns the outflux vector only.
+    independent of the landlord stacks: village by village, n uniforms, one
+    per house.  Returns the outflux vector only.
     """
     validate_model(params)
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n!r}")
     M = _check_odometer(params, M)
-    floor_sigma, I, A, Q, visited, _ = _loop_inbound(params, n, src, M)
+    engine = _LoopEngine(params, n, src)
+    engine.route(M)
+    I, A, Q, _ = engine.totals()
     V = params.num_villages
     rng = np.random.default_rng(aux_seed)
     p_jump = 1.0 / (1.0 + params.sleep_rates)
-    J = np.zeros(V, dtype=np.int64)
-    for x in range(V):
-        fresh = rng.random(n) < p_jump[x]
-        houses = visited[x]
-        if houses.size:
-            J[x] = int(fresh[houses - 1].sum(dtype=np.int64))
-    return floor_sigma - Q + I - A + J
+    fresh = rng.random((V, n)) < p_jump[:, None]
+    visited = engine.hits.reshape(V, n) > 0
+    J = np.count_nonzero(fresh & visited, axis=1).astype(np.int64)
+    return _outflux(engine.floor_sigma, I, A, Q, J)
 
 
 def expected_outflux_given_influx(params: ModelParams, x: int, n: int, u: int) -> float:

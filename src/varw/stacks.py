@@ -59,10 +59,11 @@ def _mix64(z: int) -> int:
 def _mix64_np(z: np.ndarray) -> np.ndarray:
     """Vectorized twin of _mix64; identical output for identical inputs."""
     z = z ^ (z >> np.uint64(30))
-    z = z * _U64_C1
-    z = z ^ (z >> np.uint64(27))
-    z = z * _U64_C2
-    return z ^ (z >> np.uint64(31))
+    z *= _U64_C1
+    z ^= z >> np.uint64(27)
+    z *= _U64_C2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _stream_key(master_seed: int, kind: int, x: int) -> int:
@@ -101,6 +102,8 @@ class StackSource:
         self._air_key = [_stream_key(self.master_seed, _KIND_AIRPLANE, x) for x in range(V)]
         self._taxi_key = [_stream_key(self.master_seed, _KIND_TAXI, x) for x in range(V)]
         self._land_key = [_stream_key(self.master_seed, _KIND_LANDLORD, x) for x in range(V)]
+        self._p_sleep_arr = np.array(self._p_sleep, dtype=np.float64)
+        self._land_key_arr = np.array(self._land_key, dtype=np.uint64)
         self._house_key: dict[int, int] = {}
         # realized prefixes, grown geometrically
         self._air_cache = [np.empty(0, dtype=np.int64) for _ in range(V)]
@@ -123,6 +126,12 @@ class StackSource:
     def _check_index(self, j: int) -> None:
         if j < 1:
             raise ValidationError(f"stack index must be >= 1, got {j!r}")
+
+    def _check_range(self, x: int, j_start: int, j_stop: int) -> None:
+        self._check_village(x)
+        self._check_index(j_start)
+        if j_stop < j_start:
+            raise ValidationError(f"prefix length must be >= 0, got {j_stop - j_start!r}")
 
     # -- airplane tickets ------------------------------------------------------
 
@@ -149,13 +158,15 @@ class StackSource:
 
     def airplane_prefix(self, x: int, count: int) -> np.ndarray:
         """Tickets zeta_{1,x}..zeta_{count,x} as an int64 array."""
-        self._check_village(x)
-        if count < 0:
-            raise ValidationError(f"prefix length must be >= 0, got {count!r}")
-        self._ensure_airplane(x, count)
-        if count > self.served_airplane[x]:
-            self.served_airplane[x] = count
-        return self._air_cache[x][:count].copy()
+        return self.airplane_range(x, 1, count + 1)
+
+    def airplane_range(self, x: int, j_start: int, j_stop: int) -> np.ndarray:
+        """Tickets zeta_{j_start,x}..zeta_{j_stop-1,x} as an int64 array."""
+        self._check_range(x, j_start, j_stop)
+        self._ensure_airplane(x, j_stop - 1)
+        if j_stop - 1 > self.served_airplane[x]:
+            self.served_airplane[x] = j_stop - 1
+        return self._air_cache[x][j_start - 1 : j_stop - 1].copy()
 
     # -- taxi tickets ----------------------------------------------------------
 
@@ -180,13 +191,15 @@ class StackSource:
 
     def taxi_prefix(self, x: int, count: int) -> np.ndarray:
         """Tickets gamma_{1,x}..gamma_{count,x} as an int64 array."""
-        self._check_village(x)
-        if count < 0:
-            raise ValidationError(f"prefix length must be >= 0, got {count!r}")
-        self._ensure_taxi(x, count)
-        if count > self.served_taxi[x]:
-            self.served_taxi[x] = count
-        return self._taxi_cache[x][:count].copy()
+        return self.taxi_range(x, 1, count + 1)
+
+    def taxi_range(self, x: int, j_start: int, j_stop: int) -> np.ndarray:
+        """Tickets gamma_{j_start,x}..gamma_{j_stop-1,x} as an int64 array."""
+        self._check_range(x, j_start, j_stop)
+        self._ensure_taxi(x, j_stop - 1)
+        if j_stop - 1 > self.served_taxi[x]:
+            self.served_taxi[x] = j_stop - 1
+        return self._taxi_cache[x][j_start - 1 : j_stop - 1].copy()
 
     # -- landlord notices --------------------------------------------------------
 
@@ -212,27 +225,54 @@ class StackSource:
         u = (out >> 11) * _TO_UNIT
         return SLEEP if u < self._p_sleep[x] else JUMP
 
-    def landlord_batch(self, x: int, houses: np.ndarray, j: int) -> np.ndarray:
-        """Notice j for many houses of village x at once (uint8 array).
+    def landlord_batch(self, x: int, houses: np.ndarray, j) -> np.ndarray:
+        """Notices of many houses of village x at once (uint8 array).
 
-        Raw accessor: does not advance the served counters; bulk consumers
-        record consumption through record_landlord_served.
+        `j` is one stack index for every house or an array of per-house
+        indices.  Raw accessor: does not advance the served counters.
         """
         self._check_village(x)
-        self._check_index(j)
         h = np.asarray(houses, dtype=np.uint64)
         keys = _mix64_np(np.uint64(self._land_key[x]) ^ (h * _U64_K_HOUSE + np.uint64(1)))
-        out = _mix64_np(keys + np.uint64((j * _GOLDEN) & _MASK64))
-        u = (out >> np.uint64(11)).astype(np.float64) * _TO_UNIT
-        return np.where(u < self._p_sleep[x], SLEEP, JUMP).astype(np.uint8)
+        keys += _index_array(j).view(np.uint64) * _U64_GOLDEN
+        return _notices(keys, self._p_sleep[x])
 
-    def record_landlord_served(self, x: int, houses: np.ndarray, counts: np.ndarray) -> None:
-        """Bulk-update landlord high-water marks after a vectorized read."""
-        served = self.served_landlord
-        for i, c in zip(houses.tolist(), counts.tolist()):
-            key = (x, int(i))
-            if c > served.get(key, 0):
-                served[key] = int(c)
+    def landlord_reader(self, villages: np.ndarray, houses: np.ndarray):
+        """Notice reader for the fixed house list (villages[k], houses[k]).
+
+        Each house's stream key is computed once, here.  The returned
+        `read(sel, j)` gives notice j[k] of the house at list position
+        sel[k] (uint8), for an index array `sel` and aligned `j`; it does
+        not advance the served counters.
+        """
+        x = np.asarray(villages, dtype=np.intp)
+        h = np.asarray(houses, dtype=np.uint64)
+        keys = _mix64_np(self._land_key_arr[x] ^ (h * _U64_K_HOUSE + np.uint64(1)))
+        p_sleep = self._p_sleep_arr[x]
+
+        def read(sel: np.ndarray, j: np.ndarray) -> np.ndarray:
+            return _notices(keys[sel] + j.view(np.uint64) * _U64_GOLDEN, p_sleep[sel])
+
+        return read
+
+
+def _notices(z: np.ndarray, p_sleep) -> np.ndarray:
+    """Notices from counter inputs z = key + j*golden: SLEEP (0) when the
+    uniform falls below p_sleep, else JUMP (1)."""
+    z = _mix64_np(z)
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u *= _TO_UNIT
+    return (u >= p_sleep).view(np.uint8)
+
+
+def _index_array(j) -> np.ndarray:
+    """Stack indices `j` as a 1-d int64 array, each checked >= 1; a single
+    index becomes an array of length one, which broadcasts over houses."""
+    j = np.atleast_1d(np.asarray(j, dtype=np.int64))
+    if j.size and int(j.min()) < 1:
+        raise ValidationError(f"stack index must be >= 1, got {int(j.min())!r}")
+    return j
 
 
 class InjectedStackSource:
@@ -323,21 +363,32 @@ class InjectedStackSource:
         return got
 
     def airplane_prefix(self, x: int, count: int) -> np.ndarray:
-        return np.array([self.airplane(x, j) for j in range(1, count + 1)], dtype=np.int64)
+        return self.airplane_range(x, 1, count + 1)
+
+    def airplane_range(self, x: int, j_start: int, j_stop: int) -> np.ndarray:
+        return np.array([self.airplane(x, j) for j in range(j_start, j_stop)], dtype=np.int64)
 
     def taxi_prefix(self, x: int, count: int) -> np.ndarray:
-        return np.array([self.taxi(x, j) for j in range(1, count + 1)], dtype=np.int64)
+        return self.taxi_range(x, 1, count + 1)
 
-    def landlord_batch(self, x: int, houses: np.ndarray, j: int) -> np.ndarray:
-        return np.array(
-            [self.landlord(x, int(i), j) for i in np.asarray(houses)], dtype=np.uint8
+    def taxi_range(self, x: int, j_start: int, j_stop: int) -> np.ndarray:
+        return np.array([self.taxi(x, j) for j in range(j_start, j_stop)], dtype=np.int64)
+
+    def landlord_batch(self, x: int, houses: np.ndarray, j) -> np.ndarray:
+        houses = np.asarray(houses, dtype=np.int64)
+        return self.landlord_reader(np.full(houses.shape, x), houses)(
+            np.arange(houses.size), np.broadcast_to(_index_array(j), houses.shape)
         )
 
-    def record_landlord_served(self, x: int, houses: np.ndarray, counts: np.ndarray) -> None:
-        for i, c in zip(houses.tolist(), counts.tolist()):
-            key = (x, int(i))
-            if c > self.served_landlord.get(key, 0):
-                self.served_landlord[key] = int(c)
+    def landlord_reader(self, villages: np.ndarray, houses: np.ndarray):
+        xs = np.asarray(villages).tolist()
+        hs = np.asarray(houses).tolist()
+
+        def read(sel: np.ndarray, j: np.ndarray) -> np.ndarray:
+            pairs = zip(sel.tolist(), j.tolist())
+            return np.array([self.landlord(xs[k], hs[k], jk) for k, jk in pairs], dtype=np.uint8)
+
+        return read
 
 
 def inject_stacks(

@@ -210,3 +210,31 @@ def test_kappa_subcommand(capsys, tmp_path):
     assert code == 0
     assert "village_0_p_value" in out
     assert (tmp_path / "k" / "kappa_test.txt").exists()
+
+
+def test_simulate_default_policy_is_single_loop_rounds(capsys, model_file):
+    code, out, _ = run_cli(capsys, "simulate", "--model", model_file, "--n", "200", "--seed", "3")
+    assert code == 0
+    assert "order_policy: single-loop-rounds" in out
+    code, ref, _ = run_cli(
+        capsys, "simulate", "--model", model_file, "--n", "200", "--seed", "3",
+        "--order-policy", "fifo-house-queue",
+    )
+    assert code == 0
+    assert ref.replace("fifo-house-queue", "single-loop-rounds") == out
+
+
+def test_solve_non_monotone_iterates_exit_code(capsys, model_file, monkeypatch):
+    import varw.limit as limit_mod
+
+    real_phi = limit_mod.phi
+    calls = []
+
+    def shrinking_phi(params, m):
+        calls.append(1)
+        return real_phi(params, m) if len(calls) == 1 else np.zeros_like(m)
+
+    monkeypatch.setattr(limit_mod, "phi", shrinking_phi)
+    code, _, err = run_cli(capsys, "solve", "--model", model_file)
+    assert code == 3
+    assert "nondecreasing" in err

@@ -17,6 +17,7 @@ from varw import (
     parse_model,
     validate_model,
 )
+from varw.model import floor_counts
 
 # analytic Perron data for the default 2x2 kernel [[0, .5], [.4, 0]]
 MU_2X2 = 0.4472135954999579  # sqrt(0.2)
@@ -256,3 +257,28 @@ def test_params_arrays_are_immutable():
     params = two_village_params()
     with pytest.raises(ValueError):
         params.kernel[0, 0] = 1.0
+
+
+def test_validate_accepts_wide_irreducible_kernel():
+    # 0 -> {1..256} -> 257 -> 0 has 256 two-step paths from 0 to 257; a path
+    # count kept in uint8 wraps to 0 and used to reject this kernel.
+    V = 258
+    P = np.zeros((V, V))
+    P[0, 1:257] = 1.0 / 256
+    P[1:257, 257] = 0.5
+    P[257, 0] = 0.5
+    params = ModelParams(
+        kernel=P, sleep_rates=np.ones(V), init_sleepers=np.zeros(V), init_actives=np.zeros(V)
+    )
+    assert validate_model(params) is params
+    P[257, 0] = 0.0
+    broken = ModelParams(
+        kernel=P, sleep_rates=np.ones(V), init_sleepers=np.zeros(V), init_actives=np.zeros(V)
+    )
+    with pytest.raises(ValidationError, match="village 0 unreachable from 1"):
+        validate_model(broken)
+
+
+def test_floor_counts_uses_binary_float_products():
+    # 0.29 * 100 == 28.999999999999996 in binary floating point
+    assert floor_counts(np.array([0.29, 0.5, 1.0]), 100).tolist() == [28, 50, 100]

@@ -10,6 +10,9 @@ from varw import (
     JUMP,
     SLEEP,
     ORDER_POLICIES,
+    InjectedStackSource,
+    ModelParams,
+    StackExhaustedError,
     StackSource,
     StepCapError,
     ValidationError,
@@ -19,6 +22,8 @@ from varw import (
     single_loop_tilde,
     stabilize,
 )
+from varw.model import floor_counts
+import varw.simulator as simulator_mod
 from varw.simulator import expected_outflux_given_influx
 
 
@@ -252,3 +257,110 @@ def test_expected_outflux_formula_values():
     # frozen from the closed-form expression at n=100, u=65
     assert abs(expected_outflux_given_influx(params, 0, 100, 65) - 55.40681045300613) < 1e-12
     assert expected_outflux_given_influx(params, 0, 100, 0) == 0.0
+
+
+@st.composite
+def edge_instances(draw):
+    """Instances at the edges of the parameter space: up to 12 villages, some
+    sleep rates 0, some sigma at the critical ceiling lambda/(1+lambda), some
+    nu 0.  Returns (params, n, stack seed)."""
+    V = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    P = rng.uniform(0.0, 1.0, (V, V)) * (rng.uniform(0.0, 1.0, (V, V)) < 0.4)
+    for x in range(V):
+        P[x, (x + 1) % V] = max(P[x, (x + 1) % V], 0.2)
+    P = P / P.sum(axis=1, keepdims=True) * rng.uniform(0.3, 0.9, V)[:, None]
+    kinds = st.lists(st.sampled_from(("edge", "random")), min_size=V, max_size=V)
+    lam = np.where(np.array(draw(kinds)) == "edge", 0.0, rng.uniform(0.2, 3.0, V))
+    ceiling = lam / (1.0 + lam)
+    sigma = np.where(np.array(draw(kinds)) == "edge", ceiling, rng.uniform(0.0, 1.0, V) * ceiling)
+    nu = np.where(np.array(draw(kinds)) == "edge", 0.0, rng.uniform(0.0, 1.0, V))
+    params = ModelParams(kernel=P, sleep_rates=lam, init_sleepers=sigma, init_actives=nu)
+    return params, draw(st.integers(1, 60)), draw(st.integers(0, 2**31))
+
+
+def _sim_arrays(sim):
+    c = sim.consumed
+    cfg = sim.final_config
+    return (sim.M_star, sim.S_star, sim.inflow, c.airplane, c.taxi, c.landlord, cfg.counts, cfg.sleeping)
+
+
+def _assert_same_run(got, want):
+    for a, b in zip(_sim_arrays(got), _sim_arrays(want)):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+def test_default_policy_is_single_loop_rounds():
+    assert ORDER_POLICIES[0] == "single-loop-rounds"
+    assert stabilize.__defaults__[0] == ORDER_POLICIES[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(edge_instances())
+def test_rounds_stabilizer_matches_every_scalar_schedule(case):
+    params, n, seed = case
+    sim = stabilize(params, n, StackSource(params, n, seed))
+    for policy in ORDER_POLICIES[1:]:
+        _assert_same_run(sim, stabilize(params, n, StackSource(params, n, seed), order_policy=policy))
+
+
+def _strict_copy(params, n, full, consumed, drop_last_notice=False):
+    """Strict injected stacks holding exactly the prefixes a run consumed."""
+    landlord = {
+        house: [full.landlord(*house, j) for j in range(1, k + 1)]
+        for house, k in sorted(dict(full.served_landlord).items())
+    }
+    if drop_last_notice:
+        landlord[next(iter(landlord))].pop()
+    return InjectedStackSource(
+        params,
+        n,
+        airplane={x: full.airplane_prefix(x, int(k)).tolist() for x, k in enumerate(consumed.airplane)},
+        taxi={x: full.taxi_prefix(x, int(k)).tolist() for x, k in enumerate(consumed.taxi)},
+        landlord=landlord,
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(edge_instances())
+def test_rounds_stabilizer_reads_only_the_scalar_prefixes(case):
+    params, n, seed = case
+    full = StackSource(params, n, seed)
+    ref = stabilize(params, n, full, order_policy="fifo-house-queue")
+    _assert_same_run(stabilize(params, n, _strict_copy(params, n, full, ref.consumed)), ref)
+
+
+def test_rounds_stabilizer_needs_every_consumed_notice():
+    params = two_village_params()
+    full = StackSource(params, 40, 8)
+    ref = stabilize(params, 40, full, order_policy="fifo-house-queue")
+    short = _strict_copy(params, 40, full, ref.consumed, drop_last_notice=True)
+    for policy in ORDER_POLICIES[:2]:
+        with pytest.raises(StackExhaustedError):
+            stabilize(params, 40, short, order_policy=policy)
+
+
+def test_step_cap_is_exact_for_every_policy():
+    params = two_village_params()
+    n = 300
+    ref = stabilize(params, n, StackSource(params, n, 4))
+    c = ref.consumed
+    post_landing_taxi = c.taxi - floor_counts(params.init_actives, n)
+    total = int(c.airplane.sum() + post_landing_taxi.sum() + c.landlord.sum())
+    for policy in ORDER_POLICIES:
+        stabilize(params, n, StackSource(params, n, 4), order_policy=policy, step_cap=total)
+        with pytest.raises(StepCapError):
+            stabilize(params, n, StackSource(params, n, 4), order_policy=policy, step_cap=total - 1)
+
+
+def test_rounds_stabilizer_with_small_scan_slices(monkeypatch):
+    params = two_village_params()
+    n = 300
+    ref = stabilize(params, n, StackSource(params, n, 6), order_policy="fifo-house-queue")
+    monkeypatch.setattr(simulator_mod, "_SCAN_SLICE", 7)
+    src = StackSource(params, n, 6)
+    _assert_same_run(stabilize(params, n, src), ref)
+    loop = single_loop(params, n, src, ref.M_star)
+    assert np.array_equal(loop.Phi, ref.M_star)
+    assert np.array_equal(loop.S, ref.S_star)

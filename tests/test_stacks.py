@@ -8,6 +8,7 @@ from varw import (
     GRAVEYARD,
     JUMP,
     SLEEP,
+    InjectedStackSource,
     StackSource,
     StackExhaustedError,
     ValidationError,
@@ -201,3 +202,34 @@ def test_derive_seed_is_stable_and_spreads():
     assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
     seen = {derive_seed(0, 1, t) for t in range(1000)}
     assert len(seen) == 1000
+
+
+def test_range_accessors_match_prefixes_on_both_sources():
+    params = two_village_params()
+    src = StackSource(params, 30, 17)
+    air, taxi = src.airplane_prefix(1, 40), src.taxi_prefix(0, 40)
+    inj = InjectedStackSource(params, 30, airplane={1: air.tolist()}, taxi={0: taxi.tolist()})
+    for source in (src, inj):
+        assert np.array_equal(source.airplane_range(1, 5, 41), air[4:])
+        assert np.array_equal(source.taxi_range(0, 1, 12), taxi[:11])
+        assert source.airplane_range(1, 7, 7).shape == (0,)
+    with pytest.raises(StackExhaustedError):
+        inj.taxi_range(0, 39, 42)
+    with pytest.raises(ValidationError):
+        src.airplane_range(1, 0, 3)
+
+
+def test_array_index_landlord_batch_matches_scalar_on_both_sources():
+    params = two_village_params()
+    src = StackSource(params, 30, 5)
+    houses = np.array([3, 1, 3, 30, 7, 1])
+    j = np.array([1, 4, 2, 9, 1, 1])
+    want = [src.landlord(1, int(i), int(k)) for i, k in zip(houses, j)]
+    inj = InjectedStackSource(
+        params, 30, landlord={(1, i): [src.landlord(1, i, k) for k in range(1, 10)] for i in (1, 3, 7, 30)}
+    )
+    for source in (src, inj):
+        assert source.landlord_batch(1, houses, j).tolist() == want
+        assert source.landlord_batch(1, houses, 2).tolist() == [src.landlord(1, int(i), 2) for i in houses]
+        with pytest.raises(ValidationError):
+            source.landlord_batch(1, houses, j - 1)
