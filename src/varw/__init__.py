@@ -49,7 +49,6 @@ from .stacks import (
     InjectedStackSource,
     StackSource,
     derive_seed,
-    inject_stacks,
 )
 
 __version__ = "0.1.0"

@@ -1,7 +1,8 @@
 """Command-line front end for the village random walk toolkit.
 
 Exit codes: 0 success, 1 validation/usage error, 2 runtime guard tripped
-(step or iteration cap), 3 exact-invariant failure inside an experiment.
+(step or iteration cap, or an input too large for memory), 3 exact-invariant
+failure inside an experiment.
 Every subcommand is deterministic given its arguments and input files;
 seeds are always printed, defaulted or not.
 """
@@ -262,6 +263,9 @@ def main(argv=None) -> int:
         return 1
     except (StepCapError, IterationCapError) as exc:
         print(f"runtime guard: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"runtime guard: input too large for memory: {exc}", file=sys.stderr)
         return 2
     except AcceptanceCheckError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)

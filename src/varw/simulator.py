@@ -378,25 +378,17 @@ class _LoopEngine:
         and land the arrivals they imply on the next taxi tickets.  Returns
         the houses hit and how many arrivals each received."""
         V, n, src = self.I.shape[0], self.n, self.src
-        read, want = self.M.tolist(), M.tolist()
-        parts = [
-            src.airplane_range(y, read[y] + 1, want[y] + 1)
-            for y in np.flatnonzero(M > self.M).tolist()
-        ]
+        villages = np.arange(V)
+        dests = src.airplane_range(villages, self.M + 1, M + 1)
         self.M = M
-        if parts:
-            dests = np.concatenate(parts)
-            self.I = self.I + np.bincount(dests[dests != GRAVEYARD], minlength=V)
-        read, want = self.taxi_read.tolist(), self.I.tolist()
-        parts = [
-            src.taxi_range(x, read[x] + 1, want[x] + 1) + (x * n - 1)
-            for x in np.flatnonzero(self.I > self.taxi_read).tolist()
-        ]
+        self.I = self.I + np.bincount(dests[dests != GRAVEYARD], minlength=V)
+        houses = src.taxi_range(villages, self.taxi_read + 1, self.I + 1)
+        houses += np.repeat(villages * n - 1, self.I - self.taxi_read)  # flat house index
         self.taxi_read = self.I.copy()
         self.tickets = int(M.sum() + self.I.sum() - self.floor_nu.sum())
-        if not parts:
+        if not houses.size:
             return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64)
-        new_hits = np.bincount(np.concatenate(parts), minlength=V * n)
+        new_hits = np.bincount(houses, minlength=V * n)
         touched = np.flatnonzero(new_hits)
         new_hits = new_hits[touched]
         self.hits[touched] += new_hits

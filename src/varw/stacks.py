@@ -1,9 +1,10 @@
 """Seeded instruction stacks: airplane tickets, taxi tickets, landlord notices.
 
 Every instruction is a pure function of (master_seed, stack identity, index),
-computed with a splitmix64-style counter generator.  That makes the three
-families trivially memoized and query-order independent: the stabilization
-loop can consume a stack one entry at a time while the single-loop evaluator
+computed with a splitmix64-style counter generator.  Sources keep no record
+of what was read: every entry is computed on demand from its counter, so
+reads are query-order independent and may repeat.  The stabilization loop
+can consume a stack one entry at a time while the single-loop evaluator
 re-reads the same prefixes in bulk, and both see bitwise-identical values.
 This shared-randomness coupling is what turns the stabilizing odometer into
 an exact fixed point of the single-loop map, per run, not just in law.
@@ -17,6 +18,8 @@ Stack identities and distributions:
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -44,8 +47,6 @@ _U64_C1 = np.uint64(_MIX_C1)
 _U64_C2 = np.uint64(_MIX_C2)
 _U64_K_HOUSE = np.uint64(_K_HOUSE)
 _TO_UNIT = 2.0**-53
-
-_CHUNK = 4096
 
 
 def _mix64(z: int) -> int:
@@ -80,12 +81,63 @@ def derive_seed(master_seed: int, *components: int) -> int:
     return h
 
 
-class StackSource:
+def _range_entries(x, j_start, j_stop, num_villages: int):
+    """Village and stack index of every entry of the ranges j_start..j_stop-1
+    of villages x, one village after another (int64 arrays).  x, j_start and
+    j_stop are scalars, read as one range, or equal-length vectors."""
+    x, j_start, j_stop = (np.atleast_1d(np.asarray(a, dtype=np.int64)) for a in (x, j_start, j_stop))
+    if x.ndim != 1 or not x.shape == j_start.shape == j_stop.shape:
+        raise ValidationError("villages, starts and stops must be equal-length vectors")
+    bad = x[(x < 0) | (x >= num_villages)]
+    if bad.size:
+        raise ValidationError(f"village index {int(bad[0])!r} out of range")
+    bad = j_start[j_start < 1]
+    if bad.size:
+        raise ValidationError(f"stack index must be >= 1, got {int(bad[0])!r}")
+    lengths = j_stop - j_start
+    bad = lengths[lengths < 0]
+    if bad.size:
+        raise ValidationError(f"prefix length must be >= 0, got {int(bad[0])!r}")
+    villages = np.repeat(x, lengths)
+    first = np.cumsum(lengths) - lengths  # position of each range's first entry
+    j = np.repeat(j_start - first, lengths) + np.arange(villages.size)
+    return villages, j
+
+
+class _SourceReads:
+    """Prefix and batch reads, built on a source's range and reader methods."""
+
+    def _check_village(self, x: int) -> None:
+        if not 0 <= x < self.params.num_villages:
+            raise ValidationError(f"village index {x!r} out of range")
+
+    def airplane_prefix(self, x: int, count: int) -> np.ndarray:
+        """Tickets zeta_{1,x}..zeta_{count,x} as an int64 array."""
+        return self.airplane_range(x, 1, count + 1)
+
+    def taxi_prefix(self, x: int, count: int) -> np.ndarray:
+        """Tickets gamma_{1,x}..gamma_{count,x} as an int64 array."""
+        return self.taxi_range(x, 1, count + 1)
+
+    def landlord_batch(self, x: int, houses: np.ndarray, j) -> np.ndarray:
+        """Notices of many houses of village x at once (uint8 array).
+
+        `j` is one stack index for every house or an array of per-house
+        indices.
+        """
+        self._check_village(x)
+        houses = np.asarray(houses, dtype=np.int64)
+        return self.landlord_reader(np.full(houses.shape, x), houses)(
+            np.arange(houses.size), np.broadcast_to(_index_array(j), houses.shape)
+        )
+
+
+class StackSource(_SourceReads):
     """All three instruction families for one (seed, params, n) triple.
 
-    A source may be shared between a stabilization run and subsequent
-    single-loop evaluations, but is single-writer: it must not be fed to two
-    concurrently running simulations.
+    The source holds only per-village constants (stream keys, kernel row
+    CDFs, sleep probabilities) and computes every entry from its counter, so
+    it can be shared by any number of runs and readers.
     """
 
     def __init__(self, params: ModelParams, n: int, master_seed: int):
@@ -95,121 +147,75 @@ class StackSource:
         self.n = int(n)
         self.master_seed = int(master_seed)
         V = params.num_villages
-        self._num_villages = V
-        self._cdf = [np.cumsum(params.kernel[x]) for x in range(V)]
+        self._air_key, self._taxi_key, self._land_key = (
+            np.array([_stream_key(self.master_seed, kind, x) for x in range(V)], dtype=np.uint64)
+            for kind in (_KIND_AIRPLANE, _KIND_TAXI, _KIND_LANDLORD)
+        )
+        cdf = np.cumsum(params.kernel, axis=1)
+        self._cdf = cdf.tolist()  # row CDFs for the scalar bisect
+        # Row x's CDF as the complex numbers x + cdf*1j, which order
+        # lexicographically: one searchsorted over all rows places a uniform
+        # u of village x, as x + u*1j, within row x alone.
+        rows = np.empty(cdf.shape, dtype=np.complex128)
+        rows.real = np.arange(V)[:, None]
+        rows.imag = cdf
+        self._cdf_rows = rows.ravel()
         lam = params.sleep_rates
-        self._p_sleep = [float(lx / (1.0 + lx)) for lx in lam]
-        self._air_key = [_stream_key(self.master_seed, _KIND_AIRPLANE, x) for x in range(V)]
-        self._taxi_key = [_stream_key(self.master_seed, _KIND_TAXI, x) for x in range(V)]
-        self._land_key = [_stream_key(self.master_seed, _KIND_LANDLORD, x) for x in range(V)]
-        self._p_sleep_arr = np.array(self._p_sleep, dtype=np.float64)
-        self._land_key_arr = np.array(self._land_key, dtype=np.uint64)
-        self._house_key: dict[int, int] = {}
-        # realized prefixes, grown geometrically
-        self._air_cache = [np.empty(0, dtype=np.int64) for _ in range(V)]
-        self._taxi_cache = [np.empty(0, dtype=np.int64) for _ in range(V)]
-        self.served_airplane = np.zeros(V, dtype=np.int64)
-        self.served_taxi = np.zeros(V, dtype=np.int64)
-        self.served_landlord: dict[tuple[int, int], int] = {}
+        self._p_sleep = lam / (1.0 + lam)
 
-    # -- raw counter streams -------------------------------------------------
-
-    def _raw_block(self, key: int, j_start: int, j_stop: int) -> np.ndarray:
-        """uint64 outputs for indices j_start..j_stop-1 of one stream."""
-        idx = np.arange(j_start, j_stop, dtype=np.uint64)
-        return _mix64_np(np.uint64(key) + idx * _U64_GOLDEN)
-
-    def _check_village(self, x: int) -> None:
-        if not 0 <= x < self._num_villages:
-            raise ValidationError(f"village index {x!r} out of range")
+    def _draws(self, keys: np.ndarray, x, j_start, j_stop):
+        """Villages and uint64 counter outputs of the ranges (see airplane_range)."""
+        villages, j = _range_entries(x, j_start, j_stop, self.params.num_villages)
+        z = j.view(np.uint64) * _U64_GOLDEN
+        z += keys[villages]
+        return villages, _mix64_np(z)
 
     def _check_index(self, j: int) -> None:
         if j < 1:
             raise ValidationError(f"stack index must be >= 1, got {j!r}")
 
-    def _check_range(self, x: int, j_start: int, j_stop: int) -> None:
-        self._check_village(x)
-        self._check_index(j_start)
-        if j_stop < j_start:
-            raise ValidationError(f"prefix length must be >= 0, got {j_stop - j_start!r}")
-
     # -- airplane tickets ------------------------------------------------------
-
-    def _ensure_airplane(self, x: int, upto: int) -> None:
-        cache = self._air_cache[x]
-        have = cache.shape[0]
-        if upto <= have:
-            return
-        new_len = max(upto, 2 * have, _CHUNK)
-        out = self._raw_block(self._air_key[x], have + 1, new_len + 1)
-        u = (out >> np.uint64(11)).astype(np.float64) * _TO_UNIT
-        dest = np.searchsorted(self._cdf[x], u, side="right").astype(np.int64)
-        dest[dest == self._num_villages] = GRAVEYARD
-        self._air_cache[x] = np.concatenate([cache, dest])
 
     def airplane(self, x: int, j: int) -> int:
         """Destination of the j-th jump ticket of village x (or GRAVEYARD)."""
         self._check_village(x)
         self._check_index(j)
-        self._ensure_airplane(x, j)
-        if j > self.served_airplane[x]:
-            self.served_airplane[x] = j
-        return int(self._air_cache[x][j - 1])
+        out = _mix64((int(self._air_key[x]) + j * _GOLDEN) & _MASK64)
+        dest = bisect_right(self._cdf[x], (out >> 11) * _TO_UNIT)
+        return GRAVEYARD if dest == self.params.num_villages else dest
 
-    def airplane_prefix(self, x: int, count: int) -> np.ndarray:
-        """Tickets zeta_{1,x}..zeta_{count,x} as an int64 array."""
-        return self.airplane_range(x, 1, count + 1)
+    def airplane_range(self, x, j_start, j_stop) -> np.ndarray:
+        """Tickets zeta_{j_start,x}..zeta_{j_stop-1,x} as an int64 array.
 
-    def airplane_range(self, x: int, j_start: int, j_stop: int) -> np.ndarray:
-        """Tickets zeta_{j_start,x}..zeta_{j_stop-1,x} as an int64 array."""
-        self._check_range(x, j_start, j_stop)
-        self._ensure_airplane(x, j_stop - 1)
-        if j_stop - 1 > self.served_airplane[x]:
-            self.served_airplane[x] = j_stop - 1
-        return self._air_cache[x][j_start - 1 : j_stop - 1].copy()
+        With equal-length arrays of villages x, starts and stops, the ranges
+        of all villages, one village after another.
+        """
+        villages, z = self._draws(self._air_key, x, j_start, j_stop)
+        z >>= np.uint64(11)
+        q = np.empty(z.shape, dtype=np.complex128)
+        q.real = villages
+        q.imag = z
+        q.imag *= _TO_UNIT  # the uniform (z >> 11) * 2^-53, exact in float64
+        V = self.params.num_villages
+        dest = np.searchsorted(self._cdf_rows, q, side="right") - villages * V
+        dest[dest == V] = GRAVEYARD
+        return dest
 
     # -- taxi tickets ----------------------------------------------------------
-
-    def _ensure_taxi(self, x: int, upto: int) -> None:
-        cache = self._taxi_cache[x]
-        have = cache.shape[0]
-        if upto <= have:
-            return
-        new_len = max(upto, 2 * have, _CHUNK)
-        out = self._raw_block(self._taxi_key[x], have + 1, new_len + 1)
-        houses = (out % np.uint64(self.n)).astype(np.int64) + 1
-        self._taxi_cache[x] = np.concatenate([cache, houses])
 
     def taxi(self, x: int, j: int) -> int:
         """House chosen by the j-th taxi ticket of village x, in {1..n}."""
         self._check_village(x)
         self._check_index(j)
-        self._ensure_taxi(x, j)
-        if j > self.served_taxi[x]:
-            self.served_taxi[x] = j
-        return int(self._taxi_cache[x][j - 1])
+        return _mix64((int(self._taxi_key[x]) + j * _GOLDEN) & _MASK64) % self.n + 1
 
-    def taxi_prefix(self, x: int, count: int) -> np.ndarray:
-        """Tickets gamma_{1,x}..gamma_{count,x} as an int64 array."""
-        return self.taxi_range(x, 1, count + 1)
-
-    def taxi_range(self, x: int, j_start: int, j_stop: int) -> np.ndarray:
-        """Tickets gamma_{j_start,x}..gamma_{j_stop-1,x} as an int64 array."""
-        self._check_range(x, j_start, j_stop)
-        self._ensure_taxi(x, j_stop - 1)
-        if j_stop - 1 > self.served_taxi[x]:
-            self.served_taxi[x] = j_stop - 1
-        return self._taxi_cache[x][j_start - 1 : j_stop - 1].copy()
+    def taxi_range(self, x, j_start, j_stop) -> np.ndarray:
+        """Tickets gamma_{j_start,x}..gamma_{j_stop-1,x} as an int64 array,
+        with the array form of airplane_range."""
+        _, z = self._draws(self._taxi_key, x, j_start, j_stop)
+        return (z % np.uint64(self.n)).astype(np.int64) + 1
 
     # -- landlord notices --------------------------------------------------------
-
-    def _landlord_house_key(self, x: int, i: int) -> int:
-        packed = x * (self.n + 1) + i
-        key = self._house_key.get(packed)
-        if key is None:
-            key = _mix64(self._land_key[x] ^ ((i * _K_HOUSE + 1) & _MASK64))
-            self._house_key[packed] = key
-        return key
 
     def landlord(self, x: int, i: int, j: int) -> int:
         """The j-th notice of house (x, i): SLEEP or JUMP."""
@@ -217,38 +223,21 @@ class StackSource:
         self._check_index(j)
         if not 1 <= i <= self.n:
             raise ValidationError(f"house index {i!r} out of range 1..{self.n}")
-        key = self._landlord_house_key(x, i)
+        key = _mix64(int(self._land_key[x]) ^ ((i * _K_HOUSE + 1) & _MASK64))
         out = _mix64((key + j * _GOLDEN) & _MASK64)
-        prev = self.served_landlord.get((x, i), 0)
-        if j > prev:
-            self.served_landlord[(x, i)] = j
-        u = (out >> 11) * _TO_UNIT
-        return SLEEP if u < self._p_sleep[x] else JUMP
-
-    def landlord_batch(self, x: int, houses: np.ndarray, j) -> np.ndarray:
-        """Notices of many houses of village x at once (uint8 array).
-
-        `j` is one stack index for every house or an array of per-house
-        indices.  Raw accessor: does not advance the served counters.
-        """
-        self._check_village(x)
-        h = np.asarray(houses, dtype=np.uint64)
-        keys = _mix64_np(np.uint64(self._land_key[x]) ^ (h * _U64_K_HOUSE + np.uint64(1)))
-        keys += _index_array(j).view(np.uint64) * _U64_GOLDEN
-        return _notices(keys, self._p_sleep[x])
+        return SLEEP if (out >> 11) * _TO_UNIT < self._p_sleep[x] else JUMP
 
     def landlord_reader(self, villages: np.ndarray, houses: np.ndarray):
         """Notice reader for the fixed house list (villages[k], houses[k]).
 
         Each house's stream key is computed once, here.  The returned
         `read(sel, j)` gives notice j[k] of the house at list position
-        sel[k] (uint8), for an index array `sel` and aligned `j`; it does
-        not advance the served counters.
+        sel[k] (uint8), for an index array `sel` and aligned `j`.
         """
         x = np.asarray(villages, dtype=np.intp)
         h = np.asarray(houses, dtype=np.uint64)
-        keys = _mix64_np(self._land_key_arr[x] ^ (h * _U64_K_HOUSE + np.uint64(1)))
-        p_sleep = self._p_sleep_arr[x]
+        keys = _mix64_np(self._land_key[x] ^ (h * _U64_K_HOUSE + np.uint64(1)))
+        p_sleep = self._p_sleep[x]
 
         def read(sel: np.ndarray, j: np.ndarray) -> np.ndarray:
             return _notices(keys[sel] + j.view(np.uint64) * _U64_GOLDEN, p_sleep[sel])
@@ -275,12 +264,12 @@ def _index_array(j) -> np.ndarray:
     return j
 
 
-class InjectedStackSource:
+class InjectedStackSource(_SourceReads):
     """A stack source serving hand-written instruction prefixes.
 
-    Built for hand-traced tests: in strict mode (the default) any query past
-    an injected prefix raises StackExhaustedError; with a fallback source,
-    out-of-prefix queries are delegated to it instead.
+    Built for hand-traced tests: any query past an injected prefix raises
+    StackExhaustedError, unless a fallback source is given, which then
+    serves it.
     """
 
     def __init__(
@@ -290,16 +279,12 @@ class InjectedStackSource:
         airplane: dict[int, list[int]] | None = None,
         taxi: dict[int, list[int]] | None = None,
         landlord: dict[tuple[int, int], list[int]] | None = None,
-        strict: bool = True,
         fallback: StackSource | None = None,
     ):
         if n < 1:
             raise ValidationError(f"n must be >= 1, got {n!r}")
-        if strict and fallback is not None:
-            raise ValidationError("strict injected stacks cannot have a fallback source")
         self.params = params
         self.n = int(n)
-        self.strict = strict
         self.fallback = fallback
         V = params.num_villages
         self._air = {int(x): [int(v) for v in seq] for x, seq in (airplane or {}).items()}
@@ -325,9 +310,6 @@ class InjectedStackSource:
             for v in seq:
                 if v not in (SLEEP, JUMP):
                     raise ValidationError(f"injected landlord value {v!r} is not SLEEP/JUMP")
-        self.served_airplane = np.zeros(V, dtype=np.int64)
-        self.served_taxi = np.zeros(V, dtype=np.int64)
-        self.served_landlord: dict[tuple[int, int], int] = {}
 
     def _lookup(self, seq: list[int] | None, j: int, what: str):
         """Injected value at index j, or None to signal fallback delegation."""
@@ -339,46 +321,25 @@ class InjectedStackSource:
 
     def airplane(self, x: int, j: int) -> int:
         got = self._lookup(self._air.get(x), j, f"airplane stack of village {x}")
-        if got is None:
-            return self.fallback.airplane(x, j)
-        if j > self.served_airplane[x]:
-            self.served_airplane[x] = j
-        return got
+        return self.fallback.airplane(x, j) if got is None else got
 
     def taxi(self, x: int, j: int) -> int:
         got = self._lookup(self._taxi.get(x), j, f"taxi stack of village {x}")
-        if got is None:
-            return self.fallback.taxi(x, j)
-        if j > self.served_taxi[x]:
-            self.served_taxi[x] = j
-        return got
+        return self.fallback.taxi(x, j) if got is None else got
 
     def landlord(self, x: int, i: int, j: int) -> int:
         got = self._lookup(self._land.get((x, i)), j, f"landlord stack of house ({x}, {i})")
-        if got is None:
-            return self.fallback.landlord(x, i, j)
-        prev = self.served_landlord.get((x, i), 0)
-        if j > prev:
-            self.served_landlord[(x, i)] = j
-        return got
+        return self.fallback.landlord(x, i, j) if got is None else got
 
-    def airplane_prefix(self, x: int, count: int) -> np.ndarray:
-        return self.airplane_range(x, 1, count + 1)
+    def _read_ranges(self, scalar, x, j_start, j_stop) -> np.ndarray:
+        villages, j = _range_entries(x, j_start, j_stop, self.params.num_villages)
+        return np.array([scalar(v, k) for v, k in zip(villages.tolist(), j.tolist())], dtype=np.int64)
 
-    def airplane_range(self, x: int, j_start: int, j_stop: int) -> np.ndarray:
-        return np.array([self.airplane(x, j) for j in range(j_start, j_stop)], dtype=np.int64)
+    def airplane_range(self, x, j_start, j_stop) -> np.ndarray:
+        return self._read_ranges(self.airplane, x, j_start, j_stop)
 
-    def taxi_prefix(self, x: int, count: int) -> np.ndarray:
-        return self.taxi_range(x, 1, count + 1)
-
-    def taxi_range(self, x: int, j_start: int, j_stop: int) -> np.ndarray:
-        return np.array([self.taxi(x, j) for j in range(j_start, j_stop)], dtype=np.int64)
-
-    def landlord_batch(self, x: int, houses: np.ndarray, j) -> np.ndarray:
-        houses = np.asarray(houses, dtype=np.int64)
-        return self.landlord_reader(np.full(houses.shape, x), houses)(
-            np.arange(houses.size), np.broadcast_to(_index_array(j), houses.shape)
-        )
+    def taxi_range(self, x, j_start, j_stop) -> np.ndarray:
+        return self._read_ranges(self.taxi, x, j_start, j_stop)
 
     def landlord_reader(self, villages: np.ndarray, houses: np.ndarray):
         xs = np.asarray(villages).tolist()
@@ -389,18 +350,3 @@ class InjectedStackSource:
             return np.array([self.landlord(xs[k], hs[k], jk) for k, jk in pairs], dtype=np.uint8)
 
         return read
-
-
-def inject_stacks(
-    params: ModelParams,
-    n: int,
-    airplane: dict[int, list[int]] | None = None,
-    taxi: dict[int, list[int]] | None = None,
-    landlord: dict[tuple[int, int], list[int]] | None = None,
-    strict: bool = True,
-    fallback: StackSource | None = None,
-) -> InjectedStackSource:
-    """Build a stack source from explicit instruction prefixes."""
-    return InjectedStackSource(
-        params, n, airplane=airplane, taxi=taxi, landlord=landlord, strict=strict, fallback=fallback
-    )

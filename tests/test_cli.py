@@ -132,6 +132,20 @@ def test_simulate_step_cap_exit_code(capsys, model_file, monkeypatch):
     assert "runtime guard" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("single-loop", "--n", "10", "--M", "1000000000000000,1"),
+        ("simulate", "--n", "1000000000000000"),
+    ],
+)
+def test_oversized_input_exit_code(capsys, model_file, argv):
+    # Each asks for petabytes, so the allocation fails at once.
+    code, _, err = run_cli(capsys, argv[0], "--model", model_file, *argv[1:])
+    assert code == 2
+    assert "runtime guard: input too large for memory" in err
+
+
 def test_simulate_broken_identity_exit_code(capsys, model_file, monkeypatch):
     import varw.cli as cli_mod
     from varw.simulator import SingleLoopResult

@@ -17,7 +17,6 @@ from varw import (
     StepCapError,
     ValidationError,
     init_config,
-    inject_stacks,
     single_loop,
     single_loop_tilde,
     stabilize,
@@ -37,7 +36,7 @@ def test_init_config_all_sleepers_is_stable():
 
 def test_init_config_immigrants_pile_up():
     params = one_village_params(q=0.5, lam=1.0, sigma=0.0, nu=1.0)
-    src = inject_stacks(params, 2, taxi={0: [1, 1]})
+    src = InjectedStackSource(params, 2, taxi={0: [1, 1]})
     cfg = init_config(params, 2, src)
     assert cfg.counts.tolist() == [[2, 0]]
     assert not cfg.sleeping.any()
@@ -46,7 +45,7 @@ def test_init_config_immigrants_pile_up():
 
 def test_init_config_wakes_landed_on_sleeper():
     params = one_village_params(q=0.5, lam=1.0, sigma=0.5, nu=0.5)
-    src = inject_stacks(params, 4, taxi={0: [1, 3]})
+    src = InjectedStackSource(params, 4, taxi={0: [1, 3]})
     cfg = init_config(params, 4, src)
     assert cfg.counts.tolist() == [[2, 1, 1, 0]]
     assert cfg.sleeping.tolist() == [[False, True, False, False]]
@@ -80,7 +79,7 @@ def test_stabilize_single_particle_two_outcomes():
 
 def test_stabilize_injected_hand_trace():
     params = one_village_params(q=0.5, lam=1.0, sigma=0.0, nu=0.5)
-    src = inject_stacks(
+    src = InjectedStackSource(
         params, 2, taxi={0: [1]}, landlord={(0, 1): [JUMP]}, airplane={0: [GRAVEYARD]}
     )
     sim = stabilize(params, 2, src)
@@ -126,7 +125,7 @@ def test_single_loop_empty_inputs():
 
 def test_single_loop_injected_hand_trace():
     params = one_village_params(q=0.5, lam=1.0, sigma=0.5, nu=0.5)
-    src = inject_stacks(params, 2, taxi={0: [2]}, landlord={(0, 2): [SLEEP]})
+    src = InjectedStackSource(params, 2, taxi={0: [2]}, landlord={(0, 2): [SLEEP]})
     res = single_loop(params, 2, src, [0])
     assert res.I.tolist() == [1]
     assert res.A.tolist() == [1]
@@ -305,11 +304,26 @@ def test_rounds_stabilizer_matches_every_scalar_schedule(case):
         _assert_same_run(sim, stabilize(params, n, StackSource(params, n, seed), order_policy=policy))
 
 
+class _RecordingSource(StackSource):
+    """A stack source that records the highest notice index it served per
+    house through scalar `landlord` reads."""
+
+    def __init__(self, params, n, seed):
+        super().__init__(params, n, seed)
+        self.landlord_high = {}
+
+    def landlord(self, x, i, j):
+        if j > self.landlord_high.get((x, i), 0):
+            self.landlord_high[(x, i)] = j
+        return super().landlord(x, i, j)
+
+
 def _strict_copy(params, n, full, consumed, drop_last_notice=False):
-    """Strict injected stacks holding exactly the prefixes a run consumed."""
+    """Strict injected stacks holding exactly the prefixes a scalar run on
+    the recording source `full` consumed."""
     landlord = {
         house: [full.landlord(*house, j) for j in range(1, k + 1)]
-        for house, k in sorted(dict(full.served_landlord).items())
+        for house, k in sorted(full.landlord_high.items())
     }
     if drop_last_notice:
         landlord[next(iter(landlord))].pop()
@@ -326,14 +340,14 @@ def _strict_copy(params, n, full, consumed, drop_last_notice=False):
 @given(edge_instances())
 def test_rounds_stabilizer_reads_only_the_scalar_prefixes(case):
     params, n, seed = case
-    full = StackSource(params, n, seed)
+    full = _RecordingSource(params, n, seed)
     ref = stabilize(params, n, full, order_policy="fifo-house-queue")
     _assert_same_run(stabilize(params, n, _strict_copy(params, n, full, ref.consumed)), ref)
 
 
 def test_rounds_stabilizer_needs_every_consumed_notice():
     params = two_village_params()
-    full = StackSource(params, 40, 8)
+    full = _RecordingSource(params, 40, 8)
     ref = stabilize(params, 40, full, order_policy="fifo-house-queue")
     short = _strict_copy(params, 40, full, ref.consumed, drop_last_notice=True)
     for policy in ORDER_POLICIES[:2]:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
 from helpers import one_village_params, two_village_params
@@ -9,11 +11,11 @@ from varw import (
     JUMP,
     SLEEP,
     InjectedStackSource,
+    ModelParams,
     StackSource,
     StackExhaustedError,
     ValidationError,
     derive_seed,
-    inject_stacks,
 )
 
 
@@ -133,17 +135,6 @@ def test_cross_stack_independence_chi_square():
     assert p > 0.001
 
 
-def test_served_counters_track_high_water():
-    src = StackSource(two_village_params(), 12, 8)
-    src.airplane(0, 7)
-    src.airplane(0, 3)
-    assert src.served_airplane[0] == 7
-    src.taxi_prefix(1, 9)
-    assert src.served_taxi[1] == 9
-    src.landlord(1, 4, 6)
-    assert src.served_landlord[(1, 4)] == 6
-
-
 def test_source_rejects_bad_arguments():
     params = one_village_params()
     with pytest.raises(ValidationError):
@@ -159,19 +150,19 @@ def test_source_rejects_bad_arguments():
 
 def test_inject_taxi_echo():
     params = one_village_params()
-    src = inject_stacks(params, 4, taxi={0: [2]})
+    src = InjectedStackSource(params, 4, taxi={0: [2]})
     assert src.taxi(0, 1) == 2
 
 
 def test_inject_landlord_echo():
     params = one_village_params()
-    src = inject_stacks(params, 4, landlord={(0, 2): [SLEEP]})
+    src = InjectedStackSource(params, 4, landlord={(0, 2): [SLEEP]})
     assert src.landlord(0, 2, 1) == SLEEP
 
 
 def test_inject_strict_overflow_errors():
     params = one_village_params()
-    src = inject_stacks(params, 4, taxi={0: [2]})
+    src = InjectedStackSource(params, 4, taxi={0: [2]})
     with pytest.raises(StackExhaustedError):
         src.taxi(0, 2)
     with pytest.raises(StackExhaustedError):
@@ -181,7 +172,7 @@ def test_inject_strict_overflow_errors():
 def test_inject_fallback_delegates():
     params = one_village_params(q=0.5)
     fallback = StackSource(params, 4, 55)
-    src = inject_stacks(params, 4, taxi={0: [3]}, strict=False, fallback=fallback)
+    src = InjectedStackSource(params, 4, taxi={0: [3]}, fallback=fallback)
     assert src.taxi(0, 1) == 3
     assert src.taxi(0, 2) == fallback.taxi(0, 2)
 
@@ -189,13 +180,11 @@ def test_inject_fallback_delegates():
 def test_inject_validates_values():
     params = one_village_params()
     with pytest.raises(ValidationError):
-        inject_stacks(params, 4, taxi={0: [9]})
+        InjectedStackSource(params, 4, taxi={0: [9]})
     with pytest.raises(ValidationError):
-        inject_stacks(params, 4, airplane={0: [4]})
+        InjectedStackSource(params, 4, airplane={0: [4]})
     with pytest.raises(ValidationError):
-        inject_stacks(params, 4, landlord={(0, 1): [7]})
-    with pytest.raises(ValidationError):
-        inject_stacks(params, 4, taxi={0: [1]}, strict=True, fallback=StackSource(params, 4, 1))
+        InjectedStackSource(params, 4, landlord={(0, 1): [7]})
 
 
 def test_derive_seed_is_stable_and_spreads():
@@ -233,3 +222,71 @@ def test_array_index_landlord_batch_matches_scalar_on_both_sources():
         assert source.landlord_batch(1, houses, 2).tolist() == [src.landlord(1, int(i), 2) for i in houses]
         with pytest.raises(ValidationError):
             source.landlord_batch(1, houses, j - 1)
+
+
+@st.composite
+def stack_instances(draw):
+    """Stack parameters with zero kernel entries (CDF ties), rows that mostly
+    or wholly leak to GRAVEYARD, and some sleep rates 0.  Returns (params,
+    n, stack seed)."""
+    V = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    P = rng.uniform(0.0, 1.0, (V, V)) * (rng.uniform(0.0, 1.0, (V, V)) < 0.5)
+    row_sums = np.array(draw(st.lists(st.sampled_from((0.0, 0.02, 0.5, 1.0)), min_size=V, max_size=V)))
+    P = P / np.maximum(P.sum(axis=1, keepdims=True), 1e-12) * row_sums[:, None]
+    zero_rate = np.array(draw(st.lists(st.booleans(), min_size=V, max_size=V)))
+    lam = np.where(zero_rate, 0.0, rng.uniform(0.1, 3.0, V))
+    params = ModelParams(kernel=P, sleep_rates=lam, init_sleepers=np.zeros(V), init_actives=np.zeros(V))
+    return params, draw(st.integers(1, 500)), draw(st.integers(0, 2**63 - 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(stack_instances(), st.lists(st.integers(1, 8192), min_size=1, max_size=6))
+def test_scalar_reads_match_range_and_reader_reads(case, js):
+    params, n, seed = case
+    src = StackSource(params, n, seed)
+    V = params.num_villages
+    js = js + [4096, 4097]  # either side of where prefixes were once cached in chunks
+    air = [src.airplane_prefix(x, 8192) for x in range(V)]
+    taxi = [src.taxi_prefix(x, 8192) for x in range(V)]
+    for x in range(V):
+        for j in js:
+            assert src.airplane(x, j) == air[x][j - 1] == src.airplane_range(x, j, j + 1)[0]
+            assert src.taxi(x, j) == taxi[x][j - 1] == src.taxi_range(x, j, j + 1)[0]
+    villages = np.arange(V).repeat(2)
+    houses = np.tile([1, n], V)
+    read = src.landlord_reader(villages, houses)
+    sel = np.repeat(np.arange(villages.size), len(js))
+    j = np.tile(js, villages.size)
+    want = [src.landlord(int(villages[k]), int(houses[k]), int(jk)) for k, jk in zip(sel, j)]
+    assert read(sel, j).tolist() == want
+    starts = np.array([js[0]] * V)
+    stops = starts + np.arange(V) % 3  # some ranges empty
+    assert np.array_equal(
+        src.airplane_range(np.arange(V), starts, stops),
+        np.concatenate([air[x][starts[x] - 1 : stops[x] - 1] for x in range(V)]),
+    )
+
+
+def test_array_ranges_match_single_village_calls_on_both_sources():
+    params = two_village_params()
+    src = StackSource(params, 30, 17)
+    inj = InjectedStackSource(
+        params,
+        30,
+        airplane={x: src.airplane_prefix(x, 50).tolist() for x in range(2)},
+        taxi={x: src.taxi_prefix(x, 50).tolist() for x in range(2)},
+    )
+    x = np.array([1, 0, 1, 0])
+    starts = np.array([5, 1, 9, 7])
+    stops = np.array([41, 1, 12, 30])
+    for source in (src, inj):
+        for read in (source.airplane_range, source.taxi_range):
+            want = np.concatenate([read(int(v), int(a), int(b)) for v, a, b in zip(x, starts, stops)])
+            got = read(x, starts, stops)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+            assert read(x[:0], starts[:0], stops[:0]).shape == (0,)
+            for bad in ((x + 1, starts, stops), (x, starts - 1, stops), (x, starts, starts - 1)):
+                with pytest.raises(ValidationError):
+                    read(*bad)
