@@ -40,6 +40,7 @@ from .simulator import (
     init_config,
     single_loop,
     single_loop_tilde,
+    single_loop_trials,
     stabilize,
 )
 from .stacks import (
@@ -49,6 +50,7 @@ from .stacks import (
     InjectedStackSource,
     StackSource,
     derive_seed,
+    derive_seeds,
 )
 
 __version__ = "0.1.0"

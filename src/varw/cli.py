@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 validation/usage error, 2 runtime guard tripped
 (step or iteration cap, or an input too large for memory), 3 exact-invariant
-failure inside an experiment.
+failure inside an experiment (including a batched trial that differs from
+its single_loop re-evaluation).
 Every subcommand is deterministic given its arguments and input files;
 seeds are always printed, defaulted or not.
 """

@@ -4,7 +4,10 @@ Each harness is deterministic given its config: per-trial stack seeds are
 derived from the config seed with the same 64-bit mix the stacks use, rows
 are emitted in config order, and CSV/report files are byte-stable across
 invocations.  (n, seed) stabilization runs are independent and executed on
-a process pool sized by the VARW_THREADS environment variable.
+a process pool sized by the VARW_THREADS environment variable.  The
+distribution experiments evaluate all their trials in batches
+(`single_loop_trials`) and re-evaluate the first and last trial through
+`single_loop` as a runtime check of the batched path.
 """
 
 from __future__ import annotations
@@ -20,8 +23,15 @@ from scipy.stats import chi2
 from .errors import AcceptanceCheckError, ValidationError
 from .limit import LimitSolution, phi, sleep_profile, solve_fixed_point
 from .model import ModelParams, SpectralData, compute_spectral, eta_norm, validate_model
-from .simulator import _check_odometer, single_loop, single_loop_tilde, stabilize
-from .stacks import StackSource, derive_seed
+from .simulator import (
+    SingleLoopResult,
+    _check_odometer,
+    single_loop,
+    single_loop_tilde,
+    single_loop_trials,
+    stabilize,
+)
+from .stacks import StackSource, derive_seeds
 
 LLN_ROWS_HEADER = "experiment,n,seed,village,m_n,s_n,m_limit,s_limit,err_m_inf,err_s_inf,err_m_eta"
 LLN_SUMMARY_HEADER = "n,metric,median,p90,runs"
@@ -215,6 +225,30 @@ def run_lln(config: LLNConfig, out_dir=None) -> LLNReport:
     )
 
 
+def _check_trials(
+    experiment: str, params: ModelParams, n: int, M, seed: int, seeds, batch: SingleLoopResult,
+    aux_seeds=None,
+) -> None:
+    """Re-evaluate the first and last trial of a batched evaluation through
+    single_loop (and single_loop_tilde, with aux seeds) on their own stack
+    sources; raise AcceptanceCheckError on the first difference."""
+    for t in sorted({0, len(seeds) - 1}):
+        src = StackSource(params, n, int(seeds[t]))
+        ref = single_loop(params, n, src, M)
+        checks = [(name, getattr(ref, name)) for name in ("Phi", "S", "I", "A", "Q", "J")]
+        if aux_seeds is not None:
+            checks.append(("Phi_tilde", single_loop_tilde(params, n, src, M, int(aux_seeds[t]))))
+        for name, want in checks:
+            got = getattr(batch, name)[t]
+            bad = np.flatnonzero(got != want)
+            if bad.size:
+                x = int(bad[0])
+                raise AcceptanceCheckError(
+                    f"{experiment}: batched trials differ from single_loop at n={n}, seed={seed}, "
+                    f"trial {t}, village {x}: {name}={int(got[x])}, expected {int(want[x])}"
+                )
+
+
 def concentration_bounds(params: ModelParams, n: int, M: np.ndarray, a: float):
     """The two tail bounds for the single-loop deviation events at level a."""
     V = params.num_villages
@@ -256,16 +290,14 @@ def run_concentration(config: ConcentrationConfig, out_path=None) -> Concentrati
     s_limit = sleep_profile(params, m_scaled)
     phi_limit = phi(params, m_scaled)
 
-    hits_s = 0
-    hits_phi = 0
     a = float(config.a)
-    for t in range(config.trials):
-        src = StackSource(params, n, derive_seed(config.seed, 1, t))
-        res = single_loop(params, n, src, M)
-        dev_s = float(np.max(np.abs(res.S / n - s_limit)))
-        dev_phi = float(np.max(np.abs(res.Phi / n - phi_limit)))
-        hits_s += dev_s >= a
-        hits_phi += dev_phi >= a
+    seeds = derive_seeds(config.seed, 1, np.arange(config.trials))
+    res = single_loop_trials(params, n, seeds, M)
+    _check_trials("concentration", params, n, M, config.seed, seeds, res)
+    dev_s = np.max(np.abs(res.S / n - s_limit), axis=1)
+    dev_phi = np.max(np.abs(res.Phi / n - phi_limit), axis=1)
+    hits_s = int(np.count_nonzero(dev_s >= a))
+    hits_phi = int(np.count_nonzero(dev_phi >= a))
 
     freq_s = hits_s / config.trials
     freq_phi = hits_phi / config.trials
@@ -372,12 +404,11 @@ def run_kappa_equivalence(
         raise ValidationError(f"n must be >= 1, got {n}")
     M = _check_odometer(params, M)
     V = params.num_villages
-    phis = np.empty((trials, V), dtype=np.int64)
-    tildes = np.empty((trials, V), dtype=np.int64)
-    for t in range(trials):
-        src = StackSource(params, n, derive_seed(seed, 1, t))
-        phis[t] = single_loop(params, n, src, M).Phi
-        tildes[t] = single_loop_tilde(params, n, src, M, derive_seed(seed, 2, t))
+    seeds = derive_seeds(seed, 1, np.arange(trials))
+    aux_seeds = derive_seeds(seed, 2, np.arange(trials))
+    res = single_loop_trials(params, n, seeds, M, aux_seeds)
+    _check_trials("kappa-test", params, n, M, seed, seeds, res, aux_seeds)
+    phis, tildes = res.Phi, res.Phi_tilde
 
     p_values: list[float] = []
     statistics: list[float] = []

@@ -4,7 +4,8 @@
 given a jump count per village it routes all implied arrivals through the
 taxi tickets, finds each visited house's terminal landlord notice, and
 reports the resulting outflux.  Both run on one flat engine whose state is a
-few dense arrays over all V*n houses.
+few dense arrays over all V*n houses.  `single_loop_trials` evaluates many
+independent trials on the same engine, one stream per (trial, village).
 
 `stabilize` computes the stabilizing odometer M* by default with the
 "single-loop-rounds" policy: Phi is monotone, so iterating M <- Phi(M) from
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import AcceptanceCheckError, StepCapError, ValidationError
 from .model import ModelParams, floor_counts, validate_model
-from .stacks import GRAVEYARD, SLEEP
+from .stacks import GRAVEYARD, SLEEP, StackSource, _seed_words
 
 ORDER_POLICIES = (
     "single-loop-rounds",
@@ -36,6 +37,7 @@ ORDER_POLICIES = (
 )
 DEFAULT_STEP_CAP = 10**9
 _SCAN_SLICE = 1 << 16  # houses per block of landlord reads
+_TRIAL_HOUSES = 1 << 14  # houses per chunk of trials in single_loop_trials
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +85,9 @@ class SimResult:
 @dataclass(frozen=True, eq=False)
 class SingleLoopResult:
     """Single-loop evaluation: outflux Phi, sleeper functional S, and the
-    inbound/active/quiet/jumped diagnostics they are assembled from."""
+    inbound/active/quiet/jumped diagnostics they are assembled from.
+    `single_loop_trials` returns (trials, V) arrays and may add Phi_tilde,
+    the outflux with resampled terminal notices."""
 
     Phi: np.ndarray
     S: np.ndarray
@@ -91,6 +95,7 @@ class SingleLoopResult:
     A: np.ndarray
     Q: np.ndarray
     J: np.ndarray
+    Phi_tilde: np.ndarray | None = None
 
 
 def _init_state(params: ModelParams, n: int, src):
@@ -341,9 +346,11 @@ def _topple(params: ModelParams, n: int, src, schedule, step_cap: int):
 class _LoopEngine:
     """Single-loop state on flat arrays over all houses, advanced in rounds.
 
-    House (x, i) is flat index x*n + i - 1.  Per house the engine keeps the
+    The engine runs every stream of its source: village x of trial t is
+    stream s = t*V + x, and a one-trial source has one stream per village.
+    House (s, i) is flat index s*n + i - 1.  Per house the engine keeps the
     arrivals so far (`hits`), the landlord notices read (`revealed`) and the
-    last of them, the terminal notice (`terminal`); per village the airplane
+    last of them, the terminal notice (`terminal`); per stream the airplane
     tickets read (`M`), the arrivals implied so far (`I`, initial immigrants
     included) and the taxi tickets read.  Every read is the next unread
     entry of its stack, so advancing through M_1 <= M_2 <= ... reads the
@@ -351,24 +358,25 @@ class _LoopEngine:
     """
 
     def __init__(self, params: ModelParams, n: int, src, step_cap: int | None = None):
-        V = params.num_villages
         self.n = n
         self.src = src
         self.step_cap = step_cap
-        self.floor_sigma = floor_counts(params.init_sleepers, n)
-        self.floor_nu = floor_counts(params.init_actives, n)
-        self.sleeper = np.arange(n) < self.floor_sigma[:, None]  # (V, n) initial sleepers
-        self.M = np.zeros(V, dtype=np.int64)
+        self.floor_sigma = np.tile(floor_counts(params.init_sleepers, n), src.trials)
+        self.floor_nu = np.tile(floor_counts(params.init_actives, n), src.trials)
+        S = self.floor_sigma.size
+        self.sleeper = np.arange(n) < self.floor_sigma[:, None]  # (S, n) initial sleepers
+        self.M = np.zeros(S, dtype=np.int64)
         self.I = self.floor_nu.copy()
-        self.taxi_read = np.zeros(V, dtype=np.int64)
-        self.hits = np.zeros(V * n, dtype=np.int64)
-        self.revealed = np.zeros(V * n, dtype=np.int64)
-        self.terminal = np.zeros(V * n, dtype=np.uint8)
+        self.taxi_read = np.zeros(S, dtype=np.int64)
+        self.hits = np.zeros(S * n, dtype=np.int64)
+        self.revealed = np.zeros(S * n, dtype=np.int64)
+        self.terminal = np.zeros(S * n, dtype=np.uint8)
         self.tickets = 0  # airplane tickets plus post-landing taxi tickets read
         self.notices = 0  # landlord notices read
 
     def advance(self, M: np.ndarray) -> None:
-        """Move the input odometer up to M (componentwise >= the current one)."""
+        """Move the input odometer (one entry per stream) up to M,
+        componentwise >= the current one."""
         touched, new_hits = self.route(M)
         self._check_cap()
         self._scan(touched, new_hits)
@@ -377,18 +385,20 @@ class _LoopEngine:
         """Inbound phase: read the airplane tickets past the current odometer
         and land the arrivals they imply on the next taxi tickets.  Returns
         the houses hit and how many arrivals each received."""
-        V, n, src = self.I.shape[0], self.n, self.src
-        villages = np.arange(V)
-        dests = src.airplane_range(villages, self.M + 1, M + 1)
+        S, n, src = self.I.shape[0], self.n, self.src
+        if M.shape != (S,):
+            raise ValidationError(f"odometer has shape {M.shape}, expected ({S},) for the source's streams")
+        streams = np.arange(S)
+        dests = src.airplane_range(streams, self.M + 1, M + 1)
         self.M = M
-        self.I = self.I + np.bincount(dests[dests != GRAVEYARD], minlength=V)
-        houses = src.taxi_range(villages, self.taxi_read + 1, self.I + 1)
-        houses += np.repeat(villages * n - 1, self.I - self.taxi_read)  # flat house index
+        self.I = self.I + np.bincount(dests[dests != GRAVEYARD], minlength=S)
+        houses = src.taxi_range(streams, self.taxi_read + 1, self.I + 1)
+        houses += np.repeat(streams * n - 1, self.I - self.taxi_read)  # flat house index
         self.taxi_read = self.I.copy()
         self.tickets = int(M.sum() + self.I.sum() - self.floor_nu.sum())
         if not houses.size:
             return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64)
-        new_hits = np.bincount(houses, minlength=V * n)
+        new_hits = np.bincount(houses, minlength=S * n)
         touched = np.flatnonzero(new_hits)
         new_hits = new_hits[touched]
         self.hits[touched] += new_hits
@@ -442,13 +452,13 @@ class _LoopEngine:
             raise _step_cap_error(self.step_cap)
 
     def totals(self):
-        """(I, A, Q, J) per village: arrivals, visited houses, initial
+        """(I, A, Q, J) per stream: arrivals, visited houses, initial
         sleepers never hit, and terminal JUMP notices."""
-        V, n = self.I.shape[0], self.n
-        visited = self.hits.reshape(V, n) > 0
+        S, n = self.I.shape[0], self.n
+        visited = self.hits.reshape(S, n) > 0
         A = np.count_nonzero(visited, axis=1).astype(np.int64)
         Q = self.floor_sigma - np.count_nonzero(visited & self.sleeper, axis=1)
-        J = self.terminal.reshape(V, n).sum(axis=1, dtype=np.int64)
+        J = self.terminal.reshape(S, n).sum(axis=1, dtype=np.int64)
         return self.I.copy(), A, Q, J
 
 
@@ -542,6 +552,48 @@ def single_loop_tilde(params: ModelParams, n: int, src, M, aux_seed: int) -> np.
     visited = engine.hits.reshape(V, n) > 0
     J = np.count_nonzero(fresh & visited, axis=1).astype(np.int64)
     return _outflux(engine.floor_sigma, I, A, Q, J)
+
+
+def single_loop_trials(params: ModelParams, n: int, seeds, M, aux_seeds=None) -> SingleLoopResult:
+    """single_loop at one odometer M over T independent trials.
+
+    Trial t reads the stacks of StackSource(params, n, seeds[t]), and row t
+    of every (T, V) field of the result equals that field of single_loop on
+    that source.  With `aux_seeds`, row t of Phi_tilde equals
+    single_loop_tilde(params, n, src, M, aux_seeds[t]).  The model is
+    validated once; the trials run in chunks of about _TRIAL_HOUSES houses,
+    each chunk as the streams of one engine, so memory stays bounded.
+    """
+    validate_model(params)
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n!r}")
+    M = _check_odometer(params, M)
+    seeds = _seed_words(seeds)
+    T, V = seeds.size, params.num_villages
+    if T < 1:
+        raise ValidationError("seeds must hold at least one seed")
+    if aux_seeds is not None and len(aux_seeds) != T:
+        raise ValidationError(f"got {len(aux_seeds)} aux seeds for {T} trials")
+    p_jump = (1.0 / (1.0 + params.sleep_rates))[:, None]
+    per = max(1, _TRIAL_HOUSES // (V * n))
+    parts = []
+    for lo in range(0, T, per):
+        chunk = seeds[lo : lo + per]
+        engine = _LoopEngine(params, n, StackSource(params, n, chunk))
+        engine.advance(np.tile(M, chunk.size))
+        I, A, Q, J = engine.totals()
+        fields = [_outflux(engine.floor_sigma, I, A, Q, J), -engine.M + engine.floor_sigma + I, I, A, Q, J]
+        if aux_seeds is not None:
+            # The draws of single_loop_tilde: per trial, village by village, n uniforms.
+            fresh = np.stack(
+                [np.random.default_rng(int(a)).random((V, n)) for a in aux_seeds[lo : lo + per]]
+            )
+            visited = engine.hits.reshape(chunk.size, V, n) > 0
+            J_tilde = np.count_nonzero((fresh < p_jump) & visited, axis=2).ravel()
+            fields.append(_outflux(engine.floor_sigma, I, A, Q, J_tilde))
+        parts.append(fields)
+    Phi, S, I, A, Q, J, *tilde = (np.concatenate(f).reshape(T, V) for f in zip(*parts))
+    return SingleLoopResult(Phi=Phi, S=S, I=I, A=A, Q=Q, J=J, Phi_tilde=tilde[0] if tilde else None)
 
 
 def expected_outflux_given_influx(params: ModelParams, x: int, n: int, u: int) -> float:

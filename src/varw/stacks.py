@@ -45,7 +45,9 @@ _KIND_LANDLORD = 3
 _U64_GOLDEN = np.uint64(_GOLDEN)
 _U64_C1 = np.uint64(_MIX_C1)
 _U64_C2 = np.uint64(_MIX_C2)
+_U64_K_VILLAGE = np.uint64(_K_VILLAGE)
 _U64_K_HOUSE = np.uint64(_K_HOUSE)
+_U64_ONE = np.uint64(1)
 _TO_UNIT = 2.0**-53
 
 
@@ -73,12 +75,43 @@ def _stream_key(master_seed: int, kind: int, x: int) -> int:
     return _mix64(h ^ ((x * _K_VILLAGE + 1) & _MASK64))
 
 
+def _stream_keys(seeds: np.ndarray, V: int) -> np.ndarray:
+    """Vector twin of _stream_key: row k-1 holds the kind-k keys of every
+    (trial, village) stream t*V + x under the master seeds `seeds` (uint64)."""
+    kinds = [(kind * _K_KIND + 1) & _MASK64 for kind in (_KIND_AIRPLANE, _KIND_TAXI, _KIND_LANDLORD)]
+    h = _mix64_np(seeds ^ _U64_GOLDEN)
+    h = _mix64_np(h ^ np.array(kinds, dtype=np.uint64)[:, None])
+    x = np.arange(V, dtype=np.uint64) * _U64_K_VILLAGE + _U64_ONE
+    return _mix64_np(h[:, :, None] ^ x).reshape(len(kinds), -1)
+
+
 def derive_seed(master_seed: int, *components: int) -> int:
     """Stable 64-bit child seed from a master seed and integer components."""
     h = _mix64((master_seed & _MASK64) ^ _MIX_C1)
     for c in components:
         h = _mix64(h ^ ((c * _K_VILLAGE + 1) & _MASK64))
     return h
+
+
+def derive_seeds(master_seed, *components) -> np.ndarray:
+    """Vector twin of derive_seed.  Every argument is an integer or a 1-d
+    integer array; arrays broadcast together.  Returns uint64 seeds."""
+    h = _mix64_np(_seed_words(master_seed) ^ _U64_C1)
+    for c in components:
+        h = _mix64_np(h ^ (_seed_words(c) * _U64_K_VILLAGE + _U64_ONE))
+    return h
+
+
+def _seed_words(values) -> np.ndarray:
+    """An integer or a sequence of integers, of any sign and size, as a 1-d
+    uint64 array of their residues mod 2^64."""
+    if np.ndim(values) > 1:
+        raise ValidationError("seeds must be an integer or a 1-d sequence of integers")
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return np.atleast_1d(values.astype(np.uint64))
+    if np.ndim(values) == 0:
+        values = [values]
+    return np.array([int(v) & _MASK64 for v in values], dtype=np.uint64)
 
 
 def _range_entries(x, j_start, j_stop, num_villages: int):
@@ -107,8 +140,14 @@ def _range_entries(x, j_start, j_stop, num_villages: int):
 class _SourceReads:
     """Prefix and batch reads, built on a source's range and reader methods."""
 
+    trials = 1  # independent trials held, each with one stream per village
+
+    @property
+    def num_streams(self) -> int:
+        return self.params.num_villages * self.trials
+
     def _check_village(self, x: int) -> None:
-        if not 0 <= x < self.params.num_villages:
+        if not 0 <= x < self.num_streams:
             raise ValidationError(f"village index {x!r} out of range")
 
     def airplane_prefix(self, x: int, count: int) -> np.ndarray:
@@ -138,19 +177,28 @@ class StackSource(_SourceReads):
     The source holds only per-village constants (stream keys, kernel row
     CDFs, sleep probabilities) and computes every entry from its counter, so
     it can be shared by any number of runs and readers.
+
+    With a 1-d array of T master seeds the source holds T independent
+    trials: stream s = t*V + x is village x of trial t, and every method
+    takes stream indices where it takes villages.  Trial t reads exactly the
+    entries of StackSource(params, n, master_seed[t]), except that airplane
+    destinations are streams t*V + y.
     """
 
-    def __init__(self, params: ModelParams, n: int, master_seed: int):
+    def __init__(self, params: ModelParams, n: int, master_seed):
         if n < 1:
             raise ValidationError(f"n must be >= 1, got {n!r}")
+        seeds = _seed_words(master_seed)
+        if not seeds.size:
+            raise ValidationError("master_seed must hold at least one seed")
         self.params = params
         self.n = int(n)
-        self.master_seed = int(master_seed)
+        if np.ndim(master_seed) == 0:
+            self.master_seed = int(master_seed)
+        else:
+            self.master_seed, self.trials = seeds, seeds.size
         V = params.num_villages
-        self._air_key, self._taxi_key, self._land_key = (
-            np.array([_stream_key(self.master_seed, kind, x) for x in range(V)], dtype=np.uint64)
-            for kind in (_KIND_AIRPLANE, _KIND_TAXI, _KIND_LANDLORD)
-        )
+        self._air_key, self._taxi_key, self._land_key = _stream_keys(seeds, V)
         cdf = np.cumsum(params.kernel, axis=1)
         self._cdf = cdf.tolist()  # row CDFs for the scalar bisect
         # Row x's CDF as the complex numbers x + cdf*1j, which order
@@ -161,11 +209,11 @@ class StackSource(_SourceReads):
         rows.imag = cdf
         self._cdf_rows = rows.ravel()
         lam = params.sleep_rates
-        self._p_sleep = lam / (1.0 + lam)
+        self._p_sleep = np.tile(lam / (1.0 + lam), self.trials)
 
     def _draws(self, keys: np.ndarray, x, j_start, j_stop):
-        """Villages and uint64 counter outputs of the ranges (see airplane_range)."""
-        villages, j = _range_entries(x, j_start, j_stop, self.params.num_villages)
+        """Streams and uint64 counter outputs of the ranges (see airplane_range)."""
+        villages, j = _range_entries(x, j_start, j_stop, self.num_streams)
         z = j.view(np.uint64) * _U64_GOLDEN
         z += keys[villages]
         return villages, _mix64_np(z)
@@ -181,8 +229,9 @@ class StackSource(_SourceReads):
         self._check_village(x)
         self._check_index(j)
         out = _mix64((int(self._air_key[x]) + j * _GOLDEN) & _MASK64)
-        dest = bisect_right(self._cdf[x], (out >> 11) * _TO_UNIT)
-        return GRAVEYARD if dest == self.params.num_villages else dest
+        V = self.params.num_villages
+        dest = bisect_right(self._cdf[x % V], (out >> 11) * _TO_UNIT)
+        return GRAVEYARD if dest == V else x - x % V + dest
 
     def airplane_range(self, x, j_start, j_stop) -> np.ndarray:
         """Tickets zeta_{j_start,x}..zeta_{j_stop-1,x} as an int64 array.
@@ -190,15 +239,18 @@ class StackSource(_SourceReads):
         With equal-length arrays of villages x, starts and stops, the ranges
         of all villages, one village after another.
         """
-        villages, z = self._draws(self._air_key, x, j_start, j_stop)
+        streams, z = self._draws(self._air_key, x, j_start, j_stop)
+        V = self.params.num_villages
+        villages = streams % V
         z >>= np.uint64(11)
         q = np.empty(z.shape, dtype=np.complex128)
         q.real = villages
         q.imag = z
         q.imag *= _TO_UNIT  # the uniform (z >> 11) * 2^-53, exact in float64
-        V = self.params.num_villages
         dest = np.searchsorted(self._cdf_rows, q, side="right") - villages * V
-        dest[dest == V] = GRAVEYARD
+        graveyard = dest == V
+        dest += streams - villages  # trial offset t*V
+        dest[graveyard] = GRAVEYARD
         return dest
 
     # -- taxi tickets ----------------------------------------------------------
@@ -313,6 +365,8 @@ class InjectedStackSource(_SourceReads):
 
     def _lookup(self, seq: list[int] | None, j: int, what: str):
         """Injected value at index j, or None to signal fallback delegation."""
+        if j < 1:
+            raise ValidationError(f"stack index must be >= 1, got {j!r}")
         if seq is not None and j <= len(seq):
             return seq[j - 1]
         if self.fallback is not None:
@@ -332,7 +386,7 @@ class InjectedStackSource(_SourceReads):
         return self.fallback.landlord(x, i, j) if got is None else got
 
     def _read_ranges(self, scalar, x, j_start, j_stop) -> np.ndarray:
-        villages, j = _range_entries(x, j_start, j_stop, self.params.num_villages)
+        villages, j = _range_entries(x, j_start, j_stop, self.num_streams)
         return np.array([scalar(v, k) for v, k in zip(villages.tolist(), j.tolist())], dtype=np.int64)
 
     def airplane_range(self, x, j_start, j_stop) -> np.ndarray:

@@ -26,6 +26,7 @@ from varw import (
     run_kappa_equivalence,
     run_lln,
     single_loop,
+    single_loop_trials,
     solve_fixed_point,
     stabilize,
 )
@@ -317,13 +318,9 @@ def test_criterion_10_conditional_outflux_mean():
     n = 100
     M = np.array([50])
     trials = 20_000
-    influx = np.empty(trials, dtype=np.int64)
-    outflux = np.empty(trials, dtype=np.int64)
-    for t in range(trials):
-        src = StackSource(params, n, derive_seed(161803, t))
-        res = single_loop(params, n, src, M)
-        influx[t] = res.I[0]
-        outflux[t] = res.Phi[0]
+    res = single_loop_trials(params, n, [derive_seed(161803, t) for t in range(trials)], M)
+    influx = res.I[:, 0]
+    outflux = res.Phi[:, 0]
     retained = 0
     worst_z = 0.0
     ok = True

@@ -252,3 +252,30 @@ def test_solve_non_monotone_iterates_exit_code(capsys, model_file, monkeypatch):
     code, _, err = run_cli(capsys, "solve", "--model", model_file)
     assert code == 3
     assert "nondecreasing" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("concentration", "--a", "0.5", "--trials", "30"),
+        ("kappa-test", "--trials", "30"),
+    ],
+)
+def test_batched_trial_mismatch_exit_code(capsys, model_file, tmp_path, monkeypatch, argv):
+    import varw.experiments as exp_mod
+
+    real = exp_mod.single_loop_trials
+
+    def corrupted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.Phi[0, 1] += 1
+        return res
+
+    monkeypatch.setattr(exp_mod, "single_loop_trials", corrupted)
+    code, _, err = run_cli(
+        capsys, argv[0], "--model", model_file, "--n", "40", "--M", "20,10", *argv[1:],
+        "--seed", "2", "--out", str(tmp_path / "o"),
+    )
+    assert code == 3
+    assert f"invariant failure: {argv[0]}: " in err
+    assert "n=40, seed=2, trial 0, village 1: Phi=" in err

@@ -1,11 +1,16 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import one_village_params
+from helpers import one_village_params, two_village_params
 
+import varw.experiments as exp_mod
+import varw.simulator as simulator_mod
 from varw import (
+    AcceptanceCheckError,
     ConcentrationConfig,
     LLNConfig,
     ValidationError,
@@ -184,3 +189,61 @@ def test_worker_count_env_override(monkeypatch):
         worker_count()
     monkeypatch.delenv("VARW_THREADS")
     assert worker_count() >= 1
+
+
+# sha256 of the report files written by the per-trial implementation (one
+# single_loop call per trial) for the calls in the two tests below.
+PER_TRIAL_DIGESTS = {
+    ("concentration", 3): "6c35fc54b8dd6340b658480ba0cdd2d4afe848d4993ea705fb743efec85032a4",
+    ("concentration", 2**63 + 11): "12d3b3c06026f231635a1e6689a93b8b65c9fec775dde393786da39bc8de1dd4",
+    ("kappa-test", 3): "639bd471972fa3bc61377f1e936195ae28fc92333d37fbe6e4eb1c6176757535",
+    ("kappa-test", 2**63 + 11): "4f5ddf5317dec29b53158346de384529bb456a20573fcf99950bd7eb3bc1aa52",
+}
+
+
+def _digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("budget", [simulator_mod._TRIAL_HOUSES, 100])
+@pytest.mark.parametrize("seed", [3, 2**63 + 11])
+def test_batched_reports_are_byte_identical_to_per_trial(tmp_path, monkeypatch, seed, budget):
+    monkeypatch.setattr(simulator_mod, "_TRIAL_HOUSES", budget)  # 100 houses: one trial per chunk
+    params = two_village_params()
+    path = tmp_path / "concentration.txt"
+    config = ConcentrationConfig(params=params, n=40, M=np.array([20, 10]), a=0.1, trials=60, seed=seed)
+    run_concentration(config, out_path=path)
+    assert _digest(path) == PER_TRIAL_DIGESTS[("concentration", seed)]
+    path = tmp_path / "kappa.txt"
+    run_kappa_equivalence(params, 30, [12, 8], trials=150, seed=seed, out_path=path)
+    assert _digest(path) == PER_TRIAL_DIGESTS[("kappa-test", seed)]
+
+
+def _corrupt_last_trial(monkeypatch, field):
+    """Make the batched evaluator's last trial disagree in village 1."""
+    real = exp_mod.single_loop_trials
+
+    def corrupted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        bad = getattr(res, field).copy()
+        bad[-1, 1] += 1
+        return replace(res, **{field: bad})
+
+    monkeypatch.setattr(exp_mod, "single_loop_trials", corrupted)
+
+
+@pytest.mark.parametrize("field", ["Phi", "S", "J"])
+def test_concentration_reference_check_names_the_trial(monkeypatch, field):
+    _corrupt_last_trial(monkeypatch, field)
+    config = ConcentrationConfig(params=two_village_params(), n=40, M=np.array([20, 10]), a=0.1, trials=30, seed=5)
+    with pytest.raises(AcceptanceCheckError) as err:
+        run_concentration(config)
+    msg = str(err.value)
+    for part in ("concentration", "n=40", "seed=5", "trial 29", "village 1", f"{field}="):
+        assert part in msg
+
+
+def test_kappa_reference_check_covers_resampled_outflux(monkeypatch):
+    _corrupt_last_trial(monkeypatch, "Phi_tilde")
+    with pytest.raises(AcceptanceCheckError, match=r"kappa-test: .*n=30, seed=4, trial 49, village 1: Phi_tilde="):
+        run_kappa_equivalence(two_village_params(), 30, [12, 8], trials=50, seed=4)

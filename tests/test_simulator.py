@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from varw import (
     init_config,
     single_loop,
     single_loop_tilde,
+    single_loop_trials,
     stabilize,
 )
 from varw.model import floor_counts
@@ -378,3 +381,59 @@ def test_rounds_stabilizer_with_small_scan_slices(monkeypatch):
     loop = single_loop(params, n, src, ref.M_star)
     assert np.array_equal(loop.Phi, ref.M_star)
     assert np.array_equal(loop.S, ref.S_star)
+
+
+@st.composite
+def trial_batches(draw):
+    """Edge instances for the batched evaluator: up to 12 villages, a zero
+    kernel (V = 1), zero kernel entries, sleep rates 0, sigma at the critical
+    ceiling, nu 0, n = 1; 3 to 24 trials with seeds of any sign and size, and
+    a house budget that splits them into at least 3 chunks."""
+    params, n, _ = draw(edge_instances())
+    V = params.num_villages
+    if V == 1 and draw(st.booleans()):
+        params = ModelParams(
+            kernel=np.zeros((1, 1)),
+            sleep_rates=params.sleep_rates,
+            init_sleepers=params.init_sleepers,
+            init_actives=params.init_actives,
+        )
+    if draw(st.booleans()):
+        n = 1
+    T = draw(st.integers(3, 24))
+    per = draw(st.integers(1, T // 3))
+    budget = V * n * per + draw(st.integers(0, V * n - 1))
+    seeds = draw(st.lists(st.integers(-(2**64), 2**65), min_size=T, max_size=T))
+    aux = draw(st.lists(st.integers(0, 2**64 - 1), min_size=T, max_size=T))
+    M = np.array(draw(st.lists(st.integers(0, 3 * n), min_size=V, max_size=V)))
+    return params, n, seeds, aux, M, budget
+
+
+@settings(max_examples=40, deadline=None)
+@given(trial_batches())
+def test_batched_trials_match_per_trial_single_loop(case):
+    params, n, seeds, aux, M, budget = case
+    with mock.patch.object(simulator_mod, "_TRIAL_HOUSES", budget):
+        got = single_loop_trials(params, n, seeds, M, aux_seeds=aux)
+    V = params.num_villages
+    for t, seed in enumerate(seeds):
+        src = StackSource(params, n, seed)
+        ref = single_loop(params, n, src, M)
+        for name in ("Phi", "S", "I", "A", "Q", "J"):
+            field = getattr(got, name)
+            assert field.shape == (len(seeds), V) and field.dtype == np.int64
+            assert np.array_equal(field[t], getattr(ref, name))
+        assert np.array_equal(got.Phi_tilde[t], single_loop_tilde(params, n, src, M, aux[t]))
+    assert single_loop_trials(params, n, seeds, M).Phi_tilde is None
+
+
+def test_batched_trials_reject_bad_arguments():
+    params = two_village_params()
+    with pytest.raises(ValidationError):
+        single_loop_trials(params, 10, [], [1, 1])
+    with pytest.raises(ValidationError):
+        single_loop_trials(params, 10, [1, 2], [1, 1], aux_seeds=[3])
+    with pytest.raises(ValidationError):
+        single_loop_trials(params, 10, [1, 2], [1])
+    with pytest.raises(ValidationError):
+        single_loop(params, 10, StackSource(params, 10, [1, 2]), [1, 1])

@@ -16,7 +16,9 @@ from varw import (
     StackExhaustedError,
     ValidationError,
     derive_seed,
+    derive_seeds,
 )
+from varw.stacks import _stream_key, _stream_keys, _seed_words
 
 
 def test_airplane_zero_row_always_graveyard():
@@ -247,7 +249,7 @@ def test_scalar_reads_match_range_and_reader_reads(case, js):
     src = StackSource(params, n, seed)
     V = params.num_villages
     js = js + [4096, 4097]  # either side of where prefixes were once cached in chunks
-    air = [src.airplane_prefix(x, 8192) for x in range(V)]
+    air = [src.airplane_prefix(x, 8194) for x in range(V)]  # the ranges below end at js[0] + 2
     taxi = [src.taxi_prefix(x, 8192) for x in range(V)]
     for x in range(V):
         for j in js:
@@ -290,3 +292,66 @@ def test_array_ranges_match_single_village_calls_on_both_sources():
             for bad in ((x + 1, starts, stops), (x, starts - 1, stops), (x, starts, starts - 1)):
                 with pytest.raises(ValidationError):
                     read(*bad)
+
+
+def test_inject_scalar_reads_reject_index_below_one():
+    params = one_village_params()
+    src = InjectedStackSource(params, 4, taxi={0: [2, 3]}, airplane={0: [0]}, landlord={(0, 1): [SLEEP]})
+    for j in (0, -1):
+        with pytest.raises(ValidationError, match="must be >= 1"):
+            src.taxi(0, j)
+        with pytest.raises(ValidationError, match="must be >= 1"):
+            src.airplane(0, j)
+        with pytest.raises(ValidationError, match="must be >= 1"):
+            src.landlord(0, 1, j)
+
+
+# Seeds of any sign and size: the stacks read them mod 2^64.
+any_seed = st.one_of(
+    st.integers(-(2**64), 2**65),
+    st.sampled_from([0, -1, 2**63 - 1, 2**63, 2**64 - 1, 2**64, -(2**63)]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(any_seed, min_size=1, max_size=8), st.integers(1, 9), st.lists(st.integers(-(2**63), 2**64 - 1), max_size=3))
+def test_vector_seed_and_key_derivation_match_scalar(seeds, V, components):
+    keys = _stream_keys(_seed_words(seeds), V)
+    for k, kind in enumerate((1, 2, 3)):
+        want = [_stream_key(s, kind, x) for s in seeds for x in range(V)]
+        assert keys[k].tolist() == want
+    assert derive_seeds(seeds, *components).tolist() == [derive_seed(s, *components) for s in seeds]
+    # The per-trial form: one master seed, a trial axis in the last component.
+    for s in seeds[:2]:
+        t = np.arange(len(seeds)) - 3  # negative components too
+        assert derive_seeds(s, *components, t).tolist() == [
+            derive_seed(s, *components, int(k)) for k in t
+        ]
+
+
+def test_trial_source_streams_match_single_trial_sources():
+    params = two_village_params()
+    n, V = 30, 2
+    seeds = [5, -7, 2**63 + 1, 5]
+    batch = StackSource(params, n, seeds)
+    assert batch.trials == 4 and batch.num_streams == 8
+    assert np.array_equal(batch.master_seed, _seed_words(seeds))
+    for t, seed in enumerate(seeds):
+        one = StackSource(params, n, seed)
+        for x in range(V):
+            s = t * V + x
+            air = one.airplane_prefix(x, 60)
+            want = np.where(air == GRAVEYARD, GRAVEYARD, air + t * V)
+            assert np.array_equal(batch.airplane_prefix(s, 60), want)
+            assert [batch.airplane(s, j) for j in (1, 17, 60)] == [int(want[j - 1]) for j in (1, 17, 60)]
+            assert np.array_equal(batch.taxi_prefix(s, 60), one.taxi_prefix(x, 60))
+            assert batch.taxi(s, 9) == one.taxi(x, 9)
+            assert batch.landlord(s, 3, 4) == one.landlord(x, 3, 4)
+            houses = np.arange(1, n + 1)
+            assert np.array_equal(batch.landlord_batch(s, houses, 2), one.landlord_batch(x, houses, 2))
+    with pytest.raises(ValidationError):
+        batch.airplane(8, 1)
+    with pytest.raises(ValidationError):
+        StackSource(params, n, [])
+    with pytest.raises(ValidationError):
+        StackSource(params, n, [[1, 2]])
