@@ -33,7 +33,6 @@ from .model import (
     validate_model,
 )
 from .simulator import (
-    ORDER_POLICIES,
     DiscreteConfig,
     SimResult,
     SingleLoopResult,

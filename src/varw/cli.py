@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 validation/usage error, 2 runtime guard tripped
 failure inside an experiment (including a batched trial that differs from
 its single_loop re-evaluation).
 Every subcommand is deterministic given its arguments and input files;
-seeds are always printed, defaulted or not.
+seeds are always printed, defaulted or not.  `simulate` has no toppling
+order option: every order gives the same stabilizing odometer, and the one
+stabilizer computes it in rounds.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import (
 )
 from .limit import solve_fixed_point
 from .model import compute_spectral, load_model, validate_model
-from .simulator import ORDER_POLICIES, single_loop, stabilize
+from .simulator import single_loop, stabilize
 from .stacks import StackSource
 
 DEFAULT_SEED = 12345
@@ -71,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("simulate", "stabilize the discrete system and check the loop identity")
     p.add_argument("--n", type=int, required=True, help="houses per village")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="stack master seed")
-    p.add_argument("--order-policy", choices=ORDER_POLICIES, default=ORDER_POLICIES[0])
 
     p = add("single-loop", "evaluate the one-pass odometer map at a given odometer")
     p.add_argument("--n", type=int, required=True, help="houses per village")
@@ -152,10 +153,9 @@ def _cmd_solve(args) -> int:
 def _cmd_simulate(args) -> int:
     params = load_model(args.model)
     src = StackSource(params, args.n, args.seed)
-    sim = stabilize(params, args.n, src, order_policy=args.order_policy)
+    sim = stabilize(params, args.n, src)
     print(f"n: {args.n}")
     print(f"seed: {args.seed}")
-    print(f"order_policy: {args.order_policy}")
     _print_vector_table(
         "village,M_star,S_star,inflow",
         [np.arange(params.num_villages), sim.M_star, sim.S_star, sim.inflow],

@@ -31,7 +31,7 @@ from .simulator import (
     single_loop_trials,
     stabilize,
 )
-from .stacks import StackSource, derive_seeds
+from .stacks import StackSource, _as_int, _check_n, derive_seeds
 
 LLN_ROWS_HEADER = "experiment,n,seed,village,m_n,s_n,m_limit,s_limit,err_m_inf,err_s_inf,err_m_eta"
 LLN_SUMMARY_HEADER = "n,metric,median,p90,runs"
@@ -144,7 +144,7 @@ def run_lln(config: LLNConfig, out_dir=None) -> LLNReport:
     limit = solve_fixed_point(params, spectral, tol=config.tol)
     V = params.num_villages
 
-    tasks = [(params, int(n), int(seed)) for n in config.n_values for seed in config.seeds]
+    tasks = [(params, _check_n(n), _as_int(seed, "seed")) for n in config.n_values for seed in config.seeds]
     workers = min(worker_count(), len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -278,9 +278,7 @@ def run_concentration(config: ConcentrationConfig, out_path=None) -> Concentrati
     than three binomial standard errors.
     """
     params = validate_model(config.params, require_subcritical=True)
-    n = int(config.n)
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    n = _check_n(config.n)
     if not config.a > 0:
         raise ValidationError(f"a must be positive, got {config.a!r}")
     if config.trials < 1:
@@ -400,8 +398,7 @@ def run_kappa_equivalence(
     params = validate_model(params)
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    n = _check_n(n)
     M = _check_odometer(params, M)
     V = params.num_villages
     seeds = derive_seeds(seed, 1, np.arange(trials))

@@ -7,34 +7,25 @@ reports the resulting outflux.  Both run on one flat engine whose state is a
 few dense arrays over all V*n houses.  `single_loop_trials` evaluates many
 independent trials on the same engine, one stream per (trial, village).
 
-`stabilize` computes the stabilizing odometer M* by default with the
-"single-loop-rounds" policy: Phi is monotone, so iterating M <- Phi(M) from
-M = 0 rises to its least fixed point, which by the least-action principle is
-M*.  Each round only reads the tickets and notices revealed since the last
-one, so the rounds read exactly the stack prefixes a toppling run consumes.
-The other order policies topple one landlord notice at a time from a
-schedule of active houses; by the abelian property every schedule gives the
-same result, and these scalar schedules are kept as the reference oracle.
+`stabilize` computes the stabilizing odometer M* in rounds: Phi is
+monotone, so iterating M <- Phi(M) from M = 0 rises to its least fixed
+point, which by the least-action principle is M*.  By the abelian property
+every toppling order gives the same M*, so the order is not an input.  Each
+round only reads the tickets and notices revealed since the last one, so the
+rounds read exactly the stack prefixes a toppling run consumes; the tests
+check this against a scalar toppling loop (`tests/reference.py`).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 import numpy as np
 
 from .errors import AcceptanceCheckError, StepCapError, ValidationError
 from .model import ModelParams, floor_counts, validate_model
-from .stacks import GRAVEYARD, SLEEP, StackSource, _seed_words
+from .stacks import GRAVEYARD, StackSource, _as_int, _check_n, _seed_words
 
-ORDER_POLICIES = (
-    "single-loop-rounds",
-    "fifo-house-queue",
-    "village-round-robin",
-    "lowest-index-first",
-)
 DEFAULT_STEP_CAP = 10**9
 _SCAN_SLICE = 1 << 16  # houses per block of landlord reads
 _TRIAL_HOUSES = 1 << 14  # houses per chunk of trials in single_loop_trials
@@ -98,141 +89,28 @@ class SingleLoopResult:
     Phi_tilde: np.ndarray | None = None
 
 
-def _init_state(params: ModelParams, n: int, src):
-    """Flat mutable state after seeding sleepers and landing immigrants.
-
-    Houses are packed as hid = x*(n+1) + i with i in 1..n, so hid order is
-    exactly lexicographic (village, house) order.
-    """
-    V = params.num_villages
-    W = n + 1
-    floor_sigma = floor_counts(params.init_sleepers, n)
-    floor_nu = floor_counts(params.init_actives, n)
-    counts = [0] * (V * W)
-    sleeping = bytearray(V * W)
-    for x in range(V):
-        base = x * W
-        for i in range(1, int(floor_sigma[x]) + 1):
-            counts[base + i] = 1
-            sleeping[base + i] = 1
-        k = int(floor_nu[x])
-        if k:
-            for i in src.taxi_prefix(x, k).tolist():
-                hid = base + i
-                counts[hid] += 1
-                sleeping[hid] = 0
-    return counts, sleeping, floor_nu
-
-
-def _to_config(n: int, V: int, counts, sleeping) -> DiscreteConfig:
-    W = n + 1
-    counts_arr = np.array(counts, dtype=np.int64).reshape(V, W)[:, 1:]
-    sleep_arr = np.frombuffer(bytes(sleeping), dtype=np.uint8).reshape(V, W)[:, 1:] > 0
-    return DiscreteConfig(n=n, counts=counts_arr, sleeping=sleep_arr)
-
-
 def init_config(params: ModelParams, n: int, src) -> DiscreteConfig:
     """Initial configuration: one sleeper in each of the first floor(sigma*n)
     houses, then floor(nu*n) immigrants landed by taxi ticket, waking any
     sleeper they hit."""
     validate_model(params)
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n!r}")
-    counts, sleeping, _ = _init_state(params, n, src)
-    return _to_config(n, params.num_villages, counts, sleeping)
+    engine = _LoopEngine(params, n, src)
+    engine.route(np.zeros_like(engine.M))  # no jumps: only the immigrants land
+    hits = engine.hits.reshape(engine.sleeper.shape)
+    return DiscreteConfig(n=engine.n, counts=engine.sleeper + hits, sleeping=engine.sleeper & (hits == 0))
 
 
-class _FifoSchedule:
-    """One global FIFO over active houses."""
-
-    def __init__(self):
-        self._q = deque()
-
-    def push(self, hid: int) -> None:
-        self._q.append(hid)
-
-    def pop(self) -> int:
-        return self._q.popleft() if self._q else -1
-
-
-class _LowestIndexSchedule:
-    """Always topples the lexicographically smallest active house."""
-
-    def __init__(self):
-        self._heap = []
-
-    def push(self, hid: int) -> None:
-        heappush(self._heap, hid)
-
-    def pop(self) -> int:
-        return heappop(self._heap) if self._heap else -1
-
-
-class _RoundRobinSchedule:
-    """Cycles the villages, toppling one house from each non-empty one."""
-
-    def __init__(self, num_villages: int, width: int):
-        self._queues = [deque() for _ in range(num_villages)]
-        self._width = width
-        self._cursor = -1  # first pop starts the cycle at village 0
-        self._size = 0
-
-    def push(self, hid: int) -> None:
-        self._queues[hid // self._width].append(hid)
-        self._size += 1
-
-    def pop(self) -> int:
-        if self._size == 0:
-            return -1
-        V = len(self._queues)
-        c = self._cursor
-        for off in range(1, V + 1):
-            x = (c + off) % V
-            if self._queues[x]:
-                self._cursor = x
-                self._size -= 1
-                return self._queues[x].popleft()
-        return -1
-
-
-def _make_schedule(order_policy: str, V: int, W: int):
-    if order_policy == "fifo-house-queue":
-        return _FifoSchedule()
-    if order_policy == "lowest-index-first":
-        return _LowestIndexSchedule()
-    if order_policy == "village-round-robin":
-        return _RoundRobinSchedule(V, W)
-    raise ValidationError(
-        f"unknown order policy {order_policy!r}; choose one of {ORDER_POLICIES}"
-    )
-
-
-def stabilize(
-    params: ModelParams,
-    n: int,
-    src,
-    order_policy: str = ORDER_POLICIES[0],
-    step_cap: int = DEFAULT_STEP_CAP,
-) -> SimResult:
+def stabilize(params: ModelParams, n: int, src, step_cap: int = DEFAULT_STEP_CAP) -> SimResult:
     """Run the particle system to its stable configuration.
 
-    The default policy iterates the single-loop map from M = 0 until
-    Phi(M) == M; the others topple one landlord notice at a time (see
-    `_topple`).  Every policy consumes the same stack prefixes and returns
-    the same result.  Raises StepCapError once more than `step_cap`
-    instructions (landlord notices, airplane tickets and post-landing taxi
-    tickets) have been executed.
+    Iterates the single-loop map from M = 0 until Phi(M) == M, reading the
+    same stack prefixes as any toppling order.  Raises StepCapError once
+    more than `step_cap` instructions (landlord notices, airplane tickets and
+    post-landing taxi tickets) have been executed.
     """
     validate_model(params)
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n!r}")
-    V = params.num_villages
-    floor_sigma = floor_counts(params.init_sleepers, n)
-    if order_policy == ORDER_POLICIES[0]:
-        M_star, inflow, consumed, final = _single_loop_rounds(params, n, src, step_cap)
-    else:
-        schedule = _make_schedule(order_policy, V, n + 1)
-        M_star, inflow, consumed, final = _topple(params, n, src, schedule, step_cap)
+    M_star, inflow, consumed, final = _single_loop_rounds(params, n, src, step_cap)
+    floor_sigma = floor_counts(params.init_sleepers, final.n)
     S_star = final.sleepers_per_village()
 
     if not final.is_stable:
@@ -248,101 +126,6 @@ def stabilize(
     )
 
 
-def _step_cap_error(step_cap: int) -> StepCapError:
-    return StepCapError(
-        f"stabilization exceeded the {step_cap} instruction guard; "
-        "input is runaway or the kernel is effectively stochastic"
-    )
-
-
-def _topple(params: ModelParams, n: int, src, schedule, step_cap: int):
-    """Scalar toppling loop, one landlord notice per schedule slot.
-
-    SLEEP puts a lone particle to sleep and is a consumed no-op in a
-    multi-particle house; JUMP sends one particle through the next airplane
-    ticket (removal on GRAVEYARD) and, on arrival, the destination village's
-    next taxi ticket.  Returns (M*, inflow, consumed, final configuration).
-    """
-    V = params.num_villages
-    W = n + 1
-    counts, sleeping, floor_nu = _init_state(params, n, src)
-
-    in_queue = bytearray(V * W)
-    for hid in range(V * W):
-        c = counts[hid]
-        if c >= 2 or (c == 1 and not sleeping[hid]):
-            schedule.push(hid)
-            in_queue[hid] = 1
-
-    M_star = [0] * V
-    inflow = [int(v) for v in floor_nu]
-    taxi_next = [int(v) + 1 for v in floor_nu]
-    air_next = [1] * V
-    landlord_used = [0] * V
-    ll_next: dict[int, int] = {}
-    steps = 0
-
-    landlord = src.landlord
-    airplane = src.airplane
-    taxi = src.taxi
-    push = schedule.push
-    pop = schedule.pop
-
-    while True:
-        hid = pop()
-        if hid < 0:
-            break
-        in_queue[hid] = 0
-        x = hid // W
-        jn = ll_next.get(hid, 1)
-        ll_next[hid] = jn + 1
-        notice = landlord(x, hid - x * W, jn)
-        landlord_used[x] += 1
-        steps += 1
-        c = counts[hid]
-        if notice == SLEEP:
-            if c == 1:
-                sleeping[hid] = 1
-            else:
-                push(hid)
-                in_queue[hid] = 1
-        else:
-            counts[hid] = c - 1
-            M_star[x] += 1
-            aj = air_next[x]
-            air_next[x] = aj + 1
-            dest = airplane(x, aj)
-            steps += 1
-            if c > 1:
-                push(hid)
-                in_queue[hid] = 1
-            if dest != GRAVEYARD:
-                tj = taxi_next[dest]
-                taxi_next[dest] = tj + 1
-                house = taxi(dest, tj)
-                steps += 1
-                inflow[dest] += 1
-                hid2 = dest * W + house
-                c2 = counts[hid2]
-                counts[hid2] = c2 + 1
-                if sleeping[hid2]:
-                    sleeping[hid2] = 0
-                if not in_queue[hid2]:
-                    push(hid2)
-                    in_queue[hid2] = 1
-        if steps > step_cap:
-            raise _step_cap_error(step_cap)
-
-    consumed = ConsumedCounters(
-        airplane=np.array([v - 1 for v in air_next], dtype=np.int64),
-        taxi=np.array([v - 1 for v in taxi_next], dtype=np.int64),
-        landlord=np.array(landlord_used, dtype=np.int64),
-    )
-    M_arr = np.array(M_star, dtype=np.int64)
-    inflow_arr = np.array(inflow, dtype=np.int64)
-    return M_arr, inflow_arr, consumed, _to_config(n, V, counts, sleeping)
-
-
 class _LoopEngine:
     """Single-loop state on flat arrays over all houses, advanced in rounds.
 
@@ -355,10 +138,17 @@ class _LoopEngine:
     included) and the taxi tickets read.  Every read is the next unread
     entry of its stack, so advancing through M_1 <= M_2 <= ... reads the
     same prefixes as one evaluation at the last odometer.
+
+    Every entry point builds one, so it is where the caller's model and n
+    are checked against the source's.
     """
 
     def __init__(self, params: ModelParams, n: int, src, step_cap: int | None = None):
-        self.n = n
+        if src.params is not params:
+            raise ValidationError("the stack source was built for a different model")
+        if src.n != n:
+            raise ValidationError(f"the stack source has n={src.n}, but n={n!r} was given")
+        n = self.n = src.n
         self.src = src
         self.step_cap = step_cap
         self.floor_sigma = np.tile(floor_counts(params.init_sleepers, n), src.trials)
@@ -449,7 +239,10 @@ class _LoopEngine:
 
     def _check_cap(self) -> None:
         if self.step_cap is not None and self.tickets + self.notices > self.step_cap:
-            raise _step_cap_error(self.step_cap)
+            raise StepCapError(
+                f"stabilization exceeded the {self.step_cap} instruction guard; "
+                "input is runaway or the kernel is effectively stochastic"
+            )
 
     def totals(self):
         """(I, A, Q, J) per stream: arrivals, visited houses, initial
@@ -485,14 +278,15 @@ def _single_loop_rounds(params: ModelParams, n: int, src, step_cap: int):
             )
         M = Phi
 
-    visited = engine.hits.reshape(V, n) > 0
-    terminal = engine.terminal.reshape(V, n)
+    shape = engine.sleeper.shape
+    visited = engine.hits.reshape(shape) > 0
+    terminal = engine.terminal.reshape(shape)
     counts = np.where(visited, 1 - terminal.astype(np.int64), engine.sleeper.astype(np.int64))
-    final = DiscreteConfig(n=n, counts=counts, sleeping=counts == 1)
+    final = DiscreteConfig(n=engine.n, counts=counts, sleeping=counts == 1)
     consumed = ConsumedCounters(
         airplane=M.copy(),
         taxi=engine.I.copy(),
-        landlord=engine.revealed.reshape(V, n).sum(axis=1),
+        landlord=engine.revealed.reshape(shape).sum(axis=1),
     )
     return M, engine.I.copy(), consumed, final
 
@@ -519,8 +313,6 @@ def single_loop(params: ModelParams, n: int, src, M) -> SingleLoopResult:
     completed stabilization, single_loop(M_star) returns M_star and S_star.
     """
     validate_model(params)
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n!r}")
     M = _check_odometer(params, M)
     engine = _LoopEngine(params, n, src)
     engine.advance(M)
@@ -535,22 +327,27 @@ def single_loop_tilde(params: ModelParams, n: int, src, M, aux_seed: int) -> np.
 
     Identical inbound phase, but each visited house's terminal notice is
     replaced by a fresh Bernoulli(1/(1+lambda_x)) draw seeded by `aux_seed`,
-    independent of the landlord stacks: village by village, n uniforms, one
-    per house.  Returns the outflux vector only.
+    independent of the landlord stacks (see `_resampled_outflux`).  Returns
+    the outflux vector only.
     """
     validate_model(params)
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n!r}")
     M = _check_odometer(params, M)
     engine = _LoopEngine(params, n, src)
     engine.route(M)
-    I, A, Q, _ = engine.totals()
-    V = params.num_villages
-    rng = np.random.default_rng(aux_seed)
-    p_jump = 1.0 / (1.0 + params.sleep_rates)
-    fresh = rng.random((V, n)) < p_jump[:, None]
-    visited = engine.hits.reshape(V, n) > 0
-    J = np.count_nonzero(fresh & visited, axis=1).astype(np.int64)
+    return _resampled_outflux(params, engine, engine.totals(), [aux_seed])
+
+
+def _resampled_outflux(params: ModelParams, engine: _LoopEngine, totals, aux_seeds) -> np.ndarray:
+    """Outflux per stream of a routed engine with every visited house's
+    terminal notice replaced by a fresh JUMP with probability
+    1/(1+lambda_x): per trial, village by village, n uniforms, one per
+    house, from default_rng(aux_seeds[t])."""
+    V, n = params.num_villages, engine.n
+    fresh = np.stack([np.random.default_rng(_as_int(a, "aux seed")).random((V, n)) for a in aux_seeds])
+    p_jump = (1.0 / (1.0 + params.sleep_rates))[:, None]
+    visited = engine.hits.reshape(fresh.shape) > 0
+    J = np.count_nonzero((fresh < p_jump) & visited, axis=2).ravel()
+    I, A, Q, _ = totals
     return _outflux(engine.floor_sigma, I, A, Q, J)
 
 
@@ -565,8 +362,7 @@ def single_loop_trials(params: ModelParams, n: int, seeds, M, aux_seeds=None) ->
     each chunk as the streams of one engine, so memory stays bounded.
     """
     validate_model(params)
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n!r}")
+    n = _check_n(n)
     M = _check_odometer(params, M)
     seeds = _seed_words(seeds)
     T, V = seeds.size, params.num_villages
@@ -574,23 +370,16 @@ def single_loop_trials(params: ModelParams, n: int, seeds, M, aux_seeds=None) ->
         raise ValidationError("seeds must hold at least one seed")
     if aux_seeds is not None and len(aux_seeds) != T:
         raise ValidationError(f"got {len(aux_seeds)} aux seeds for {T} trials")
-    p_jump = (1.0 / (1.0 + params.sleep_rates))[:, None]
     per = max(1, _TRIAL_HOUSES // (V * n))
     parts = []
     for lo in range(0, T, per):
         chunk = seeds[lo : lo + per]
         engine = _LoopEngine(params, n, StackSource(params, n, chunk))
         engine.advance(np.tile(M, chunk.size))
-        I, A, Q, J = engine.totals()
+        totals = I, A, Q, J = engine.totals()
         fields = [_outflux(engine.floor_sigma, I, A, Q, J), -engine.M + engine.floor_sigma + I, I, A, Q, J]
         if aux_seeds is not None:
-            # The draws of single_loop_tilde: per trial, village by village, n uniforms.
-            fresh = np.stack(
-                [np.random.default_rng(int(a)).random((V, n)) for a in aux_seeds[lo : lo + per]]
-            )
-            visited = engine.hits.reshape(chunk.size, V, n) > 0
-            J_tilde = np.count_nonzero((fresh < p_jump) & visited, axis=2).ravel()
-            fields.append(_outflux(engine.floor_sigma, I, A, Q, J_tilde))
+            fields.append(_resampled_outflux(params, engine, totals, aux_seeds[lo : lo + per]))
         parts.append(fields)
     Phi, S, I, A, Q, J, *tilde = (np.concatenate(f).reshape(T, V) for f in zip(*parts))
     return SingleLoopResult(Phi=Phi, S=S, I=I, A=A, Q=Q, J=J, Phi_tilde=tilde[0] if tilde else None)

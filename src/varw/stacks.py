@@ -19,6 +19,7 @@ Stack identities and distributions:
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 
 import numpy as np
@@ -87,9 +88,9 @@ def _stream_keys(seeds: np.ndarray, V: int) -> np.ndarray:
 
 def derive_seed(master_seed: int, *components: int) -> int:
     """Stable 64-bit child seed from a master seed and integer components."""
-    h = _mix64((master_seed & _MASK64) ^ _MIX_C1)
+    h = _mix64((_as_int(master_seed, "seed") & _MASK64) ^ _MIX_C1)
     for c in components:
-        h = _mix64(h ^ ((c * _K_VILLAGE + 1) & _MASK64))
+        h = _mix64(h ^ ((_as_int(c, "seed component") * _K_VILLAGE + 1) & _MASK64))
     return h
 
 
@@ -111,7 +112,24 @@ def _seed_words(values) -> np.ndarray:
         return np.atleast_1d(values.astype(np.uint64))
     if np.ndim(values) == 0:
         values = [values]
-    return np.array([int(v) & _MASK64 for v in values], dtype=np.uint64)
+    return np.array([_as_int(v, "seed") & _MASK64 for v in values], dtype=np.uint64)
+
+
+def _as_int(value, what: str) -> int:
+    """`value` as a Python int.  Anything that is not an integer, such as a
+    float, raises ValidationError instead of being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _check_n(n) -> int:
+    """Houses per village as a Python int >= 1."""
+    n = _as_int(n, "n")
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n!r}")
+    return n
 
 
 def _range_entries(x, j_start, j_stop, num_villages: int):
@@ -186,15 +204,13 @@ class StackSource(_SourceReads):
     """
 
     def __init__(self, params: ModelParams, n: int, master_seed):
-        if n < 1:
-            raise ValidationError(f"n must be >= 1, got {n!r}")
+        self.n = _check_n(n)
         seeds = _seed_words(master_seed)
         if not seeds.size:
             raise ValidationError("master_seed must hold at least one seed")
         self.params = params
-        self.n = int(n)
         if np.ndim(master_seed) == 0:
-            self.master_seed = int(master_seed)
+            self.master_seed = operator.index(master_seed)
         else:
             self.master_seed, self.trials = seeds, seeds.size
         V = params.num_villages
@@ -333,10 +349,8 @@ class InjectedStackSource(_SourceReads):
         landlord: dict[tuple[int, int], list[int]] | None = None,
         fallback: StackSource | None = None,
     ):
-        if n < 1:
-            raise ValidationError(f"n must be >= 1, got {n!r}")
+        self.n = _check_n(n)
         self.params = params
-        self.n = int(n)
         self.fallback = fallback
         V = params.num_villages
         self._air = {int(x): [int(v) for v in seq] for x, seq in (airplane or {}).items()}

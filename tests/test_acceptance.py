@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from helpers import one_village_params, random_subcritical_params, two_village_params
+from reference import SCHEDULES, reference_stabilize
 
 from varw import (
     ConcentrationConfig,
     LLNConfig,
-    ORDER_POLICIES,
     StackSource,
     compute_spectral,
     critical_profile,
@@ -45,7 +45,8 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="session")
 def battery():
     """Shared run battery for criteria 1-3: the default instance plus five
-    random valid instances, three n values, ten seeds, all order policies."""
+    random valid instances, three n values, ten seeds, and the three scalar
+    toppling schedules of the reference oracle."""
     rng = np.random.default_rng(987654321)
     instances = [two_village_params()] + [
         random_subcritical_params(
@@ -71,10 +72,10 @@ def battery():
                 loop = single_loop(params, n, src, sim.M_star)
                 fifo_seconds += perf_counter() - t0
                 alt = {}
-                for policy in ORDER_POLICIES[1:]:
+                for schedule in SCHEDULES:
                     alt_src = StackSource(params, n, seed)
-                    alt_sim = stabilize(params, n, alt_src, order_policy=policy)
-                    alt[policy] = (alt_sim.M_star, alt_sim.S_star)
+                    alt_sim = reference_stabilize(params, n, alt_src, schedule)
+                    alt[schedule] = (alt_sim.M_star, alt_sim.S_star)
                 runs.append(
                     {
                         "instance": inst_id,
@@ -116,7 +117,7 @@ def test_criterion_02_abelian_order_invariance(battery):
     _report(
         2,
         bad == 0,
-        f"all {len(ORDER_POLICIES)} order policies identical on "
+        f"rounds and all {len(SCHEDULES)} toppling schedules identical on "
         f"{len(battery['runs'])} shared-stack runs ({bad} mismatches)",
     )
 

@@ -111,13 +111,14 @@ def test_simulate_deterministic_output(capsys, model_file):
     assert "seed: 7" in out_a
 
 
-def test_simulate_policy_flag(capsys, model_file):
-    code, out, _ = run_cli(
+def test_simulate_has_no_order_policy_option(capsys, model_file):
+    code, out, err = run_cli(
         capsys, "simulate", "--model", model_file, "--n", "200", "--seed", "3",
-        "--order-policy", "lowest-index-first",
+        "--order-policy", "fifo-house-queue",
     )
-    assert code == 0
-    assert "order_policy: lowest-index-first" in out
+    assert code == 1
+    assert out == ""
+    assert err.startswith("argument error:")
 
 
 def test_simulate_step_cap_exit_code(capsys, model_file, monkeypatch):
@@ -224,18 +225,6 @@ def test_kappa_subcommand(capsys, tmp_path):
     assert code == 0
     assert "village_0_p_value" in out
     assert (tmp_path / "k" / "kappa_test.txt").exists()
-
-
-def test_simulate_default_policy_is_single_loop_rounds(capsys, model_file):
-    code, out, _ = run_cli(capsys, "simulate", "--model", model_file, "--n", "200", "--seed", "3")
-    assert code == 0
-    assert "order_policy: single-loop-rounds" in out
-    code, ref, _ = run_cli(
-        capsys, "simulate", "--model", model_file, "--n", "200", "--seed", "3",
-        "--order-policy", "fifo-house-queue",
-    )
-    assert code == 0
-    assert ref.replace("fifo-house-queue", "single-loop-rounds") == out
 
 
 def test_solve_non_monotone_iterates_exit_code(capsys, model_file, monkeypatch):

@@ -247,3 +247,20 @@ def test_kappa_reference_check_covers_resampled_outflux(monkeypatch):
     _corrupt_last_trial(monkeypatch, "Phi_tilde")
     with pytest.raises(AcceptanceCheckError, match=r"kappa-test: .*n=30, seed=4, trial 49, village 1: Phi_tilde="):
         run_kappa_equivalence(two_village_params(), 30, [12, 8], trials=50, seed=4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: run_lln(LLNConfig(params=p, n_values=[10.5], seeds=[1])),
+        lambda p: run_lln(LLNConfig(params=p, n_values=[10], seeds=[1.5])),
+        lambda p: run_concentration(
+            ConcentrationConfig(params=p, n=10.5, M=np.array([3, 3]), a=0.1, trials=5)
+        ),
+        lambda p: run_kappa_equivalence(p, 10.5, [3, 3], 5),
+    ],
+    ids=["lln-n", "lln-seed", "concentration-n", "kappa-n"],
+)
+def test_experiments_reject_non_integer_n_and_seeds(call):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        call(two_village_params())

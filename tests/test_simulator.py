@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import one_village_params, random_subcritical_params, two_village_params
+from reference import SCHEDULES, reference_stabilize
 
 from varw import (
     GRAVEYARD,
     JUMP,
     SLEEP,
-    ORDER_POLICIES,
     InjectedStackSource,
     ModelParams,
     StackExhaustedError,
@@ -109,12 +109,6 @@ def test_stabilize_step_cap_guard():
         stabilize(params, 1000, src, step_cap=10)
 
 
-def test_stabilize_rejects_unknown_policy():
-    params = two_village_params()
-    with pytest.raises(ValidationError, match="order policy"):
-        stabilize(params, 10, StackSource(params, 10, 1), order_policy="random")
-
-
 def test_single_loop_empty_inputs():
     params = one_village_params(q=0.5, lam=1.0, sigma=0.5, nu=0.0)
     res = single_loop(params, 10, StackSource(params, 10, 6), [0])
@@ -190,14 +184,10 @@ def test_single_loop_tilde_empty_is_zero():
 def test_all_policies_agree_on_shared_stacks():
     params = two_village_params()
     for seed in range(6):
-        reference = None
-        for policy in ORDER_POLICIES:
-            src = StackSource(params, 400, seed)
-            sim = stabilize(params, 400, src, order_policy=policy)
-            got = (sim.M_star.tolist(), sim.S_star.tolist())
-            if reference is None:
-                reference = got
-            assert got == reference
+        sim = stabilize(params, 400, StackSource(params, 400, seed))
+        for schedule in SCHEDULES:
+            ref = reference_stabilize(params, 400, StackSource(params, 400, seed), schedule)
+            assert (ref.M_star.tolist(), ref.S_star.tolist()) == (sim.M_star.tolist(), sim.S_star.tolist())
 
 
 @settings(max_examples=20, deadline=None)
@@ -272,13 +262,34 @@ def edge_instances(draw):
     for x in range(V):
         P[x, (x + 1) % V] = max(P[x, (x + 1) % V], 0.2)
     P = P / P.sum(axis=1, keepdims=True) * rng.uniform(0.3, 0.9, V)[:, None]
+    return _edge_params(draw, rng, P), draw(st.integers(1, 60)), draw(st.integers(0, 2**31))
+
+
+@st.composite
+def wide_instances(draw):
+    """The edge cases of edge_instances on 13 to 300 villages: a ring plus 4
+    random out-edges per village, n in 2..6.  Returns (params, n, stack seed)."""
+    V = draw(st.integers(13, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    P = np.zeros((V, V))
+    for x in range(V):
+        ring = (x + 1) % V
+        others = np.setdiff1d(np.arange(V), [x, ring])
+        P[x, np.append(rng.choice(others, 4, replace=False), ring)] = rng.uniform(0.2, 1.0, 5)
+    P = P / P.sum(axis=1, keepdims=True) * rng.uniform(0.3, 0.9, V)[:, None]
+    return _edge_params(draw, rng, P), draw(st.integers(2, 6)), draw(st.integers(0, 2**31))
+
+
+def _edge_params(draw, rng, P) -> ModelParams:
+    """Rates on kernel P with some sleep rates 0, some sigma at the critical
+    ceiling lambda/(1+lambda) and some nu 0."""
+    V = P.shape[0]
     kinds = st.lists(st.sampled_from(("edge", "random")), min_size=V, max_size=V)
     lam = np.where(np.array(draw(kinds)) == "edge", 0.0, rng.uniform(0.2, 3.0, V))
     ceiling = lam / (1.0 + lam)
     sigma = np.where(np.array(draw(kinds)) == "edge", ceiling, rng.uniform(0.0, 1.0, V) * ceiling)
     nu = np.where(np.array(draw(kinds)) == "edge", 0.0, rng.uniform(0.0, 1.0, V))
-    params = ModelParams(kernel=P, sleep_rates=lam, init_sleepers=sigma, init_actives=nu)
-    return params, draw(st.integers(1, 60)), draw(st.integers(0, 2**31))
+    return ModelParams(kernel=P, sleep_rates=lam, init_sleepers=sigma, init_actives=nu)
 
 
 def _sim_arrays(sim):
@@ -293,18 +304,22 @@ def _assert_same_run(got, want):
         assert np.array_equal(a, b)
 
 
-def test_default_policy_is_single_loop_rounds():
-    assert ORDER_POLICIES[0] == "single-loop-rounds"
-    assert stabilize.__defaults__[0] == ORDER_POLICIES[0]
-
-
 @settings(max_examples=40, deadline=None)
 @given(edge_instances())
 def test_rounds_stabilizer_matches_every_scalar_schedule(case):
     params, n, seed = case
     sim = stabilize(params, n, StackSource(params, n, seed))
-    for policy in ORDER_POLICIES[1:]:
-        _assert_same_run(sim, stabilize(params, n, StackSource(params, n, seed), order_policy=policy))
+    for schedule in SCHEDULES:
+        _assert_same_run(sim, reference_stabilize(params, n, StackSource(params, n, seed), schedule))
+
+
+@settings(max_examples=15, deadline=None)
+@given(wide_instances())
+def test_rounds_stabilizer_matches_scalar_schedules_on_many_villages(case):
+    params, n, seed = case
+    sim = stabilize(params, n, StackSource(params, n, seed))
+    for schedule in ("fifo-house-queue", "lowest-index-first"):
+        _assert_same_run(sim, reference_stabilize(params, n, StackSource(params, n, seed), schedule))
 
 
 class _RecordingSource(StackSource):
@@ -344,18 +359,19 @@ def _strict_copy(params, n, full, consumed, drop_last_notice=False):
 def test_rounds_stabilizer_reads_only_the_scalar_prefixes(case):
     params, n, seed = case
     full = _RecordingSource(params, n, seed)
-    ref = stabilize(params, n, full, order_policy="fifo-house-queue")
+    ref = reference_stabilize(params, n, full, "fifo-house-queue")
     _assert_same_run(stabilize(params, n, _strict_copy(params, n, full, ref.consumed)), ref)
 
 
 def test_rounds_stabilizer_needs_every_consumed_notice():
     params = two_village_params()
     full = _RecordingSource(params, 40, 8)
-    ref = stabilize(params, 40, full, order_policy="fifo-house-queue")
+    ref = reference_stabilize(params, 40, full, "fifo-house-queue")
     short = _strict_copy(params, 40, full, ref.consumed, drop_last_notice=True)
-    for policy in ORDER_POLICIES[:2]:
-        with pytest.raises(StackExhaustedError):
-            stabilize(params, 40, short, order_policy=policy)
+    with pytest.raises(StackExhaustedError):
+        stabilize(params, 40, short)
+    with pytest.raises(StackExhaustedError):
+        reference_stabilize(params, 40, short, "fifo-house-queue")
 
 
 def test_step_cap_is_exact_for_every_policy():
@@ -365,16 +381,19 @@ def test_step_cap_is_exact_for_every_policy():
     c = ref.consumed
     post_landing_taxi = c.taxi - floor_counts(params.init_actives, n)
     total = int(c.airplane.sum() + post_landing_taxi.sum() + c.landlord.sum())
-    for policy in ORDER_POLICIES:
-        stabilize(params, n, StackSource(params, n, 4), order_policy=policy, step_cap=total)
+    stabilize(params, n, StackSource(params, n, 4), step_cap=total)
+    with pytest.raises(StepCapError):
+        stabilize(params, n, StackSource(params, n, 4), step_cap=total - 1)
+    for schedule in SCHEDULES:
+        reference_stabilize(params, n, StackSource(params, n, 4), schedule, step_cap=total)
         with pytest.raises(StepCapError):
-            stabilize(params, n, StackSource(params, n, 4), order_policy=policy, step_cap=total - 1)
+            reference_stabilize(params, n, StackSource(params, n, 4), schedule, step_cap=total - 1)
 
 
 def test_rounds_stabilizer_with_small_scan_slices(monkeypatch):
     params = two_village_params()
     n = 300
-    ref = stabilize(params, n, StackSource(params, n, 6), order_policy="fifo-house-queue")
+    ref = reference_stabilize(params, n, StackSource(params, n, 6), "fifo-house-queue")
     monkeypatch.setattr(simulator_mod, "_SCAN_SLICE", 7)
     src = StackSource(params, n, 6)
     _assert_same_run(stabilize(params, n, src), ref)
@@ -437,3 +456,29 @@ def test_batched_trials_reject_bad_arguments():
         single_loop_trials(params, 10, [1, 2], [1])
     with pytest.raises(ValidationError):
         single_loop(params, 10, StackSource(params, 10, [1, 2]), [1, 1])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        stabilize,
+        init_config,
+        lambda params, n, src: single_loop(params, n, src, [4, 4]),
+        lambda params, n, src: single_loop_tilde(params, n, src, [4, 4], 1),
+    ],
+    ids=["stabilize", "init_config", "single_loop", "single_loop_tilde"],
+)
+def test_source_must_match_the_callers_model_and_n(call):
+    params = two_village_params()
+    with pytest.raises(ValidationError, match="n=5, but n=10"):
+        call(params, 10, StackSource(params, 5, 1))
+    with pytest.raises(ValidationError, match="n=10, but n=5"):
+        call(params, 5, StackSource(params, 10, 1))
+    other_sigma = ModelParams(
+        kernel=params.kernel,
+        sleep_rates=params.sleep_rates,
+        init_sleepers=[0.1, 0.4],
+        init_actives=params.init_actives,
+    )
+    with pytest.raises(ValidationError, match="different model"):
+        call(params, 10, StackSource(other_sigma, 10, 1))

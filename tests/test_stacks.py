@@ -17,6 +17,7 @@ from varw import (
     ValidationError,
     derive_seed,
     derive_seeds,
+    single_loop_trials,
 )
 from varw.stacks import _stream_key, _stream_keys, _seed_words
 
@@ -355,3 +356,24 @@ def test_trial_source_streams_match_single_trial_sources():
         StackSource(params, n, [])
     with pytest.raises(ValidationError):
         StackSource(params, n, [[1, 2]])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda p: StackSource(p, 10, 1.5), "seed must be an integer"),
+        (lambda p: StackSource(p, 10.5, 1), "n must be an integer"),
+        (lambda p: InjectedStackSource(p, 10.5), "n must be an integer"),
+        (lambda p: single_loop_trials(p, 10, np.array([1.5, 2.0]), [3, 3]), "seed must be an integer"),
+        (lambda p: single_loop_trials(p, 10.5, [1, 2], [3, 3]), "n must be an integer"),
+        (lambda p: derive_seed(1.5, 2), "seed must be an integer"),
+        (lambda p: derive_seed(1, 2.5), "seed component must be an integer"),
+        (lambda p: derive_seeds(np.array([1.5]), 2), "seed must be an integer"),
+    ],
+    ids=[
+        "seed", "n", "injected-n", "trial-seeds", "trials-n", "derive-seed", "derive-component", "derive-seeds",
+    ],
+)
+def test_non_integer_seeds_and_n_are_rejected(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call(two_village_params())
