@@ -8,6 +8,7 @@ experiment harnesses (`experiments`).
 
 from .errors import (
     AcceptanceCheckError,
+    InputSizeError,
     IterationCapError,
     StackExhaustedError,
     StepCapError,

@@ -1,9 +1,9 @@
 """Command-line front end for the village random walk toolkit.
 
 Exit codes: 0 success, 1 validation/usage error, 2 runtime guard tripped
-(step or iteration cap, or an input too large for memory), 3 exact-invariant
-failure inside an experiment (including a batched trial that differs from
-its single_loop re-evaluation).
+(step or iteration cap, an integer option beyond 64 bits, or an input too
+large for memory), 3 exact-invariant failure inside an experiment (including
+a batched trial that differs from its single_loop re-evaluation).
 Every subcommand is deterministic given its arguments and input files;
 seeds are always printed, defaulted or not.  `simulate` has no toppling
 order option: every order gives the same stabilizing odometer, and the one
@@ -21,6 +21,7 @@ import numpy as np
 from . import experiments
 from .errors import (
     AcceptanceCheckError,
+    InputSizeError,
     IterationCapError,
     StackExhaustedError,
     StepCapError,
@@ -43,9 +44,23 @@ class _Parser(argparse.ArgumentParser):
         raise _CliArgumentError(message)
 
 
-def _int_vector(text: str) -> list[int]:
+def _int64(option: str):
+    """argparse type of an integer option that ends up in an int64 array (n,
+    M or a count): parsed like int, then bounded; errors name the option."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if not -(2**63) <= value < 2**63:
+            raise InputSizeError(f"{option} value {value} does not fit in a 64-bit integer")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value" errors
+    return parse
+
+
+def _int_vector(text: str, parse=int) -> list[int]:
     try:
-        values = [int(tok) for tok in text.split(",") if tok != ""]
+        values = [parse(tok) for tok in text.split(",") if tok != ""]
     except ValueError:
         raise ValidationError(f"expected comma-separated integers, got {text!r}") from None
     if not values:
@@ -71,35 +86,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-10, help="certified eta-norm error bound")
 
     p = add("simulate", "stabilize the discrete system and check the loop identity")
-    p.add_argument("--n", type=int, required=True, help="houses per village")
+    p.add_argument("--n", type=_int64("--n"), required=True, help="houses per village")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="stack master seed")
 
     p = add("single-loop", "evaluate the one-pass odometer map at a given odometer")
-    p.add_argument("--n", type=int, required=True, help="houses per village")
+    p.add_argument("--n", type=_int64("--n"), required=True, help="houses per village")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="stack master seed")
     p.add_argument("--M", required=True, help="input odometer, comma-separated integers")
 
     p = add("lln", "run a convergence sweep against the continuum limit")
-    p.add_argument("--n", type=int, action="append", required=True, dest="n_values",
+    p.add_argument("--n", type=_int64("--n"), action="append", required=True, dest="n_values",
                    help="houses per village; repeat the flag for a grid")
     p.add_argument("--seeds", default=None, help="explicit comma-separated seed list")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="base seed when --seeds is absent")
-    p.add_argument("--num-seeds", type=int, default=20, help="seeds drawn from the base seed")
+    p.add_argument("--num-seeds", type=_int64("--num-seeds"), default=20, help="seeds drawn from the base seed")
     p.add_argument("--tol", type=float, default=1e-10, help="limit solver tolerance")
     p.add_argument("--out", default="varw_out", help="directory for the CSV outputs")
 
     p = add("concentration", "measure single-loop deviation tails against their bounds")
-    p.add_argument("--n", type=int, required=True, help="houses per village")
+    p.add_argument("--n", type=_int64("--n"), required=True, help="houses per village")
     p.add_argument("--M", required=True, help="fixed odometer, comma-separated integers")
     p.add_argument("--a", type=float, required=True, help="deviation threshold")
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--trials", type=_int64("--trials"), default=10000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default="varw_out", help="directory for the report file")
 
     p = add("kappa-test", "two-sample test of the resampled-notice outflux distribution")
-    p.add_argument("--n", type=int, required=True, help="houses per village")
+    p.add_argument("--n", type=_int64("--n"), required=True, help="houses per village")
     p.add_argument("--M", required=True, help="fixed odometer, comma-separated integers")
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--trials", type=_int64("--trials"), default=10000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default="varw_out", help="directory for the report file")
 
@@ -171,7 +186,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_single_loop(args) -> int:
     params = load_model(args.model)
-    M = np.array(_int_vector(args.M), dtype=np.int64)
+    M = np.array(_int_vector(args.M, _int64("--M")), dtype=np.int64)
     src = StackSource(params, args.n, args.seed)
     res = single_loop(params, args.n, src, M)
     print(f"n: {args.n}")
@@ -209,7 +224,7 @@ def _cmd_lln(args) -> int:
 
 def _cmd_concentration(args) -> int:
     params = load_model(args.model)
-    M = np.array(_int_vector(args.M), dtype=np.int64)
+    M = np.array(_int_vector(args.M, _int64("--M")), dtype=np.int64)
     print(f"seed: {args.seed}")
     config = experiments.ConcentrationConfig(
         params=params, n=args.n, M=M, a=args.a, trials=args.trials, seed=args.seed
@@ -227,7 +242,7 @@ def _cmd_concentration(args) -> int:
 
 def _cmd_kappa_test(args) -> int:
     params = load_model(args.model)
-    M = np.array(_int_vector(args.M), dtype=np.int64)
+    M = np.array(_int_vector(args.M, _int64("--M")), dtype=np.int64)
     print(f"seed: {args.seed}")
     out = Path(args.out) / "kappa_test.txt"
     report = experiments.run_kappa_equivalence(
@@ -254,15 +269,14 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except _CliArgumentError as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return 1
-    try:
-        return _COMMANDS[args.command](args)
     except (ValidationError, StackExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (StepCapError, IterationCapError) as exc:
+    except (StepCapError, IterationCapError, InputSizeError) as exc:
         print(f"runtime guard: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

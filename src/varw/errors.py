@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: validation problems exit 1, runtime
-guards (iteration/step caps) exit 2, tripped experiment invariants exit 3.
+guards (iteration/step caps, oversized inputs) exit 2, tripped experiment
+invariants exit 3.
 """
 
 
@@ -19,6 +20,10 @@ class IterationCapError(VarwError):
 
 class StepCapError(VarwError):
     """Stabilization executed more instructions than the runtime guard allows."""
+
+
+class InputSizeError(VarwError):
+    """An input integer too large for the 64-bit arrays it is stored in."""
 
 
 class StackExhaustedError(VarwError):

@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import chi2
 
 from .errors import AcceptanceCheckError, ValidationError
 from .limit import LimitSolution, phi, sleep_profile, solve_fixed_point
@@ -381,7 +380,11 @@ def _pooled_chi_square(sample_a: np.ndarray, sample_b: np.ndarray, min_expected:
         ea = n_a * (oa + ob) / total
         eb = n_b * (oa + ob) / total
         stat += (oa - ea) ** 2 / ea + (ob - eb) ** 2 / eb
-    p = float(chi2.sf(stat, k - 1))
+    # scipy.stats.chi2.sf(stat, k - 1) bit for bit; imported here so that
+    # `import varw` loads no scipy
+    from scipy.special import chdtrc
+
+    p = float(chdtrc(k - 1, stat))
     return float(stat), k - 1, p, k
 
 

@@ -15,10 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from .errors import IterationCapError, ValidationError
+from .errors import InputSizeError, IterationCapError, ValidationError
 
 ROW_SUM_TOL = 1e-12
 # Numeric slack on sigma <= lambda/(1+lambda): a solver-computed sleeper
@@ -88,29 +86,36 @@ def critical_profile(params: ModelParams) -> np.ndarray:
     return lam / (1.0 + lam)
 
 
+def _unreached_from_0(adj: np.ndarray) -> np.ndarray:
+    """Villages not reachable from village 0 along the rows of the boolean
+    matrix `adj`, in increasing order.  A breadth-first search on frontier
+    masks: every row is read once, so the search costs O(V^2)."""
+    unreached = np.ones(adj.shape[0], dtype=bool)
+    unreached[0] = False
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        new = adj[frontier].any(axis=0)
+        new &= unreached
+        unreached ^= new
+        frontier = np.flatnonzero(new)
+    return np.flatnonzero(unreached)
+
+
 def _unreachable_pair(support: np.ndarray) -> tuple[int, int] | None:
     """A pair (x, y) with y unreachable from x in the support digraph, or
     None when the digraph is strongly connected.
 
-    The diagonal is free (zero-step paths), so one village is always
-    strongly connected.
+    The digraph is strongly connected exactly when every village is
+    reachable from 0 and 0 is reachable from every village.  The diagonal is
+    free (zero-step paths), so one village is always strongly connected.
     """
-    V = support.shape[0]
-    if V == 1:
-        return None
-    rows, cols = np.nonzero(support)
-    indptr = np.zeros(V + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=V), out=indptr[1:])
-    graph = csr_matrix((np.ones(cols.size), cols, indptr), shape=(V, V))
-    if connected_components(graph, directed=True, connection="strong")[0] == 1:
-        return None
-    # Not strongly connected: either some village is unreachable from 0, or
-    # every village is reachable from 0 and 0 is unreachable from some village.
-    missing = np.setdiff1d(np.arange(V), breadth_first_order(graph, 0, return_predecessors=False))
+    missing = _unreached_from_0(support)
     if missing.size:
         return 0, int(missing[0])
-    reached = breadth_first_order(graph.T.tocsr(), 0, return_predecessors=False)
-    return int(np.setdiff1d(np.arange(V), reached)[0]), 0
+    missing = _unreached_from_0(np.ascontiguousarray(support.T))
+    if missing.size:
+        return int(missing[0]), 0
+    return None
 
 
 def validate_model(params: ModelParams, require_subcritical: bool = False) -> ModelParams:
@@ -276,4 +281,7 @@ def floor_counts(density: np.ndarray, n: int) -> np.ndarray:
     floor(0.29 * 100) == 28, not 29.  Seeds, outputs and the continuum
     comparison all use these counts, so the semantics are fixed.
     """
-    return np.array([math.floor(d * n) for d in density], dtype=np.int64)
+    try:
+        return np.array([math.floor(d * n) for d in density], dtype=np.int64)
+    except OverflowError:
+        raise InputSizeError(f"floor(density * n) at n={n} does not fit in a 64-bit integer") from None

@@ -89,11 +89,19 @@ class SingleLoopResult:
     Phi_tilde: np.ndarray | None = None
 
 
+def _check_single_trial(caller: str, src) -> None:
+    if src.trials != 1:
+        raise ValidationError(
+            f"the stack source holds T={src.trials} trials; {caller} takes a single-seed source"
+        )
+
+
 def init_config(params: ModelParams, n: int, src) -> DiscreteConfig:
     """Initial configuration: one sleeper in each of the first floor(sigma*n)
     houses, then floor(nu*n) immigrants landed by taxi ticket, waking any
     sleeper they hit."""
     validate_model(params)
+    _check_single_trial("init_config", src)
     engine = _LoopEngine(params, n, src)
     engine.route(np.zeros_like(engine.M))  # no jumps: only the immigrants land
     hits = engine.hits.reshape(engine.sleeper.shape)
@@ -109,6 +117,7 @@ def stabilize(params: ModelParams, n: int, src, step_cap: int = DEFAULT_STEP_CAP
     post-landing taxi tickets) have been executed.
     """
     validate_model(params)
+    _check_single_trial("stabilize", src)
     M_star, inflow, consumed, final = _single_loop_rounds(params, n, src, step_cap)
     floor_sigma = floor_counts(params.init_sleepers, final.n)
     S_star = final.sleepers_per_village()

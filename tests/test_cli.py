@@ -1,10 +1,14 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import two_village_params
 
+import varw
 from varw import StepCapError, compute_spectral, solve_fixed_point
 from varw.cli import main
 
@@ -268,3 +272,29 @@ def test_batched_trial_mismatch_exit_code(capsys, model_file, tmp_path, monkeypa
     assert code == 3
     assert f"invariant failure: {argv[0]}: " in err
     assert "n=40, seed=2, trial 0, village 1: Phi=" in err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("single-loop", "--n", "100000000000000000000", "--M", "1,1"), "--n"),
+        (("single-loop", "--n", "10", "--M", "99999999999999999999,1"), "--M"),
+        (("simulate", "--n", "100000000000000000000"), "--n"),
+    ],
+)
+def test_integer_beyond_64_bits_exit_code(capsys, model_file, argv, option):
+    code, out, err = run_cli(capsys, argv[0], "--model", model_file, *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"runtime guard: {option} value ")
+    assert "does not fit in a 64-bit integer" in err
+
+
+def test_import_loads_no_scipy():
+    src = Path(varw.__file__).resolve().parent.parent
+    code = "import sys, varw, varw.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "[]\n"

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import one_village_params, two_village_params
 
@@ -21,6 +23,7 @@ from varw import (
 from varw.experiments import (
     LLN_ROWS_HEADER,
     LLN_SUMMARY_HEADER,
+    _pooled_chi_square,
     concentration_bounds,
     worker_count,
 )
@@ -264,3 +267,19 @@ def test_kappa_reference_check_covers_resampled_outflux(monkeypatch):
 def test_experiments_reject_non_integer_n_and_seeds(call):
     with pytest.raises(ValidationError, match="must be an integer"):
         call(two_village_params())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-30, 30), min_size=1, max_size=400),
+    st.lists(st.integers(-30, 30), min_size=1, max_size=400),
+    st.floats(0.5, 8.0),
+)
+def test_pooled_chi_square_p_value_equals_scipy_stats(sample_a, sample_b, min_expected):
+    from scipy.stats import chi2
+
+    try:
+        stat, dof, p, _ = _pooled_chi_square(np.array(sample_a), np.array(sample_b), min_expected)
+    except ValidationError:
+        assume(False)
+    assert p == float(chi2.sf(stat, dof))

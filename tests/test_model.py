@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import one_village_params, random_subcritical_params, two_village_params
 
 from varw import (
+    InputSizeError,
     ModelParams,
     ValidationError,
     compute_spectral,
@@ -282,3 +283,84 @@ def test_validate_accepts_wide_irreducible_kernel():
 def test_floor_counts_uses_binary_float_products():
     # 0.29 * 100 == 28.999999999999996 in binary floating point
     assert floor_counts(np.array([0.29, 0.5, 1.0]), 100).tolist() == [28, 50, 100]
+
+
+def test_floor_counts_beyond_64_bits_raise_input_size_error():
+    # nu may exceed 1, so floor(nu * n) can overflow an int64 while n fits
+    with pytest.raises(InputSizeError, match="n=9223372036854775807"):
+        floor_counts(np.array([0.2, 2.5]), 2**63 - 1)
+
+
+def _csgraph_unreachable_pair(support: np.ndarray):
+    """The scipy.sparse.csgraph reachability check that `_unreachable_pair`
+    replaced, kept as its oracle."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order, connected_components
+
+    V = support.shape[0]
+    if V == 1:
+        return None
+    graph = csr_matrix(support.astype(np.float64))
+    if connected_components(graph, directed=True, connection="strong")[0] == 1:
+        return None
+    missing = np.setdiff1d(np.arange(V), breadth_first_order(graph, 0, return_predecessors=False))
+    if missing.size:
+        return 0, int(missing[0])
+    reached = breadth_first_order(graph.T.tocsr(), 0, return_predecessors=False)
+    return int(np.setdiff1d(np.arange(V), reached)[0]), 0
+
+
+def _chain_digraph(rng, V: int, parts: int, zero_last: bool, density: float) -> np.ndarray:
+    """A support digraph whose strong components form the chain C_1 -> ... ->
+    C_parts: each component is a cycle plus random edges, with random forward
+    edges between components.  Village 0 lies in C_1, or in C_parts when
+    `zero_last`, so it reaches every village, or only its own component."""
+    order = rng.permutation(V)
+    order = np.concatenate([order[order != 0], [0]] if zero_last else [[0], order[order != 0]])
+    blocks = np.split(order, np.sort(rng.choice(np.arange(1, V), parts - 1, replace=False)))
+    comp = np.empty(V, dtype=np.int64)
+    for i, block in enumerate(blocks):
+        comp[block] = i
+    support = (rng.random((V, V)) < density) & (comp[:, None] <= comp[None, :])
+    for block in blocks:
+        support[block, np.roll(block, -1)] = True
+    for a, b in zip(blocks, blocks[1:]):
+        support[a[-1], b[0]] = True
+    return support
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["strong", "unreachable_from_0", "0_unreachable", "one_village"]),
+    st.integers(2, 300),
+    st.integers(2, 6),
+    st.floats(0.0, 0.3),
+    st.integers(0, 2**32 - 1),
+)
+def test_unreachable_pair_matches_csgraph(kind, V, parts, density, seed):
+    from varw.model import _unreachable_pair
+
+    rng = np.random.default_rng(seed)
+    if kind == "one_village":
+        support = rng.random((1, 1)) < density
+    else:
+        parts = 1 if kind == "strong" else min(parts, V)
+        support = _chain_digraph(rng, V, parts, kind == "unreachable_from_0", density)
+    want = _csgraph_unreachable_pair(support)
+    assert _unreachable_pair(support) == want
+    if kind in ("strong", "one_village"):
+        assert want is None
+    else:
+        assert want is not None and (want[0] == 0) == (kind == "unreachable_from_0")
+
+    V = support.shape[0]
+    kernel = support / (support.sum(axis=1, keepdims=True) + 1.0)
+    params = ModelParams(
+        kernel=kernel, sleep_rates=np.ones(V), init_sleepers=np.zeros(V), init_actives=np.zeros(V)
+    )
+    if want is None:
+        assert validate_model(params) is params
+    else:
+        with pytest.raises(ValidationError) as info:
+            validate_model(params)
+        assert str(info.value) == f"kernel support is reducible: village {want[1]} unreachable from {want[0]}"

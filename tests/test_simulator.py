@@ -482,3 +482,17 @@ def test_source_must_match_the_callers_model_and_n(call):
     )
     with pytest.raises(ValidationError, match="different model"):
         call(params, 10, StackSource(other_sigma, 10, 1))
+
+
+@pytest.mark.parametrize("call", [stabilize, init_config], ids=["stabilize", "init_config"])
+def test_single_seed_calls_reject_a_multi_trial_source(call):
+    params = two_village_params()
+    with pytest.raises(ValidationError, match=r"holds T=2 trials; \w+ takes a single-seed source"):
+        call(params, 10, StackSource(params, 10, [1, 2]))
+    # a one-element seed list is a single trial, equal to its scalar seed
+    got = call(params, 10, StackSource(params, 10, [1]))
+    want = call(params, 10, StackSource(params, 10, 1))
+    if call is stabilize:
+        got, want = got.final_config, want.final_config
+    assert np.array_equal(got.counts, want.counts)
+    assert np.array_equal(got.sleeping, want.sleeping)
