@@ -37,7 +37,6 @@ from .simulator import (
     DiscreteConfig,
     SimResult,
     SingleLoopResult,
-    init_config,
     single_loop,
     single_loop_tilde,
     single_loop_trials,

@@ -134,13 +134,14 @@ def run_lln(config: LLNConfig, out_dir=None) -> LLNReport:
     distances to the limit, and verifies the exact single-loop fixed-point
     identity.  A single identity failure fails the whole sweep.
     """
-    params = validate_model(config.params, require_subcritical=True)
+    params = config.params
+    # Solved first: solve_fixed_point makes the sweep's one subcriticality check.
+    spectral = compute_spectral(params)
+    limit = solve_fixed_point(params, spectral, tol=config.tol)
     if not config.n_values:
         raise ValidationError("n_values must be nonempty")
     if not config.seeds:
         raise ValidationError("seeds must be nonempty")
-    spectral = compute_spectral(params)
-    limit = solve_fixed_point(params, spectral, tol=config.tol)
     V = params.num_villages
 
     tasks = [(params, _check_n(n), _as_int(seed, "seed")) for n in config.n_values for seed in config.seeds]
@@ -398,7 +399,6 @@ def run_kappa_equivalence(
     and its resampled variant, then the per-village marginal samples are
     compared with a pooled two-sample chi-square.
     """
-    params = validate_model(params)
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     n = _check_n(n)

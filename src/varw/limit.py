@@ -69,8 +69,7 @@ def sleep_profile(params: ModelParams, m) -> np.ndarray:
 
 def phi(params: ModelParams, m) -> np.ndarray:
     """One application of the continuum fixed-point map."""
-    m = _check_mass_vector(params, m)
-    b = beta(params, m)
+    b = beta(params, m)  # checks m
     gap = params.init_sleepers - critical_profile(params)
     return gap * (1.0 - np.exp(-b)) + b
 

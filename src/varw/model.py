@@ -40,8 +40,11 @@ def _as_float_vector(values, name: str) -> np.ndarray:
 class ModelParams:
     """One village-model instance; immutable after construction.
 
-    Villages are indexed 0..V-1.  `labels` is optional display metadata and
-    never affects computation.
+    Construction runs every structural check (`_check_structure`) and raises
+    ValidationError on the first failure, so an instance is valid for its
+    whole life and no consumer checks it again.  Villages are indexed
+    0..V-1.  `labels` is optional display metadata and never affects
+    computation.
     """
 
     kernel: np.ndarray
@@ -59,6 +62,7 @@ class ModelParams:
         object.__setattr__(self, "init_actives", _as_float_vector(self.init_actives, "init_actives"))
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
+        _check_structure(self)
 
     @property
     def num_villages(self) -> int:
@@ -118,13 +122,11 @@ def _unreachable_pair(support: np.ndarray) -> tuple[int, int] | None:
     return None
 
 
-def validate_model(params: ModelParams, require_subcritical: bool = False) -> ModelParams:
-    """Check every structural invariant of a model instance.
-
-    Returns the params unchanged when all checks pass.  Subcriticality
-    (sigma_x <= lambda_x/(1+lambda_x)) is demanded by the continuum solver
-    but not by the simulator, so it is gated behind `require_subcritical`.
-    """
+def _check_structure(params: ModelParams) -> None:
+    """Every structural invariant of a model instance except subcriticality:
+    shapes and labels, a finite non-negative kernel with row sums <= 1 and at
+    least one strictly sub-stochastic row, irreducible support, and valid
+    lambda, sigma and nu.  Run once, when the instance is built."""
     P = params.kernel
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValidationError(f"kernel must be square, got shape {P.shape}")
@@ -169,7 +171,13 @@ def validate_model(params: ModelParams, require_subcritical: bool = False) -> Mo
     if not np.all(np.isfinite(nu)) or np.any(nu < 0):
         raise ValidationError("nu entries must be finite and >= 0")
 
+
+def validate_model(params: ModelParams, require_subcritical: bool = False) -> ModelParams:
+    """Check subcriticality, sigma_x <= lambda_x/(1+lambda_x), when
+    `require_subcritical` is set: the continuum solver needs it, the
+    simulator does not.  Construction made every other check."""
     if require_subcritical:
+        sigma = params.init_sleepers
         ceiling = critical_profile(params)
         bad = np.flatnonzero(sigma > ceiling + SUBCRITICAL_TOL)
         if bad.size:
@@ -258,7 +266,7 @@ def parse_model(doc: dict) -> ModelParams:
         )
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed model document: {exc}") from exc
-    return validate_model(params)
+    return params
 
 
 def load_model(path) -> ModelParams:

@@ -156,13 +156,10 @@ def _range_entries(x, j_start, j_stop, num_villages: int):
 
 
 class _SourceReads:
-    """Prefix and batch reads, built on a source's range and reader methods."""
+    """Prefix and batch reads, built on a source's range and reader methods;
+    a source sets `num_streams` when it is built."""
 
     trials = 1  # independent trials held, each with one stream per village
-
-    @property
-    def num_streams(self) -> int:
-        return self.params.num_villages * self.trials
 
     def _check_village(self, x: int) -> None:
         if not 0 <= x < self.num_streams:
@@ -213,8 +210,12 @@ class StackSource(_SourceReads):
             self.master_seed = operator.index(master_seed)
         else:
             self.master_seed, self.trials = seeds, seeds.size
-        V = params.num_villages
-        self._air_key, self._taxi_key, self._land_key = _stream_keys(seeds, V)
+        V = self._V = params.num_villages
+        self.num_streams = V * self.trials
+        keys = _stream_keys(seeds, V)
+        self._air_key, self._taxi_key, self._land_key = keys
+        # The same keys as Python ints, for the scalar reads.
+        self._air_ints, self._taxi_ints, self._land_ints = keys.tolist()
         cdf = np.cumsum(params.kernel, axis=1)
         self._cdf = cdf.tolist()  # row CDFs for the scalar bisect
         # Row x's CDF as the complex numbers x + cdf*1j, which order
@@ -244,8 +245,8 @@ class StackSource(_SourceReads):
         """Destination of the j-th jump ticket of village x (or GRAVEYARD)."""
         self._check_village(x)
         self._check_index(j)
-        out = _mix64((int(self._air_key[x]) + j * _GOLDEN) & _MASK64)
-        V = self.params.num_villages
+        out = _mix64((self._air_ints[x] + j * _GOLDEN) & _MASK64)
+        V = self._V
         dest = bisect_right(self._cdf[x % V], (out >> 11) * _TO_UNIT)
         return GRAVEYARD if dest == V else x - x % V + dest
 
@@ -256,7 +257,7 @@ class StackSource(_SourceReads):
         of all villages, one village after another.
         """
         streams, z = self._draws(self._air_key, x, j_start, j_stop)
-        V = self.params.num_villages
+        V = self._V
         villages = streams % V
         z >>= np.uint64(11)
         q = np.empty(z.shape, dtype=np.complex128)
@@ -275,7 +276,7 @@ class StackSource(_SourceReads):
         """House chosen by the j-th taxi ticket of village x, in {1..n}."""
         self._check_village(x)
         self._check_index(j)
-        return _mix64((int(self._taxi_key[x]) + j * _GOLDEN) & _MASK64) % self.n + 1
+        return _mix64((self._taxi_ints[x] + j * _GOLDEN) & _MASK64) % self.n + 1
 
     def taxi_range(self, x, j_start, j_stop) -> np.ndarray:
         """Tickets gamma_{j_start,x}..gamma_{j_stop-1,x} as an int64 array,
@@ -291,7 +292,7 @@ class StackSource(_SourceReads):
         self._check_index(j)
         if not 1 <= i <= self.n:
             raise ValidationError(f"house index {i!r} out of range 1..{self.n}")
-        key = _mix64(int(self._land_key[x]) ^ ((i * _K_HOUSE + 1) & _MASK64))
+        key = _mix64(self._land_ints[x] ^ ((i * _K_HOUSE + 1) & _MASK64))
         out = _mix64((key + j * _GOLDEN) & _MASK64)
         return SLEEP if (out >> 11) * _TO_UNIT < self._p_sleep[x] else JUMP
 
@@ -340,6 +341,8 @@ class InjectedStackSource(_SourceReads):
     serves it.
     """
 
+    master_seed = None  # hand-written stacks come from no seed
+
     def __init__(
         self,
         params: ModelParams,
@@ -352,7 +355,7 @@ class InjectedStackSource(_SourceReads):
         self.n = _check_n(n)
         self.params = params
         self.fallback = fallback
-        V = params.num_villages
+        V = self.num_streams = params.num_villages
         self._air = {int(x): [int(v) for v in seq] for x, seq in (airplane or {}).items()}
         self._taxi = {int(x): [int(v) for v in seq] for x, seq in (taxi or {}).items()}
         self._land = {

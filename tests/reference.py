@@ -14,7 +14,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from varw import GRAVEYARD, SLEEP, StepCapError, init_config
+from varw import GRAVEYARD, SLEEP, StepCapError
 from varw.model import floor_counts
 from varw.simulator import DEFAULT_STEP_CAP, ConsumedCounters, DiscreteConfig, SimResult
 
@@ -84,18 +84,36 @@ def _make_schedule(schedule: str, V: int, n: int):
     raise ValueError(f"unknown schedule {schedule!r}; choose one of {SCHEDULES}")
 
 
+def reference_init_config(params, n: int, src) -> DiscreteConfig:
+    """Initial configuration, read one scalar taxi ticket at a time: one
+    sleeper in each of the first floor(sigma*n) houses, then floor(nu*n)
+    immigrants landed by taxi ticket, each waking any sleeper it hits."""
+    counts, sleeping = [], []
+    floor_sigma = floor_counts(params.init_sleepers, n).tolist()
+    for x, immigrants in enumerate(floor_counts(params.init_actives, n).tolist()):
+        row = [1] * floor_sigma[x] + [0] * (n - floor_sigma[x])
+        asleep = [c == 1 for c in row]
+        for j in range(1, immigrants + 1):
+            i = src.taxi(x, j) - 1
+            row[i] += 1
+            asleep[i] = False
+        counts.append(row)
+        sleeping.append(asleep)
+    return DiscreteConfig(n=n, counts=np.array(counts, dtype=np.int64), sleeping=np.array(sleeping, dtype=bool))
+
+
 def reference_stabilize(params, n: int, src, schedule: str, step_cap: int = DEFAULT_STEP_CAP) -> SimResult:
     """Stabilize by scalar toppling in the order of `schedule`.
 
-    Starts from `init_config`.  SLEEP puts a lone particle to sleep and is a
-    consumed no-op in a multi-particle house; JUMP sends one particle through
-    the next airplane ticket (removal on GRAVEYARD) and, on arrival, the
-    destination village's next taxi ticket.  Raises StepCapError once more
-    than `step_cap` instructions (landlord notices, airplane tickets and
-    post-landing taxi tickets) have been executed.
+    Starts from `reference_init_config`.  SLEEP puts a lone particle to
+    sleep and is a consumed no-op in a multi-particle house; JUMP sends one
+    particle through the next airplane ticket (removal on GRAVEYARD) and, on
+    arrival, the destination village's next taxi ticket.  Raises
+    StepCapError once more than `step_cap` instructions (landlord notices,
+    airplane tickets and post-landing taxi tickets) have been executed.
     """
     V = params.num_villages
-    cfg = init_config(params, n, src)
+    cfg = reference_init_config(params, n, src)
     # House (x, i) is hid = x*n + i - 1, so hid order is (village, house) order.
     counts = cfg.counts.ravel().tolist()
     sleeping = bytearray(cfg.sleeping.ravel().tobytes())

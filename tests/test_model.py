@@ -31,75 +31,62 @@ def test_validate_accepts_single_village():
 
 
 def test_validate_rejects_doubly_stochastic_kernel():
-    params = ModelParams(
-        kernel=np.array([[0.0, 1.0], [1.0, 0.0]]),
-        sleep_rates=[1.0, 1.0],
-        init_sleepers=[0.0, 0.0],
-        init_actives=[0.0, 0.0],
-    )
     with pytest.raises(ValidationError, match="no strictly sub-stochastic row"):
-        validate_model(params)
+        ModelParams(
+            kernel=np.array([[0.0, 1.0], [1.0, 0.0]]),
+            sleep_rates=[1.0, 1.0],
+            init_sleepers=[0.0, 0.0],
+            init_actives=[0.0, 0.0],
+        )
 
 
 def test_validate_rejects_reducible_support():
-    params = ModelParams(
-        kernel=np.array([[0.0, 0.5], [0.0, 0.5]]),
-        sleep_rates=[1.0, 1.0],
-        init_sleepers=[0.0, 0.0],
-        init_actives=[0.0, 0.0],
-    )
     with pytest.raises(ValidationError, match="reducible"):
-        validate_model(params)
+        ModelParams(
+            kernel=np.array([[0.0, 0.5], [0.0, 0.5]]),
+            sleep_rates=[1.0, 1.0],
+            init_sleepers=[0.0, 0.0],
+            init_actives=[0.0, 0.0],
+        )
 
 
 def test_validate_rejects_row_sum_above_one():
-    params = ModelParams(
-        kernel=np.array([[0.6, 0.5], [0.4, 0.0]]),
-        sleep_rates=[1.0, 1.0],
-        init_sleepers=[0.0, 0.0],
-        init_actives=[0.0, 0.0],
-    )
     with pytest.raises(ValidationError, match="exceeds 1"):
-        validate_model(params)
+        ModelParams(
+            kernel=np.array([[0.6, 0.5], [0.4, 0.0]]),
+            sleep_rates=[1.0, 1.0],
+            init_sleepers=[0.0, 0.0],
+            init_actives=[0.0, 0.0],
+        )
 
 
 def test_validate_rejects_dimension_mismatch():
-    params = ModelParams(
-        kernel=np.array([[0.5]]),
-        sleep_rates=[1.0, 2.0],
-        init_sleepers=[0.0],
-        init_actives=[0.0],
-    )
     with pytest.raises(ValidationError, match="length"):
-        validate_model(params)
+        ModelParams(
+            kernel=np.array([[0.5]]),
+            sleep_rates=[1.0, 2.0],
+            init_sleepers=[0.0],
+            init_actives=[0.0],
+        )
 
 
 def test_validate_rejects_sigma_outside_unit_interval():
-    params = one_village_params(sigma=1.5)
     with pytest.raises(ValidationError, match="sigma"):
-        validate_model(params)
+        one_village_params(sigma=1.5)
 
 
 def test_validate_rejects_bad_entries():
     with pytest.raises(ValidationError, match="negative"):
-        validate_model(
-            ModelParams(kernel=np.array([[-0.1]]), sleep_rates=[1.0],
-                        init_sleepers=[0.0], init_actives=[0.0])
-        )
+        ModelParams(kernel=np.array([[-0.1]]), sleep_rates=[1.0], init_sleepers=[0.0], init_actives=[0.0])
     with pytest.raises(ValidationError, match="non-finite"):
-        validate_model(
-            ModelParams(kernel=np.array([[np.nan]]), sleep_rates=[1.0],
-                        init_sleepers=[0.0], init_actives=[0.0])
-        )
+        ModelParams(kernel=np.array([[np.nan]]), sleep_rates=[1.0], init_sleepers=[0.0], init_actives=[0.0])
     with pytest.raises(ValidationError, match="sleep rates"):
-        validate_model(one_village_params(lam=-1.0))
+        one_village_params(lam=-1.0)
     with pytest.raises(ValidationError, match="nu"):
-        validate_model(one_village_params(nu=-0.5))
+        one_village_params(nu=-0.5)
     with pytest.raises(ValidationError, match="labels"):
-        validate_model(
-            ModelParams(kernel=np.array([[0.5]]), sleep_rates=[1.0],
-                        init_sleepers=[0.0], init_actives=[0.0], labels=["a", "b"])
-        )
+        ModelParams(kernel=np.array([[0.5]]), sleep_rates=[1.0],
+                    init_sleepers=[0.0], init_actives=[0.0], labels=["a", "b"])
 
 
 def test_validate_subcritical_flag():
@@ -273,11 +260,8 @@ def test_validate_accepts_wide_irreducible_kernel():
     )
     assert validate_model(params) is params
     P[257, 0] = 0.0
-    broken = ModelParams(
-        kernel=P, sleep_rates=np.ones(V), init_sleepers=np.zeros(V), init_actives=np.zeros(V)
-    )
     with pytest.raises(ValidationError, match="village 0 unreachable from 1"):
-        validate_model(broken)
+        ModelParams(kernel=P, sleep_rates=np.ones(V), init_sleepers=np.zeros(V), init_actives=np.zeros(V))
 
 
 def test_floor_counts_uses_binary_float_products():
@@ -355,12 +339,16 @@ def test_unreachable_pair_matches_csgraph(kind, V, parts, density, seed):
 
     V = support.shape[0]
     kernel = support / (support.sum(axis=1, keepdims=True) + 1.0)
-    params = ModelParams(
-        kernel=kernel, sleep_rates=np.ones(V), init_sleepers=np.zeros(V), init_actives=np.zeros(V)
-    )
+
+    def build():
+        return ModelParams(
+            kernel=kernel, sleep_rates=np.ones(V), init_sleepers=np.zeros(V), init_actives=np.zeros(V)
+        )
+
     if want is None:
+        params = build()
         assert validate_model(params) is params
     else:
         with pytest.raises(ValidationError) as info:
-            validate_model(params)
+            build()
         assert str(info.value) == f"kernel support is reducible: village {want[1]} unreachable from {want[0]}"

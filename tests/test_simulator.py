@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import one_village_params, random_subcritical_params, two_village_params
-from reference import SCHEDULES, reference_stabilize
+from reference import SCHEDULES, reference_init_config, reference_stabilize
 
 from varw import (
+    AcceptanceCheckError,
     GRAVEYARD,
     JUMP,
     SLEEP,
@@ -18,7 +19,6 @@ from varw import (
     StackSource,
     StepCapError,
     ValidationError,
-    init_config,
     single_loop,
     single_loop_tilde,
     single_loop_trials,
@@ -31,7 +31,7 @@ from varw.simulator import expected_outflux_given_influx
 
 def test_init_config_all_sleepers_is_stable():
     params = one_village_params(q=0.5, lam=1.0, sigma=1.0, nu=0.0)
-    cfg = init_config(params, 3, StackSource(params, 3, 1))
+    cfg = reference_init_config(params, 3, StackSource(params, 3, 1))
     assert cfg.counts.tolist() == [[1, 1, 1]]
     assert cfg.sleeping.all()
     assert cfg.is_stable
@@ -40,7 +40,7 @@ def test_init_config_all_sleepers_is_stable():
 def test_init_config_immigrants_pile_up():
     params = one_village_params(q=0.5, lam=1.0, sigma=0.0, nu=1.0)
     src = InjectedStackSource(params, 2, taxi={0: [1, 1]})
-    cfg = init_config(params, 2, src)
+    cfg = reference_init_config(params, 2, src)
     assert cfg.counts.tolist() == [[2, 0]]
     assert not cfg.sleeping.any()
     assert not cfg.is_stable
@@ -49,7 +49,7 @@ def test_init_config_immigrants_pile_up():
 def test_init_config_wakes_landed_on_sleeper():
     params = one_village_params(q=0.5, lam=1.0, sigma=0.5, nu=0.5)
     src = InjectedStackSource(params, 4, taxi={0: [1, 3]})
-    cfg = init_config(params, 4, src)
+    cfg = reference_init_config(params, 4, src)
     assert cfg.counts.tolist() == [[2, 1, 1, 0]]
     assert cfg.sleeping.tolist() == [[False, True, False, False]]
 
@@ -462,11 +462,10 @@ def test_batched_trials_reject_bad_arguments():
     "call",
     [
         stabilize,
-        init_config,
         lambda params, n, src: single_loop(params, n, src, [4, 4]),
         lambda params, n, src: single_loop_tilde(params, n, src, [4, 4], 1),
     ],
-    ids=["stabilize", "init_config", "single_loop", "single_loop_tilde"],
+    ids=["stabilize", "single_loop", "single_loop_tilde"],
 )
 def test_source_must_match_the_callers_model_and_n(call):
     params = two_village_params()
@@ -484,15 +483,56 @@ def test_source_must_match_the_callers_model_and_n(call):
         call(params, 10, StackSource(other_sigma, 10, 1))
 
 
-@pytest.mark.parametrize("call", [stabilize, init_config], ids=["stabilize", "init_config"])
+@pytest.mark.parametrize("call", [stabilize], ids=["stabilize"])
 def test_single_seed_calls_reject_a_multi_trial_source(call):
     params = two_village_params()
     with pytest.raises(ValidationError, match=r"holds T=2 trials; \w+ takes a single-seed source"):
         call(params, 10, StackSource(params, 10, [1, 2]))
     # a one-element seed list is a single trial, equal to its scalar seed
-    got = call(params, 10, StackSource(params, 10, [1]))
-    want = call(params, 10, StackSource(params, 10, 1))
-    if call is stabilize:
-        got, want = got.final_config, want.final_config
+    got = call(params, 10, StackSource(params, 10, [1])).final_config
+    want = call(params, 10, StackSource(params, 10, 1)).final_config
     assert np.array_equal(got.counts, want.counts)
     assert np.array_equal(got.sleeping, want.sleeping)
+
+
+def _break_stability(monkeypatch):
+    monkeypatch.setattr(simulator_mod.DiscreteConfig, "is_stable", property(lambda self: False))
+
+
+def _break_mass_balance(monkeypatch):
+    real = simulator_mod.DiscreteConfig.sleepers_per_village
+    monkeypatch.setattr(simulator_mod.DiscreteConfig, "sleepers_per_village", lambda self: real(self) + 1)
+
+
+def _break_monotone_iterates(monkeypatch):
+    real, calls = simulator_mod._outflux, []
+
+    def outflux(*args):
+        calls.append(None)
+        Phi = real(*args)
+        return Phi if len(calls) == 1 else Phi * 0  # the second iterate falls back to 0
+
+    monkeypatch.setattr(simulator_mod, "_outflux", outflux)
+
+
+@pytest.mark.parametrize(
+    "breaker, message",
+    [
+        (_break_stability, "non-stable configuration"),
+        (_break_mass_balance, "mass balance violated"),
+        (_break_monotone_iterates, "iterates from M=0 must be nondecreasing"),
+    ],
+    ids=["stable", "mass-balance", "nondecreasing"],
+)
+def test_stabilize_invariant_errors_name_n_and_seed(monkeypatch, breaker, message):
+    params = two_village_params()
+    src = StackSource(params, 10, 3)
+    runs = [
+        (src, r"n=10, seed=3"),
+        (InjectedStackSource(params, 10, fallback=src), r"n=10, no seed \(injected stacks\)"),
+    ]
+    for source, run in runs:
+        breaker(monkeypatch)
+        with pytest.raises(AcceptanceCheckError, match=rf"{message} \({run}\)"):
+            stabilize(params, 10, source)
+        monkeypatch.undo()

@@ -229,13 +229,19 @@ def test_array_index_landlord_batch_matches_scalar_on_both_sources():
 
 @st.composite
 def stack_instances(draw):
-    """Stack parameters with zero kernel entries (CDF ties), rows that mostly
-    or wholly leak to GRAVEYARD, and some sleep rates 0.  Returns (params,
-    n, stack seed)."""
+    """Valid stack parameters with zero kernel entries (CDF ties), rows that
+    sum to exactly 1.0 next to a deficient row, rows that mostly leak to
+    GRAVEYARD, the all-GRAVEYARD row of one village with q = 0, and some
+    sleep rates 0.  Returns (params, n, stack seed)."""
     V = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     P = rng.uniform(0.0, 1.0, (V, V)) * (rng.uniform(0.0, 1.0, (V, V)) < 0.5)
-    row_sums = np.array(draw(st.lists(st.sampled_from((0.0, 0.02, 0.5, 1.0)), min_size=V, max_size=V)))
+    if V == 1:
+        row_sums = np.array([draw(st.sampled_from((0.0, 0.02, 0.5)))])
+    else:
+        P[np.arange(V), (np.arange(V) + 1) % V] += 0.1  # a ring keeps the support irreducible
+        row_sums = np.array(draw(st.lists(st.sampled_from((0.02, 0.5, 1.0)), min_size=V, max_size=V)))
+        row_sums[draw(st.integers(0, V - 1))] = draw(st.sampled_from((0.02, 0.5)))  # a deficient row
     P = P / np.maximum(P.sum(axis=1, keepdims=True), 1e-12) * row_sums[:, None]
     zero_rate = np.array(draw(st.lists(st.booleans(), min_size=V, max_size=V)))
     lam = np.where(zero_rate, 0.0, rng.uniform(0.1, 3.0, V))
