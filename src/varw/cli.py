@@ -136,7 +136,7 @@ def _fmt(value) -> str:
 def _cmd_validate(args) -> int:
     params = load_model(args.model)  # raises on a structurally invalid model
     if args.strict:
-        validate_model(params, require_subcritical=True)
+        validate_model(params)
     print(f"valid model: {params.num_villages} villages")
     if args.strict:
         print("subcritical: yes")

@@ -3,8 +3,8 @@
 Each harness is deterministic given its config: per-trial stack seeds are
 derived from the config seed with the same 64-bit mix the stacks use, rows
 are emitted in config order, and CSV/report files are byte-stable across
-invocations.  (n, seed) stabilization runs are independent and executed on
-a process pool sized by the VARW_THREADS environment variable.  The
+invocations.  The LLN sweep stabilizes the seeds of each n in chunks, each
+as one multi-seed source, on a process pool sized by VARW_THREADS.  The
 distribution experiments evaluate all their trials in batches
 (`single_loop_trials`) and re-evaluate the first and last trial through
 `single_loop` as a runtime check of the batched path.
@@ -25,6 +25,7 @@ from .model import ModelParams, SpectralData, compute_spectral, eta_norm, valida
 from .simulator import (
     SingleLoopResult,
     _check_odometer,
+    _trials_per_chunk,
     single_loop,
     single_loop_tilde,
     single_loop_trials,
@@ -104,25 +105,28 @@ class KappaReport:
 
 
 def _lln_task(args):
-    """Stabilize one (n, seed) run and verify the exact loop identity."""
-    params, n, seed = args
-    src = StackSource(params, n, seed)
-    sim = stabilize(params, n, src)
-    loop = single_loop(params, n, src, sim.M_star)
-    fixed_point_ok = bool(
-        np.array_equal(loop.Phi, sim.M_star) and np.array_equal(loop.S, sim.S_star)
-    )
-    return sim.M_star, sim.S_star, fixed_point_ok
+    """Stabilize a chunk of T seeds at one n on one multi-seed source, then
+    check each run's loop identity on a fresh source of its own seed.
+    Returns M* and S* as (T, V) arrays and one identity flag per seed."""
+    params, n, seeds = args
+    sim = stabilize(params, n, StackSource(params, n, seeds))
+    M_star, S_star = (a.reshape(len(seeds), -1) for a in (sim.M_star, sim.S_star))
+    fixed_point_ok = []
+    for seed, M, S in zip(seeds, M_star, S_star):
+        loop = single_loop(params, n, StackSource(params, n, seed), M)
+        fixed_point_ok.append(bool(np.array_equal(loop.Phi, M) and np.array_equal(loop.S, S)))
+    return M_star, S_star, fixed_point_ok
 
 
 def _format(value) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def _write_csv(path: Path, header: str, rows: list[tuple]) -> None:
+def _write_csv(path: Path, header: str, records: list[dict]) -> None:
+    """One line per record, its values in the order the header names them."""
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [header]
-    lines.extend(",".join(_format(v) for v in row) for row in rows)
+    lines.extend(",".join(_format(r[k]) for k in header.split(",")) for r in records)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -132,7 +136,8 @@ def run_lln(config: LLNConfig, out_dir=None) -> LLNReport:
     Solves the limit once, then for every (n, seed) pair runs a
     stabilization, records scaled odometer/sleeper profiles and their
     distances to the limit, and verifies the exact single-loop fixed-point
-    identity.  A single identity failure fails the whole sweep.
+    identity.  A single identity failure fails the whole sweep.  The seeds
+    of each n go in chunks of the size `single_loop_trials` uses.
     """
     params = config.params
     # Solved first: solve_fixed_point makes the sweep's one subcriticality check.
@@ -144,7 +149,9 @@ def run_lln(config: LLNConfig, out_dir=None) -> LLNReport:
         raise ValidationError("seeds must be nonempty")
     V = params.num_villages
 
-    tasks = [(params, _check_n(n), _as_int(seed, "seed")) for n in config.n_values for seed in config.seeds]
+    seeds = [_as_int(seed, "seed") for seed in config.seeds]
+    chunking = [(n, _trials_per_chunk(V, n)) for n in map(_check_n, config.n_values)]
+    tasks = [(params, n, seeds[lo : lo + per]) for n, per in chunking for lo in range(0, len(seeds), per)]
     workers = min(worker_count(), len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -156,11 +163,10 @@ def run_lln(config: LLNConfig, out_dir=None) -> LLNReport:
     per_n_errors: dict[int, dict[str, list[float]]] = {
         int(n): {"err_m_inf": [], "err_s_inf": [], "err_m_eta": []} for n in config.n_values
     }
-    for (params_, n, seed), (M_star, S_star, fp_ok) in zip(tasks, results):
+    runs = ((n, *run) for (_, n, chunk), result in zip(tasks, results) for run in zip(chunk, *result))
+    for n, seed, M_star, S_star, fp_ok in runs:
         if not fp_ok:
-            raise AcceptanceCheckError(
-                f"single-loop fixed-point identity failed at n={n}, seed={seed}"
-            )
+            raise AcceptanceCheckError(f"single-loop fixed-point identity failed at n={n}, seed={seed}")
         m_n = M_star / n
         s_n = S_star / n
         err_m_inf = float(np.max(np.abs(m_n - limit.m_star)))
@@ -202,26 +208,12 @@ def run_lln(config: LLNConfig, out_dir=None) -> LLNReport:
 
     rows_path = summary_path = None
     if out_dir is not None:
-        out = Path(out_dir)
-        rows_path = out / "lln_rows.csv"
-        summary_path = out / "lln_summary.csv"
-        _write_csv(
-            rows_path,
-            LLN_ROWS_HEADER,
-            [tuple(r[k] for k in LLN_ROWS_HEADER.split(",")) for r in rows],
-        )
-        _write_csv(
-            summary_path,
-            LLN_SUMMARY_HEADER,
-            [tuple(r[k] for k in LLN_SUMMARY_HEADER.split(",")) for r in summary],
-        )
+        rows_path, summary_path = Path(out_dir) / "lln_rows.csv", Path(out_dir) / "lln_summary.csv"
+        _write_csv(rows_path, LLN_ROWS_HEADER, rows)
+        _write_csv(summary_path, LLN_SUMMARY_HEADER, summary)
     return LLNReport(
-        rows=rows,
-        summary=summary,
-        limit=limit,
-        spectral=spectral,
-        rows_path=rows_path,
-        summary_path=summary_path,
+        rows=rows, summary=summary, limit=limit, spectral=spectral,
+        rows_path=rows_path, summary_path=summary_path,
     )
 
 
@@ -277,13 +269,13 @@ def run_concentration(config: ConcentrationConfig, out_path=None) -> Concentrati
     frequency is flagged as a violation only if it exceeds its bound by more
     than three binomial standard errors.
     """
-    params = validate_model(config.params, require_subcritical=True)
+    params = validate_model(config.params)
     n = _check_n(config.n)
     if not config.a > 0:
         raise ValidationError(f"a must be positive, got {config.a!r}")
     if config.trials < 1:
         raise ValidationError(f"trials must be >= 1, got {config.trials}")
-    M = _check_odometer(params, config.M)
+    M = _check_odometer(config.M, params.num_villages)
     m_scaled = M / n
     s_limit = sleep_profile(params, m_scaled)
     phi_limit = phi(params, m_scaled)
@@ -402,7 +394,7 @@ def run_kappa_equivalence(
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     n = _check_n(n)
-    M = _check_odometer(params, M)
+    M = _check_odometer(M, params.num_villages)
     V = params.num_villages
     seeds = derive_seeds(seed, 1, np.arange(trials))
     aux_seeds = derive_seeds(seed, 2, np.arange(trials))

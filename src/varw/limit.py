@@ -87,7 +87,7 @@ def solve_fixed_point(
     the exact fixed point.  Requires a subcritical instance, where phi is a
     contraction with factor mu.
     """
-    validate_model(params, require_subcritical=True)
+    validate_model(params)
     if not tol > 0:
         raise ValidationError(f"tol must be positive, got {tol!r}")
     mu = spectral.mu

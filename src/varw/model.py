@@ -64,6 +64,12 @@ class ModelParams:
             object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
         _check_structure(self)
 
+    def __reduce__(self):
+        # A pickled or copied instance is rebuilt through the constructor,
+        # so its arrays are read-only and checked like the original's.
+        fields = (self.kernel, self.sleep_rates, self.init_sleepers, self.init_actives, self.labels)
+        return ModelParams, fields
+
     @property
     def num_villages(self) -> int:
         return self.kernel.shape[0]
@@ -172,20 +178,19 @@ def _check_structure(params: ModelParams) -> None:
         raise ValidationError("nu entries must be finite and >= 0")
 
 
-def validate_model(params: ModelParams, require_subcritical: bool = False) -> ModelParams:
-    """Check subcriticality, sigma_x <= lambda_x/(1+lambda_x), when
-    `require_subcritical` is set: the continuum solver needs it, the
-    simulator does not.  Construction made every other check."""
-    if require_subcritical:
-        sigma = params.init_sleepers
-        ceiling = critical_profile(params)
-        bad = np.flatnonzero(sigma > ceiling + SUBCRITICAL_TOL)
-        if bad.size:
-            x = int(bad[0])
-            raise ValidationError(
-                f"sigma[{x}] = {float(sigma[x])!r} exceeds lambda/(1+lambda) = "
-                f"{float(ceiling[x])!r}; instance is not subcritical"
-            )
+def validate_model(params: ModelParams) -> ModelParams:
+    """Check subcriticality, sigma_x <= lambda_x/(1+lambda_x): the continuum
+    solver needs it, the simulator does not.  Construction made every other
+    check."""
+    sigma = params.init_sleepers
+    ceiling = critical_profile(params)
+    bad = np.flatnonzero(sigma > ceiling + SUBCRITICAL_TOL)
+    if bad.size:
+        x = int(bad[0])
+        raise ValidationError(
+            f"sigma[{x}] = {float(sigma[x])!r} exceeds lambda/(1+lambda) = "
+            f"{float(ceiling[x])!r}; instance is not subcritical"
+        )
     return params
 
 

@@ -1,17 +1,19 @@
 """Discrete village dynamics: stabilization and the single-loop evaluator.
 
-`single_loop` evaluates the one-pass odometer map Phi on shared stacks:
-given a jump count per village it routes all implied arrivals through the
-taxi tickets, finds each visited house's terminal landlord notice, and
-reports the resulting outflux.  Both run on one flat engine whose state is a
-few dense arrays over all V*n houses.  `single_loop_trials` evaluates many
-independent trials on the same engine, one stream per (trial, village).
+Every entry point runs every stream of its stack source: stream s = t*V + x
+is village x of trial t, and each per-village result has one entry per
+stream (V for a one-seed source).  `single_loop` evaluates the one-pass
+odometer map Phi on shared stacks: it routes the arrivals implied by a jump
+count per stream through the taxi tickets, finds each visited house's
+terminal landlord notice, and reports the resulting outflux.  All entry
+points run on one flat engine of dense per-house arrays.
 
 `stabilize` computes the stabilizing odometer M* in rounds: Phi is
 monotone, so iterating M <- Phi(M) from M = 0 rises to its least fixed
-point, which by the least-action principle is M*.  By the abelian property
-every toppling order gives the same M*, so the order is not an input.  Each
-round only reads the tickets and notices revealed since the last one, so the
+point, which by the least-action principle is M*, each trial's own side by
+side, since trials exchange no particles.  By the abelian property every
+toppling order gives the same M*, so the order is not an input.  Each round
+only reads the tickets and notices revealed since the last one, so the
 rounds read exactly the stack prefixes a toppling run consumes; the tests
 check this against a scalar toppling loop (`tests/reference.py`).
 """
@@ -29,15 +31,16 @@ from .stacks import GRAVEYARD, StackSource, _as_int, _check_n, _seed_words
 
 DEFAULT_STEP_CAP = 10**9
 _SCAN_SLICE = 1 << 16  # houses per block of landlord reads
-_TRIAL_HOUSES = 1 << 14  # houses per chunk of trials in single_loop_trials
+_TRIAL_HOUSES = 1 << 14  # houses per chunk of trials in single_loop_trials and run_lln
 
 
 @dataclass(frozen=True, eq=False)
 class DiscreteConfig:
     """House-level configuration of one village model at fixed n.
 
-    Row x, column i-1 describes house (x, i): its particle count and, when
-    it holds exactly one particle, whether that particle is asleep.
+    Row s, column i-1 describes house i of stream s (village x of trial t
+    for s = t*V + x): its particle count and, when it holds exactly one
+    particle, whether that particle is asleep.
     """
 
     n: int
@@ -56,7 +59,7 @@ class DiscreteConfig:
 
 @dataclass(frozen=True, eq=False)
 class ConsumedCounters:
-    """Instructions consumed per village during one stabilization."""
+    """Instructions consumed per stream during one stabilization."""
 
     airplane: np.ndarray
     taxi: np.ndarray
@@ -91,39 +94,61 @@ class SingleLoopResult:
 
 
 def stabilize(params: ModelParams, n: int, src, step_cap: int = DEFAULT_STEP_CAP) -> SimResult:
-    """Run the particle system to its stable configuration.
+    """Run every trial of the source to its stable configuration.
 
     Iterates the single-loop map from M = 0 until Phi(M) == M, reading the
     same stack prefixes as any toppling order.  Raises StepCapError once
     more than `step_cap` instructions (landlord notices, airplane tickets and
-    post-landing taxi tickets) have been executed.
+    post-landing taxi tickets) of all trials together have been executed.
     """
-    if src.trials != 1:
-        raise ValidationError(
-            f"the stack source holds T={src.trials} trials; stabilize takes a single-seed source"
-        )
-    M_star, inflow, consumed, final = _single_loop_rounds(params, n, src, step_cap)
-    floor_sigma = floor_counts(params.init_sleepers, final.n)
-    S_star = final.sleepers_per_village()
+    V = params.num_villages
+    engine = _LoopEngine(params, n, src, step_cap)
+    M = np.zeros(src.num_streams, dtype=np.int64)
+    while True:
+        engine.advance(M)
+        Phi = _outflux(engine.floor_sigma, *engine.totals())
+        if np.array_equal(Phi, M):
+            break
+        below = np.flatnonzero(Phi < M)
+        if below.size:
+            t = int(below[0]) // V
+            raise AcceptanceCheckError(
+                f"single-loop iterates from M=0 must be nondecreasing ({_run_name(src, t)}): "
+                f"Phi={Phi.reshape(-1, V)[t].tolist()} below M={M.reshape(-1, V)[t].tolist()}"
+            )
+        M = Phi
+
+    shape = engine.sleeper.shape
+    visited = engine.hits.reshape(shape) > 0
+    terminal = engine.terminal.reshape(shape)
+    counts = np.where(visited, 1 - terminal.astype(np.int64), engine.sleeper.astype(np.int64))
+    final = DiscreteConfig(n=engine.n, counts=counts, sleeping=counts == 1)
+    S_star, inflow = final.sleepers_per_village(), engine.I.copy()
 
     if not final.is_stable:
-        raise AcceptanceCheckError(f"stabilization ended in a non-stable configuration ({_run_name(src)})")
-    balance = floor_sigma + inflow - M_star
-    if not np.array_equal(S_star, balance):
+        rows = zip(np.split(counts, src.trials), np.split(final.sleeping, src.trials))
+        t = next(t for t, (c, s) in enumerate(rows) if not DiscreteConfig(engine.n, c, s).is_stable)
+        raise AcceptanceCheckError(f"stabilization ended in a non-stable configuration ({_run_name(src, t)})")
+    balance = engine.floor_sigma + inflow - M
+    bad = np.flatnonzero(S_star != balance)
+    if bad.size:
+        t = int(bad[0]) // V
         raise AcceptanceCheckError(
-            f"mass balance violated ({_run_name(src)}): S*={S_star.tolist()} but "
-            f"floor(sigma n)+inflow-M*={balance.tolist()}"
+            f"mass balance violated ({_run_name(src, t)}): S*={S_star.reshape(-1, V)[t].tolist()} but "
+            f"floor(sigma n)+inflow-M*={balance.reshape(-1, V)[t].tolist()}"
         )
-    return SimResult(
-        M_star=M_star, S_star=S_star, inflow=inflow, consumed=consumed, final_config=final
-    )
+    landlord = engine.revealed.reshape(shape).sum(axis=1)
+    consumed = ConsumedCounters(airplane=M.copy(), taxi=inflow.copy(), landlord=landlord)
+    return SimResult(M_star=M, S_star=S_star, inflow=inflow, consumed=consumed, final_config=final)
 
 
-def _run_name(src) -> str:
-    """The run an invariant failure happened in: n and the master seed."""
+def _run_name(src, t: int) -> str:
+    """The run an invariant failure happened in: n and the seed of trial t."""
     if src.master_seed is None:
         return f"n={src.n}, no seed (injected stacks)"
-    return f"n={src.n}, seed={src.master_seed}"
+    if np.ndim(src.master_seed) == 0:
+        return f"n={src.n}, seed={src.master_seed}"
+    return f"n={src.n}, trial {t}, seed={int(src.master_seed[t])}"
 
 
 class _LoopEngine:
@@ -176,8 +201,6 @@ class _LoopEngine:
         and land the arrivals they imply on the next taxi tickets.  Returns
         the houses hit and how many arrivals each received."""
         S, n, src = self.I.shape[0], self.n, self.src
-        if M.shape != (S,):
-            raise ValidationError(f"odometer has shape {M.shape}, expected ({S},) for the source's streams")
         streams = np.arange(S)
         dests = src.airplane_range(streams, self.M + 1, M + 1)
         self.M = M
@@ -261,40 +284,10 @@ def _outflux(floor_sigma, I, A, Q, J) -> np.ndarray:
     return floor_sigma - Q + I - A + J
 
 
-def _single_loop_rounds(params: ModelParams, n: int, src, step_cap: int):
-    """Iterate M <- Phi(M) from M = 0 on one engine until Phi(M) == M."""
-    V = params.num_villages
-    engine = _LoopEngine(params, n, src, step_cap)
-    M = np.zeros(V, dtype=np.int64)
-    while True:
-        engine.advance(M)
-        Phi = _outflux(engine.floor_sigma, *engine.totals())
-        if np.array_equal(Phi, M):
-            break
-        if np.any(Phi < M):
-            raise AcceptanceCheckError(
-                f"single-loop iterates from M=0 must be nondecreasing ({_run_name(src)}): "
-                f"Phi={Phi.tolist()} below M={M.tolist()}"
-            )
-        M = Phi
-
-    shape = engine.sleeper.shape
-    visited = engine.hits.reshape(shape) > 0
-    terminal = engine.terminal.reshape(shape)
-    counts = np.where(visited, 1 - terminal.astype(np.int64), engine.sleeper.astype(np.int64))
-    final = DiscreteConfig(n=engine.n, counts=counts, sleeping=counts == 1)
-    consumed = ConsumedCounters(
-        airplane=M.copy(),
-        taxi=engine.I.copy(),
-        landlord=engine.revealed.reshape(shape).sum(axis=1),
-    )
-    return M, engine.I.copy(), consumed, final
-
-
-def _check_odometer(params: ModelParams, M) -> np.ndarray:
+def _check_odometer(M, size: int) -> np.ndarray:
     M = np.asarray(M)
-    if M.shape != (params.num_villages,):
-        raise ValidationError(f"M has shape {M.shape}, expected ({params.num_villages},)")
+    if M.shape != (size,):
+        raise ValidationError(f"M has shape {M.shape}, expected ({size},)")
     if np.issubdtype(M.dtype, np.floating):
         if not np.all(M == np.floor(M)):
             raise ValidationError("M must be integer-valued")
@@ -312,7 +305,7 @@ def single_loop(params: ModelParams, n: int, src, M) -> SingleLoopResult:
     All outputs are exact integer counts; on the stack source used by a
     completed stabilization, single_loop(M_star) returns M_star and S_star.
     """
-    M = _check_odometer(params, M)
+    M = _check_odometer(M, src.num_streams)
     engine = _LoopEngine(params, n, src)
     engine.advance(M)
     I, A, Q, J = engine.totals()
@@ -329,7 +322,11 @@ def single_loop_tilde(params: ModelParams, n: int, src, M, aux_seed: int) -> np.
     independent of the landlord stacks (see `_resampled_outflux`).  Returns
     the outflux vector only.
     """
-    M = _check_odometer(params, M)
+    if src.trials != 1:
+        raise ValidationError(
+            f"the stack source holds T={src.trials} trials; single_loop_tilde takes a single-seed source"
+        )
+    M = _check_odometer(M, src.num_streams)
     engine = _LoopEngine(params, n, src)
     engine.route(M)
     return _resampled_outflux(params, engine, engine.totals(), [aux_seed])
@@ -360,14 +357,14 @@ def single_loop_trials(params: ModelParams, n: int, seeds, M, aux_seeds=None) ->
     engine, so memory stays bounded.
     """
     n = _check_n(n)
-    M = _check_odometer(params, M)
+    M = _check_odometer(M, params.num_villages)
     seeds = _seed_words(seeds)
     T, V = seeds.size, params.num_villages
     if T < 1:
         raise ValidationError("seeds must hold at least one seed")
     if aux_seeds is not None and len(aux_seeds) != T:
         raise ValidationError(f"got {len(aux_seeds)} aux seeds for {T} trials")
-    per = max(1, _TRIAL_HOUSES // (V * n))
+    per = _trials_per_chunk(V, n)
     parts = []
     for lo in range(0, T, per):
         chunk = seeds[lo : lo + per]
@@ -380,6 +377,11 @@ def single_loop_trials(params: ModelParams, n: int, seeds, M, aux_seeds=None) ->
         parts.append(fields)
     Phi, S, I, A, Q, J, *tilde = (np.concatenate(f).reshape(T, V) for f in zip(*parts))
     return SingleLoopResult(Phi=Phi, S=S, I=I, A=A, Q=Q, J=J, Phi_tilde=tilde[0] if tilde else None)
+
+
+def _trials_per_chunk(V: int, n: int) -> int:
+    """Trials per engine in batched calls: _TRIAL_HOUSES houses, at least one."""
+    return max(1, _TRIAL_HOUSES // (V * n))
 
 
 def expected_outflux_given_influx(params: ModelParams, x: int, n: int, u: int) -> float:

@@ -52,6 +52,6 @@ def random_subcritical_params(
         sigma = rng.uniform(0.0, 1.0, V) * lam / (1.0 + lam)
         nu = rng.uniform(*nu_range, V)
         params = ModelParams(kernel=P, sleep_rates=lam, init_sleepers=sigma, init_actives=nu)
-        validate_model(params, require_subcritical=True)
+        validate_model(params)
         if compute_spectral(params).eta_min >= min_eta:
             return params

@@ -81,8 +81,9 @@ def test_run_lln_fails_sweep_on_broken_identity(default_params, monkeypatch):
     from varw import AcceptanceCheckError
 
     def broken_task(args):
-        params, n, seed = args
-        return np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64), False
+        params, n, seeds = args
+        zeros = np.zeros((len(seeds), 2), dtype=np.int64)
+        return zeros, zeros, [False] * len(seeds)
 
     monkeypatch.setenv("VARW_THREADS", "1")
     monkeypatch.setattr(exp_mod, "_lln_task", broken_task)
@@ -220,6 +221,28 @@ def test_batched_reports_are_byte_identical_to_per_trial(tmp_path, monkeypatch, 
     path = tmp_path / "kappa.txt"
     run_kappa_equivalence(params, 30, [12, 8], trials=150, seed=seed, out_path=path)
     assert _digest(path) == PER_TRIAL_DIGESTS[("kappa-test", seed)]
+
+
+# sha256 of the LLN CSVs written with one stabilize call per (n, seed) run.
+# At the default budget n=50 takes all 20 seeds in one chunk, n=1000 8 per
+# chunk and n=3000 2 per chunk.
+LLN_SEEDS = [7 + k for k in range(18)] + [-5, 2**64 + 9]
+PER_SEED_LLN_DIGESTS = {
+    "lln_rows.csv": "cc78b53ef4fa1a9869739db52bd9e32d44eb231b3d50d00fa731926f6e3df624",
+    "lln_summary.csv": "d6bb2b901b911bfa23732eac3c40e7c931f7f6abf2b46428337a73962c6e52ef",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("budget", [simulator_mod._TRIAL_HOUSES, 1])  # 1 house: one seed per chunk
+def test_chunked_lln_is_byte_identical_to_per_seed_runs(tmp_path, monkeypatch, budget, threads):
+    monkeypatch.setattr(simulator_mod, "_TRIAL_HOUSES", budget)
+    monkeypatch.setenv("VARW_THREADS", threads)
+    config = LLNConfig(params=two_village_params(), n_values=[50, 1000, 3000], seeds=LLN_SEEDS)
+    report = run_lln(config, out_dir=tmp_path)
+    assert [(r["n"], r["seed"]) for r in report.rows[::2]] == [(n, s) for n in (50, 1000, 3000) for s in LLN_SEEDS]
+    for name, digest in PER_SEED_LLN_DIGESTS.items():
+        assert _digest(tmp_path / name) == digest, name
 
 
 def _corrupt_last_trial(monkeypatch, field):

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from varw import (
     parse_model,
     validate_model,
 )
+import varw.model as model_mod
 from varw.model import floor_counts
 
 # analytic Perron data for the default 2x2 kernel [[0, .5], [.4, 0]]
@@ -27,7 +30,7 @@ ETA1_2X2 = 0.894427190999916  # 0.4 / sqrt(0.2)
 
 def test_validate_accepts_single_village():
     params = one_village_params(q=0.5, lam=1.0, sigma=0.2, nu=1.0)
-    assert validate_model(params, require_subcritical=True) is params
+    assert validate_model(params) is params
 
 
 def test_validate_rejects_doubly_stochastic_kernel():
@@ -91,14 +94,13 @@ def test_validate_rejects_bad_entries():
 
 def test_validate_subcritical_flag():
     params = one_village_params(lam=1.0, sigma=0.9)
-    validate_model(params)  # fine for the simulator
     with pytest.raises(ValidationError, match="not subcritical"):
-        validate_model(params, require_subcritical=True)
+        validate_model(params)
 
 
 def test_validate_accepts_critical_profile_exactly():
     params = one_village_params(lam=1.0, sigma=0.5)
-    validate_model(params, require_subcritical=True)
+    validate_model(params)
 
 
 def test_zero_kernel_single_village_is_valid():
@@ -245,6 +247,26 @@ def test_params_arrays_are_immutable():
     params = two_village_params()
     with pytest.raises(ValueError):
         params.kernel[0, 0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "copy_of", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_copied_params_are_rebuilt_read_only_and_checked(monkeypatch, copy_of):
+    # worker processes of run_lln receive their ModelParams by pickle
+    params = ModelParams(kernel=np.array([[0.0, 0.5], [0.4, 0.0]]), sleep_rates=[1.0, 2.0],
+                         init_sleepers=[0.2, 0.3], init_actives=[0.5, 0.3], labels=["west", "east"])
+    checked = []
+    real = model_mod._check_structure
+    monkeypatch.setattr(model_mod, "_check_structure", lambda p: checked.append(p) or real(p))
+    dup = copy_of(params)
+    assert dup is not params and checked == [dup]
+    assert dup.labels == ("west", "east")
+    for name in ("kernel", "sleep_rates", "init_sleepers", "init_actives"):
+        arr = getattr(dup, name)
+        assert np.array_equal(arr, getattr(params, name)) and not arr.flags.writeable
+    with pytest.raises(ValueError):
+        dup.kernel[0, 1] = 5.0
 
 
 def test_validate_accepts_wide_irreducible_kernel():

@@ -5,15 +5,43 @@ test (`perfbench/test_smoke.py`) would catch it only in a slow run."""
 import importlib
 from pathlib import Path
 
+from helpers import two_village_params
+
 import varw
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_traced_run_finds_every_attribute_it_patches(monkeypatch):
+def _traced(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    traced = importlib.import_module("traced")
+    return importlib.import_module("traced")
+
+
+def test_traced_run_finds_every_attribute_it_patches(monkeypatch):
+    traced = _traced(monkeypatch)
     before = varw.simulator.validate_model
     with traced.patched(varw, traced.Tracer(0, False)):
         assert varw.simulator.validate_model is not before
     assert varw.simulator.validate_model is before
+
+
+def test_traced_counts_of_a_chunked_lln_equal_per_seed_runs(monkeypatch):
+    traced = _traced(monkeypatch)
+    monkeypatch.setenv("VARW_THREADS", "1")
+    params, n, seeds = two_village_params(), 100, [1, 2, 3, 4, 5]
+    assert varw.simulator._trials_per_chunk(params.num_villages, n) >= len(seeds)  # one chunk
+    chunked = traced.Tracer(0, False)
+    with traced.patched(varw, chunked):
+        varw.run_lln(varw.LLNConfig(params=params, n_values=[n], seeds=seeds))
+    per_seed = traced.Tracer(0, False)
+    with traced.patched(varw, per_seed):  # the calls one (n, seed) run made before chunking
+        for seed in seeds:
+            src = varw.StackSource(params, n, seed)
+            sim = varw.experiments.stabilize(params, n, src)
+            varw.experiments.single_loop(params, n, src, sim.M_star)
+    families = ("airplane_tickets", "taxi_tickets", "landlord_notices")
+    for key in ("simulator.instructions", *(f"stacks.{f}" for f in families)):
+        assert chunked.counts[key] == per_seed.counts[key] > 0, key
+    # the probes re-run the first single_loop call on a source of its seed
+    _, _, seed, M, _ = chunked.first_loop
+    assert seed == seeds[0] and M.shape == (params.num_villages,)

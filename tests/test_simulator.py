@@ -70,13 +70,12 @@ def test_stabilize_without_actives_is_a_noop():
 def test_stabilize_single_particle_two_outcomes():
     # lone active particle with lambda=1 and a fully leaking kernel:
     # sleeps (M*=0, S*=1) or jumps to the graveyard (M*=1, S*=0)
+    # (one multi-seed call: trial t is the run on seed t)
     params = one_village_params(q=0.0, lam=1.0, sigma=0.0, nu=0.25)
-    sleeps = 0
     trials = 10_000
-    for seed in range(trials):
-        sim = stabilize(params, 4, StackSource(params, 4, seed))
-        assert (sim.M_star[0], sim.S_star[0]) in ((0, 1), (1, 0))
-        sleeps += sim.M_star[0] == 0
+    sim = stabilize(params, 4, StackSource(params, 4, list(range(trials))))
+    assert set(zip(sim.M_star.tolist(), sim.S_star.tolist())) <= {(0, 1), (1, 0)}
+    sleeps = np.count_nonzero(sim.M_star == 0)
     assert abs(sleeps / trials - 0.5) <= 0.02
 
 
@@ -483,16 +482,67 @@ def test_source_must_match_the_callers_model_and_n(call):
         call(params, 10, StackSource(other_sigma, 10, 1))
 
 
-@pytest.mark.parametrize("call", [stabilize], ids=["stabilize"])
+@pytest.mark.parametrize(
+    "call", [lambda params, n, src: single_loop_tilde(params, n, src, [4, 4], 1)], ids=["single_loop_tilde"]
+)
 def test_single_seed_calls_reject_a_multi_trial_source(call):
     params = two_village_params()
     with pytest.raises(ValidationError, match=r"holds T=2 trials; \w+ takes a single-seed source"):
         call(params, 10, StackSource(params, 10, [1, 2]))
     # a one-element seed list is a single trial, equal to its scalar seed
-    got = call(params, 10, StackSource(params, 10, [1])).final_config
-    want = call(params, 10, StackSource(params, 10, 1)).final_config
-    assert np.array_equal(got.counts, want.counts)
-    assert np.array_equal(got.sleeping, want.sleeping)
+    got = call(params, 10, StackSource(params, 10, [1]))
+    want = call(params, 10, StackSource(params, 10, 1))
+    assert np.array_equal(got, want)
+
+
+@st.composite
+def multi_seed_runs(draw):
+    """Edge instances (up to 12 villages, n = 1 included) with 1 to 8 seeds
+    of any sign and size.  Returns (params, n, seeds)."""
+    params, n, _ = draw(edge_instances())
+    if draw(st.booleans()):
+        n = 1
+    return params, n, draw(st.lists(st.integers(-(2**64), 2**65), min_size=1, max_size=8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(multi_seed_runs())
+def test_multi_seed_stabilize_equals_per_seed_runs(case):
+    params, n, seeds = case
+    V = params.num_villages
+    sim = stabilize(params, n, StackSource(params, n, seeds))
+    for t, seed in enumerate(seeds):
+        ref = stabilize(params, n, StackSource(params, n, seed))
+        for got, want in zip(_sim_arrays(sim), _sim_arrays(ref)):
+            assert got.dtype == want.dtype and got.shape[0] == len(seeds) * V == len(seeds) * want.shape[0]
+            assert np.array_equal(got[t * V : (t + 1) * V], want)
+
+
+def test_single_loop_on_a_multi_seed_source_fixes_every_trials_odometer():
+    params = two_village_params()
+    src = StackSource(params, 200, [0, 5, 2**63 + 1])
+    sim = stabilize(params, 200, src)
+    loop = single_loop(params, 200, src, sim.M_star)
+    assert loop.Phi.shape == (6,)
+    assert np.array_equal(loop.Phi, sim.M_star)
+    assert np.array_equal(loop.S, sim.S_star)
+    with pytest.raises(ValidationError, match=r"M has shape \(2,\), expected \(6,\)"):
+        single_loop(params, 200, src, sim.M_star[:2])
+
+
+def test_step_cap_counts_the_instructions_of_all_trials():
+    params = two_village_params()
+    n, seeds = 300, [4, 5, 6]
+    totals = []
+    for seed in seeds:
+        c = stabilize(params, n, StackSource(params, n, seed)).consumed
+        post_landing_taxi = c.taxi - floor_counts(params.init_actives, n)
+        totals.append(int(c.airplane.sum() + post_landing_taxi.sum() + c.landlord.sum()))
+    src = StackSource(params, n, seeds)
+    stabilize(params, n, src, step_cap=sum(totals))
+    for cap in (sum(totals) - 1, max(totals)):
+        with pytest.raises(StepCapError):
+            stabilize(params, n, src, step_cap=cap)
 
 
 def _break_stability(monkeypatch):
@@ -536,3 +586,37 @@ def test_stabilize_invariant_errors_name_n_and_seed(monkeypatch, breaker, messag
         with pytest.raises(AcceptanceCheckError, match=rf"{message} \({run}\)"):
             stabilize(params, 10, source)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("broken", ["stable", "mass-balance", "nondecreasing"])
+def test_stabilize_invariant_errors_name_the_trial_and_its_seed(monkeypatch, broken):
+    params, V = two_village_params(), 2
+    trial_1 = stabilize(params, 10, StackSource(params, 10, 9)).final_config.counts
+    config = simulator_mod.DiscreteConfig
+    if broken == "stable":  # the whole configuration and trial 1's rows fail
+        assert not np.array_equal(trial_1, stabilize(params, 10, StackSource(params, 10, 3)).final_config.counts)
+        unstable = property(lambda self: len(self.counts) == V and not np.array_equal(self.counts, trial_1))
+        monkeypatch.setattr(config, "is_stable", unstable)
+        message = "non-stable configuration"
+    elif broken == "mass-balance":  # one sleeper too many in every stream of trial 1
+        real = config.sleepers_per_village
+
+        def off_by_one(self):
+            return real(self) + (np.arange(len(self.counts)) >= V)
+
+        monkeypatch.setattr(config, "sleepers_per_village", off_by_one)
+        message = "mass balance violated"
+    else:  # trial 1's second iterate falls back to 0
+        real_outflux, calls = simulator_mod._outflux, []
+
+        def outflux(*args):
+            calls.append(None)
+            Phi = real_outflux(*args)
+            if len(calls) == 2:
+                Phi[V:] = 0
+            return Phi
+
+        monkeypatch.setattr(simulator_mod, "_outflux", outflux)
+        message = "iterates from M=0 must be nondecreasing"
+    with pytest.raises(AcceptanceCheckError, match=rf"{message} \(n=10, trial 1, seed=9\)"):
+        stabilize(params, 10, StackSource(params, 10, [3, 9]))

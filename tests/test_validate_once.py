@@ -28,7 +28,7 @@ from varw.cli import main
 def checks(monkeypatch):
     """Count the calls of the structural check and of validate_model through
     every varw module that binds them, as ("_check_structure",) or
-    ("validate_model", require_subcritical)."""
+    ("validate_model",)."""
     monkeypatch.setenv("VARW_THREADS", "1")  # keep every run in this process
     calls = []
 
@@ -47,7 +47,7 @@ def checks(monkeypatch):
     return calls
 
 
-SUBCRITICAL = [("validate_model", True)]
+SUBCRITICAL = [("validate_model",)]
 
 
 def test_library_calls_trust_a_built_model(checks):
