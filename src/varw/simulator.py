@@ -5,7 +5,8 @@ is village x of trial t, and each per-village result has one entry per
 stream (V for a one-seed source).  `single_loop` evaluates the one-pass
 odometer map Phi on shared stacks: it routes the arrivals implied by a jump
 count per stream through the taxi tickets, finds each visited house's
-terminal landlord notice, and reports the resulting outflux.  All entry
+terminal landlord notice, and reports the resulting outflux, by the one
+evaluation `single_loop_tilde` and `single_loop_trials` share.  All entry
 points run on one flat engine of dense per-house arrays.
 
 `stabilize` computes the stabilizing odometer M* in rounds: Phi is
@@ -81,8 +82,8 @@ class SimResult:
 class SingleLoopResult:
     """Single-loop evaluation: outflux Phi, sleeper functional S, and the
     inbound/active/quiet/jumped diagnostics they are assembled from.
-    `single_loop_trials` returns (trials, V) arrays and may add Phi_tilde,
-    the outflux with resampled terminal notices."""
+    `single_loop_trials` returns (trials, V) arrays, and with aux seeds adds
+    Phi_tilde, the outflux with resampled terminal notices."""
 
     Phi: np.ndarray
     S: np.ndarray
@@ -119,7 +120,7 @@ def stabilize(params: ModelParams, n: int, src, step_cap: int = DEFAULT_STEP_CAP
         M = Phi
 
     shape = engine.sleeper.shape
-    visited = engine.hits.reshape(shape) > 0
+    visited = engine.revealed.reshape(shape) > 0
     terminal = engine.terminal.reshape(shape)
     counts = np.where(visited, 1 - terminal.astype(np.int64), engine.sleeper.astype(np.int64))
     final = DiscreteConfig(n=engine.n, counts=counts, sleeping=counts == 1)
@@ -148,7 +149,7 @@ def _run_name(src, t: int) -> str:
         return f"n={src.n}, no seed (injected stacks)"
     if np.ndim(src.master_seed) == 0:
         return f"n={src.n}, seed={src.master_seed}"
-    return f"n={src.n}, trial {t}, seed={int(src.master_seed[t])}"
+    return f"n={src.n}, trial {t}, seed={src.master_seed[t]}"
 
 
 class _LoopEngine:
@@ -156,13 +157,14 @@ class _LoopEngine:
 
     The engine runs every stream of its source: village x of trial t is
     stream s = t*V + x, and a one-trial source has one stream per village.
-    House (s, i) is flat index s*n + i - 1.  Per house the engine keeps the
-    arrivals so far (`hits`), the landlord notices read (`revealed`) and the
-    last of them, the terminal notice (`terminal`); per stream the airplane
-    tickets read (`M`), the arrivals implied so far (`I`, initial immigrants
-    included) and the taxi tickets read.  Every read is the next unread
-    entry of its stack, so advancing through M_1 <= M_2 <= ... reads the
-    same prefixes as one evaluation at the last odometer.
+    House (s, i) is flat index s*n + i - 1.  Per house the engine keeps what
+    the next round reads: the landlord notices read (`revealed`; a house is
+    visited exactly when it has read one, its terminal notice), the last of
+    them (`terminal`) and the initial sleepers (`sleeper`); per stream the
+    airplane tickets read (`M`), the arrivals implied so far (`I`, initial
+    immigrants included) and the taxi tickets read.  Every read is the next
+    unread entry of its stack, so advancing through M_1 <= M_2 <= ... reads
+    the same prefixes as one evaluation at the last odometer.
 
     Every entry point builds one, so it is where the caller's model and n
     are checked against the source's.
@@ -183,7 +185,6 @@ class _LoopEngine:
         self.M = np.zeros(S, dtype=np.int64)
         self.I = self.floor_nu.copy()
         self.taxi_read = np.zeros(S, dtype=np.int64)
-        self.hits = np.zeros(S * n, dtype=np.int64)
         self.revealed = np.zeros(S * n, dtype=np.int64)
         self.terminal = np.zeros(S * n, dtype=np.uint8)
         self.tickets = 0  # airplane tickets plus post-landing taxi tickets read
@@ -199,7 +200,7 @@ class _LoopEngine:
     def route(self, M: np.ndarray):
         """Inbound phase: read the airplane tickets past the current odometer
         and land the arrivals they imply on the next taxi tickets.  Returns
-        the houses hit and how many arrivals each received."""
+        the houses hit this round and how many arrivals each received."""
         S, n, src = self.I.shape[0], self.n, self.src
         streams = np.arange(S)
         dests = src.airplane_range(streams, self.M + 1, M + 1)
@@ -209,13 +210,7 @@ class _LoopEngine:
         houses += np.repeat(streams * n - 1, self.I - self.taxi_read)  # flat house index
         self.taxi_read = self.I.copy()
         self.tickets = int(M.sum() + self.I.sum() - self.floor_nu.sum())
-        if not houses.size:
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64)
-        new_hits = np.bincount(houses, minlength=S * n)
-        touched = np.flatnonzero(new_hits)
-        new_hits = new_hits[touched]
-        self.hits[touched] += new_hits
-        return touched, new_hits
+        return np.unique(houses, return_counts=True)
 
     def _scan(self, touched: np.ndarray, new_hits: np.ndarray) -> None:
         """Resume the landlord scan of every newly hit house until it has seen
@@ -225,7 +220,7 @@ class _LoopEngine:
             self._scan_slice(touched[lo : lo + _SCAN_SLICE], new_hits[lo : lo + _SCAN_SLICE])
 
     def _scan_slice(self, touched: np.ndarray, new_hits: np.ndarray) -> None:
-        hit_before = self.hits[touched] > new_hits
+        hit_before = self.revealed[touched] > 0
         # Jumps still owed before the terminal notice.  A house hit before owes
         # none and holds a terminal notice, which now becomes an ordinary one.
         need = np.where(
@@ -271,7 +266,7 @@ class _LoopEngine:
         """(I, A, Q, J) per stream: arrivals, visited houses, initial
         sleepers never hit, and terminal JUMP notices."""
         S, n = self.I.shape[0], self.n
-        visited = self.hits.reshape(S, n) > 0
+        visited = self.revealed.reshape(S, n) > 0
         A = np.count_nonzero(visited, axis=1).astype(np.int64)
         Q = self.floor_sigma - np.count_nonzero(visited & self.sleeper, axis=1)
         J = self.terminal.reshape(S, n).sum(axis=1, dtype=np.int64)
@@ -305,42 +300,52 @@ def single_loop(params: ModelParams, n: int, src, M) -> SingleLoopResult:
     All outputs are exact integer counts; on the stack source used by a
     completed stabilization, single_loop(M_star) returns M_star and S_star.
     """
-    M = _check_odometer(M, src.num_streams)
-    engine = _LoopEngine(params, n, src)
-    engine.advance(M)
-    I, A, Q, J = engine.totals()
-    Phi = _outflux(engine.floor_sigma, I, A, Q, J)
-    S = -M + engine.floor_sigma + I
-    return SingleLoopResult(Phi=Phi, S=S, I=I, A=A, Q=Q, J=J)
+    return _evaluate(params, n, src, _check_odometer(M, src.num_streams))
 
 
-def single_loop_tilde(params: ModelParams, n: int, src, M, aux_seed: int) -> np.ndarray:
+def single_loop_tilde(params: ModelParams, n: int, src, M, aux_seed) -> np.ndarray:
     """Single-loop outflux with the terminal notices resampled.
 
-    Identical inbound phase, but each visited house's terminal notice is
-    replaced by a fresh Bernoulli(1/(1+lambda_x)) draw seeded by `aux_seed`,
-    independent of the landlord stacks (see `_resampled_outflux`).  Returns
-    the outflux vector only.
+    The evaluation of single_loop, but each visited house's terminal notice
+    is replaced by a fresh Bernoulli(1/(1+lambda_x)) draw, independent of
+    the landlord stacks (see `_resampled_outflux`).  `aux_seed` holds one
+    aux seed per trial of the source; an integer is the aux seed of a
+    one-seed source.  Returns the outflux vector only.
     """
-    if src.trials != 1:
-        raise ValidationError(
-            f"the stack source holds T={src.trials} trials; single_loop_tilde takes a single-seed source"
-        )
     M = _check_odometer(M, src.num_streams)
+    return _evaluate(params, n, src, M, _aux_seeds(aux_seed, src.trials)).Phi_tilde
+
+
+def _aux_seeds(aux_seeds, trials: int) -> list[int]:
+    """One aux seed per trial, as Python ints >= 0; an integer is one seed."""
+    aux = [_as_int(a, "aux seed") for a in ([aux_seeds] if np.ndim(aux_seeds) == 0 else aux_seeds)]
+    if len(aux) != trials:
+        raise ValidationError(f"got {len(aux)} aux seeds for {trials} trials")
+    if min(aux) < 0:
+        raise ValidationError(f"aux seeds must be >= 0, got {min(aux)}")
+    return aux
+
+
+def _evaluate(params: ModelParams, n: int, src, M: np.ndarray, aux_seeds=None) -> SingleLoopResult:
+    """The single-loop map on every stream of `src` at the checked odometer
+    M, with Phi_tilde when given the aux seeds of its trials."""
     engine = _LoopEngine(params, n, src)
-    engine.route(M)
-    return _resampled_outflux(params, engine, engine.totals(), [aux_seed])
+    engine.advance(M)
+    totals = I, A, Q, J = engine.totals()
+    Phi_tilde = None if aux_seeds is None else _resampled_outflux(params, engine, totals, aux_seeds)
+    Phi = _outflux(engine.floor_sigma, I, A, Q, J)
+    return SingleLoopResult(Phi=Phi, S=-M + engine.floor_sigma + I, I=I, A=A, Q=Q, J=J, Phi_tilde=Phi_tilde)
 
 
 def _resampled_outflux(params: ModelParams, engine: _LoopEngine, totals, aux_seeds) -> np.ndarray:
-    """Outflux per stream of a routed engine with every visited house's
+    """Outflux per stream of an advanced engine with every visited house's
     terminal notice replaced by a fresh JUMP with probability
     1/(1+lambda_x): per trial, village by village, n uniforms, one per
     house, from default_rng(aux_seeds[t])."""
     V, n = params.num_villages, engine.n
-    fresh = np.stack([np.random.default_rng(_as_int(a, "aux seed")).random((V, n)) for a in aux_seeds])
+    fresh = np.stack([np.random.default_rng(a).random((V, n)) for a in aux_seeds])
     p_jump = (1.0 / (1.0 + params.sleep_rates))[:, None]
-    visited = engine.hits.reshape(fresh.shape) > 0
+    visited = engine.revealed.reshape(fresh.shape) > 0
     J = np.count_nonzero((fresh < p_jump) & visited, axis=2).ravel()
     I, A, Q, _ = totals
     return _outflux(engine.floor_sigma, I, A, Q, J)
@@ -362,21 +367,15 @@ def single_loop_trials(params: ModelParams, n: int, seeds, M, aux_seeds=None) ->
     T, V = seeds.size, params.num_villages
     if T < 1:
         raise ValidationError("seeds must hold at least one seed")
-    if aux_seeds is not None and len(aux_seeds) != T:
-        raise ValidationError(f"got {len(aux_seeds)} aux seeds for {T} trials")
+    aux_seeds = None if aux_seeds is None else _aux_seeds(aux_seeds, T)
     per = _trials_per_chunk(V, n)
     parts = []
     for lo in range(0, T, per):
         chunk = seeds[lo : lo + per]
-        engine = _LoopEngine(params, n, StackSource(params, n, chunk))
-        engine.advance(np.tile(M, chunk.size))
-        totals = I, A, Q, J = engine.totals()
-        fields = [_outflux(engine.floor_sigma, I, A, Q, J), -engine.M + engine.floor_sigma + I, I, A, Q, J]
-        if aux_seeds is not None:
-            fields.append(_resampled_outflux(params, engine, totals, aux_seeds[lo : lo + per]))
-        parts.append(fields)
-    Phi, S, I, A, Q, J, *tilde = (np.concatenate(f).reshape(T, V) for f in zip(*parts))
-    return SingleLoopResult(Phi=Phi, S=S, I=I, A=A, Q=Q, J=J, Phi_tilde=tilde[0] if tilde else None)
+        aux = None if aux_seeds is None else aux_seeds[lo : lo + per]
+        parts.append(_evaluate(params, n, StackSource(params, n, chunk), np.tile(M, chunk.size), aux))
+    fields = (k for k, v in vars(parts[0]).items() if v is not None)
+    return SingleLoopResult(**{k: np.concatenate([getattr(p, k) for p in parts]).reshape(T, V) for k in fields})
 
 
 def _trials_per_chunk(V: int, n: int) -> int:

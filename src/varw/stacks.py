@@ -193,11 +193,12 @@ class StackSource(_SourceReads):
     CDFs, sleep probabilities) and computes every entry from its counter, so
     it can be shared by any number of runs and readers.
 
-    With a 1-d array of T master seeds the source holds T independent
+    With a 1-d sequence of T master seeds the source holds T independent
     trials: stream s = t*V + x is village x of trial t, and every method
     takes stream indices where it takes villages.  Trial t reads exactly the
     entries of StackSource(params, n, master_seed[t]), except that airplane
-    destinations are streams t*V + y.
+    destinations are streams t*V + y.  `master_seed` keeps the seeds given,
+    as an int or a tuple of ints; the keys use their residues mod 2^64.
     """
 
     def __init__(self, params: ModelParams, n: int, master_seed):
@@ -206,10 +207,9 @@ class StackSource(_SourceReads):
         if not seeds.size:
             raise ValidationError("master_seed must hold at least one seed")
         self.params = params
-        if np.ndim(master_seed) == 0:
-            self.master_seed = operator.index(master_seed)
-        else:
-            self.master_seed, self.trials = seeds, seeds.size
+        scalar = np.ndim(master_seed) == 0
+        self.master_seed = operator.index(master_seed) if scalar else tuple(map(operator.index, master_seed))
+        self.trials = seeds.size
         V = self._V = params.num_villages
         self.num_streams = V * self.trials
         keys = _stream_keys(seeds, V)

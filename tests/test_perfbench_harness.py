@@ -5,6 +5,8 @@ test (`perfbench/test_smoke.py`) would catch it only in a slow run."""
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 from helpers import two_village_params
 
 import varw
@@ -45,3 +47,20 @@ def test_traced_counts_of_a_chunked_lln_equal_per_seed_runs(monkeypatch):
     # the probes re-run the first single_loop call on a source of its seed
     _, _, seed, M, _ = chunked.first_loop
     assert seed == seeds[0] and M.shape == (params.num_villages,)
+
+
+def test_traced_probes_run_on_the_first_loop_of_a_kappa_test(monkeypatch):
+    """The probe calls the traced run makes on a workload that never
+    stabilizes (`trials_small`), on a tiny kappa test."""
+    traced = _traced(monkeypatch)
+    tracer = traced.Tracer(0, False)
+    with traced.patched(varw, tracer):
+        varw.run_kappa_equivalence(two_village_params(), 20, [8, 6], 40, seed=3)
+    p0, n0, seed0, M0, I0 = tracer.first_loop
+    assert isinstance(seed0, int) and n0 == 20
+    src = varw.StackSource(p0, n0, seed0)
+    numbers = [*varw.single_loop_tilde(p0, n0, src, M0, 1)]
+    numbers += traced.stack_probes(varw, p0, n0, seed0, M0, I0).values()
+    numbers.append(traced.single_loop_peak_mb(varw, p0, n0, seed0, M0))
+    numbers += traced.stabilize_probe(varw, p0, n0, seed0).values()
+    assert np.all(np.isfinite(np.array(numbers, dtype=float)))

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -483,11 +484,14 @@ def test_source_must_match_the_callers_model_and_n(call):
 
 
 @pytest.mark.parametrize(
-    "call", [lambda params, n, src: single_loop_tilde(params, n, src, [4, 4], 1)], ids=["single_loop_tilde"]
+    "call",
+    [lambda params, n, src: single_loop_tilde(params, n, src, np.tile([4, 4], src.trials), 1)],
+    ids=["single_loop_tilde"],
 )
 def test_single_seed_calls_reject_a_multi_trial_source(call):
+    """One aux seed is one trial's: a two-trial source needs two."""
     params = two_village_params()
-    with pytest.raises(ValidationError, match=r"holds T=2 trials; \w+ takes a single-seed source"):
+    with pytest.raises(ValidationError, match=r"got 1 aux seeds for 2 trials"):
         call(params, 10, StackSource(params, 10, [1, 2]))
     # a one-element seed list is a single trial, equal to its scalar seed
     got = call(params, 10, StackSource(params, 10, [1]))
@@ -503,6 +507,53 @@ def multi_seed_runs(draw):
     if draw(st.booleans()):
         n = 1
     return params, n, draw(st.lists(st.integers(-(2**64), 2**65), min_size=1, max_size=8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(multi_seed_runs(), st.data())
+def test_multi_seed_single_loop_tilde_equals_per_seed_calls(case, data):
+    params, n, seeds = case
+    T, V = len(seeds), params.num_villages
+    M = np.array(data.draw(st.lists(st.integers(0, 3 * n), min_size=V, max_size=V)))
+    aux = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=T, max_size=T))
+    got = single_loop_tilde(params, n, StackSource(params, n, seeds), np.tile(M, T), aux)
+    assert got.shape == (T * V,) and got.dtype == np.int64
+    for t, seed in enumerate(seeds):
+        want = single_loop_tilde(params, n, StackSource(params, n, seed), M, aux[t])
+        assert np.array_equal(got[t * V : (t + 1) * V], want)
+
+
+def test_single_loop_tilde_takes_one_aux_seed_per_trial():
+    params = two_village_params()
+    one, two = StackSource(params, 30, 4), StackSource(params, 30, [4, -5])
+    by_int, by_list = (single_loop_tilde(params, 30, one, [9, 7], aux) for aux in (11, [11]))
+    assert np.array_equal(by_int, by_list)
+    for src, aux in [(one, [11, 12]), (two, [11]), (two, [11, 12, 13]), (two, 11)]:
+        with pytest.raises(ValidationError, match=rf"got {np.size(aux)} aux seeds for {src.trials} trials"):
+            single_loop_tilde(params, 30, src, np.tile([9, 7], src.trials), aux)
+    for aux in (-1, 1.5, "3"):
+        with pytest.raises(ValidationError, match="aux seed"):
+            single_loop_tilde(params, 30, one, [9, 7], aux)
+        with pytest.raises(ValidationError, match="aux seed"):
+            single_loop_trials(params, 30, [4], [9, 7], aux_seeds=[aux])
+
+
+def test_single_loop_keeps_few_bytes_per_house():
+    """Per house the engine keeps its notice count (8 bytes), terminal notice
+    and initial sleeper (1 byte each), and a visited mask while it totals.
+    tracemalloc read 26.0 B/house here with the former per-house hit counts
+    (int64, plus a bincount over all houses each round) and 12.0 without."""
+    params = one_village_params(q=0.5, lam=1.0, sigma=0.3, nu=1e-6)  # two immigrants
+    n = 2 * 10**6
+    src = StackSource(params, n, 7)
+    tracemalloc.start()
+    try:
+        loop = single_loop(params, n, src, [1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loop.I.tolist() == [2]
+    assert peak / n < 16
 
 
 @settings(max_examples=40, deadline=None)
@@ -590,33 +641,36 @@ def test_stabilize_invariant_errors_name_n_and_seed(monkeypatch, breaker, messag
 
 @pytest.mark.parametrize("broken", ["stable", "mass-balance", "nondecreasing"])
 def test_stabilize_invariant_errors_name_the_trial_and_its_seed(monkeypatch, broken):
+    """The seed is named as the caller passed it, not by its residue mod 2^64."""
     params, V = two_village_params(), 2
-    trial_1 = stabilize(params, 10, StackSource(params, 10, 9)).final_config.counts
     config = simulator_mod.DiscreteConfig
-    if broken == "stable":  # the whole configuration and trial 1's rows fail
-        assert not np.array_equal(trial_1, stabilize(params, 10, StackSource(params, 10, 3)).final_config.counts)
-        unstable = property(lambda self: len(self.counts) == V and not np.array_equal(self.counts, trial_1))
-        monkeypatch.setattr(config, "is_stable", unstable)
-        message = "non-stable configuration"
-    elif broken == "mass-balance":  # one sleeper too many in every stream of trial 1
-        real = config.sleepers_per_village
+    for seed in (9, -9, 2**64 + 9):
+        trial_1 = stabilize(params, 10, StackSource(params, 10, seed)).final_config.counts
+        if broken == "stable":  # the whole configuration and trial 1's rows fail
+            assert not np.array_equal(trial_1, stabilize(params, 10, StackSource(params, 10, 3)).final_config.counts)
+            unstable = property(lambda self: len(self.counts) == V and not np.array_equal(self.counts, trial_1))
+            monkeypatch.setattr(config, "is_stable", unstable)
+            message = "non-stable configuration"
+        elif broken == "mass-balance":  # one sleeper too many in every stream of trial 1
+            real = config.sleepers_per_village
 
-        def off_by_one(self):
-            return real(self) + (np.arange(len(self.counts)) >= V)
+            def off_by_one(self):
+                return real(self) + (np.arange(len(self.counts)) >= V)
 
-        monkeypatch.setattr(config, "sleepers_per_village", off_by_one)
-        message = "mass balance violated"
-    else:  # trial 1's second iterate falls back to 0
-        real_outflux, calls = simulator_mod._outflux, []
+            monkeypatch.setattr(config, "sleepers_per_village", off_by_one)
+            message = "mass balance violated"
+        else:  # trial 1's second iterate falls back to 0
+            real_outflux, calls = simulator_mod._outflux, []
 
-        def outflux(*args):
-            calls.append(None)
-            Phi = real_outflux(*args)
-            if len(calls) == 2:
-                Phi[V:] = 0
-            return Phi
+            def outflux(*args):
+                calls.append(None)
+                Phi = real_outflux(*args)
+                if len(calls) == 2:
+                    Phi[V:] = 0
+                return Phi
 
-        monkeypatch.setattr(simulator_mod, "_outflux", outflux)
-        message = "iterates from M=0 must be nondecreasing"
-    with pytest.raises(AcceptanceCheckError, match=rf"{message} \(n=10, trial 1, seed=9\)"):
-        stabilize(params, 10, StackSource(params, 10, [3, 9]))
+            monkeypatch.setattr(simulator_mod, "_outflux", outflux)
+            message = "iterates from M=0 must be nondecreasing"
+        with pytest.raises(AcceptanceCheckError, match=rf"{message} \(n=10, trial 1, seed={seed}\)"):
+            stabilize(params, 10, StackSource(params, 10, [3, seed]))
+        monkeypatch.undo()

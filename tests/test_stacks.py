@@ -342,7 +342,7 @@ def test_trial_source_streams_match_single_trial_sources():
     seeds = [5, -7, 2**63 + 1, 5]
     batch = StackSource(params, n, seeds)
     assert batch.trials == 4 and batch.num_streams == 8
-    assert np.array_equal(batch.master_seed, _seed_words(seeds))
+    assert batch.master_seed == tuple(seeds)  # as given: -7 is not named by its residue
     for t, seed in enumerate(seeds):
         one = StackSource(params, n, seed)
         for x in range(V):
