@@ -13,7 +13,6 @@ distribution experiments evaluate all their trials in batches
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -154,6 +153,9 @@ def run_lln(config: LLNConfig, out_dir=None) -> LLNReport:
     tasks = [(params, n, seeds[lo : lo + per]) for n, per in chunking for lo in range(0, len(seeds), per)]
     workers = min(worker_count(), len(tasks))
     if workers > 1:
+        # imported here so that `import varw` loads no process pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_lln_task, tasks, chunksize=1))
     else:

@@ -114,33 +114,40 @@ def stabilize(params: ModelParams, n: int, src, step_cap: int = DEFAULT_STEP_CAP
         if below.size:
             t = int(below[0]) // V
             raise AcceptanceCheckError(
-                f"single-loop iterates from M=0 must be nondecreasing ({_run_name(src, t)}): "
+                f"single-loop iterates from M=0 must be nondecreasing {_failed_at(src, int(below[0]), V)}: "
                 f"Phi={Phi.reshape(-1, V)[t].tolist()} below M={M.reshape(-1, V)[t].tolist()}"
             )
         M = Phi
 
-    shape = engine.sleeper.shape
+    shape = (src.num_streams, engine.n)
     visited = engine.revealed.reshape(shape) > 0
     terminal = engine.terminal.reshape(shape)
-    counts = np.where(visited, 1 - terminal.astype(np.int64), engine.sleeper.astype(np.int64))
+    sleeper = np.arange(engine.n) < engine.floor_sigma[:, None]  # initial sleepers
+    counts = np.where(visited, 1 - terminal.astype(np.int64), sleeper.astype(np.int64))
     final = DiscreteConfig(n=engine.n, counts=counts, sleeping=counts == 1)
     S_star, inflow = final.sleepers_per_village(), engine.I.copy()
 
     if not final.is_stable:
-        rows = zip(np.split(counts, src.trials), np.split(final.sleeping, src.trials))
-        t = next(t for t, (c, s) in enumerate(rows) if not DiscreteConfig(engine.n, c, s).is_stable)
-        raise AcceptanceCheckError(f"stabilization ended in a non-stable configuration ({_run_name(src, t)})")
+        rows = zip(counts, final.sleeping)
+        s = next(s for s, (c, sl) in enumerate(rows) if not DiscreteConfig(engine.n, c[None], sl[None]).is_stable)
+        raise AcceptanceCheckError(f"stabilization ended in a non-stable configuration {_failed_at(src, s, V)}")
     balance = engine.floor_sigma + inflow - M
     bad = np.flatnonzero(S_star != balance)
     if bad.size:
         t = int(bad[0]) // V
         raise AcceptanceCheckError(
-            f"mass balance violated ({_run_name(src, t)}): S*={S_star.reshape(-1, V)[t].tolist()} but "
+            f"mass balance violated {_failed_at(src, int(bad[0]), V)}: S*={S_star.reshape(-1, V)[t].tolist()} but "
             f"floor(sigma n)+inflow-M*={balance.reshape(-1, V)[t].tolist()}"
         )
     landlord = engine.revealed.reshape(shape).sum(axis=1)
     consumed = ConsumedCounters(airplane=M.copy(), taxi=inflow.copy(), landlord=landlord)
     return SimResult(M_star=M, S_star=S_star, inflow=inflow, consumed=consumed, final_config=final)
+
+
+def _failed_at(src, s: int, V: int) -> str:
+    """Where an invariant failed first: the run of stream s's trial, then
+    its village."""
+    return f"({_run_name(src, s // V)}) in village {s % V}"
 
 
 def _run_name(src, t: int) -> str:
@@ -157,14 +164,15 @@ class _LoopEngine:
 
     The engine runs every stream of its source: village x of trial t is
     stream s = t*V + x, and a one-trial source has one stream per village.
-    House (s, i) is flat index s*n + i - 1.  Per house the engine keeps what
-    the next round reads: the landlord notices read (`revealed`; a house is
-    visited exactly when it has read one, its terminal notice), the last of
-    them (`terminal`) and the initial sleepers (`sleeper`); per stream the
-    airplane tickets read (`M`), the arrivals implied so far (`I`, initial
-    immigrants included) and the taxi tickets read.  Every read is the next
-    unread entry of its stack, so advancing through M_1 <= M_2 <= ... reads
-    the same prefixes as one evaluation at the last odometer.
+    House (s, i) is flat index s*n + i - 1, and it holds an initial sleeper
+    exactly when i <= floor_sigma[s].  Per house the engine keeps what the
+    next round reads: the landlord notices read (`revealed`; a house is
+    visited exactly when it has read one, its terminal notice) and the last
+    of them (`terminal`).  Per stream it keeps the airplane tickets read
+    (`M`), the taxi tickets read, and the running counts of `totals`, updated
+    from the houses each round touches.  Every read is the next unread entry
+    of its stack, so advancing through M_1 <= M_2 <= ... reads the same
+    prefixes as one evaluation at the last odometer.
 
     Every entry point builds one, so it is where the caller's model and n
     are checked against the source's.
@@ -181,9 +189,11 @@ class _LoopEngine:
         self.floor_sigma = np.tile(floor_counts(params.init_sleepers, n), src.trials)
         self.floor_nu = np.tile(floor_counts(params.init_actives, n), src.trials)
         S = self.floor_sigma.size
-        self.sleeper = np.arange(n) < self.floor_sigma[:, None]  # (S, n) initial sleepers
         self.M = np.zeros(S, dtype=np.int64)
         self.I = self.floor_nu.copy()
+        self.A = np.zeros(S, dtype=np.int64)
+        self.Q = self.floor_sigma.copy()
+        self.J = np.zeros(S, dtype=np.int64)
         self.taxi_read = np.zeros(S, dtype=np.int64)
         self.revealed = np.zeros(S * n, dtype=np.int64)
         self.terminal = np.zeros(S * n, dtype=np.uint8)
@@ -205,7 +215,7 @@ class _LoopEngine:
         streams = np.arange(S)
         dests = src.airplane_range(streams, self.M + 1, M + 1)
         self.M = M
-        self.I = self.I + np.bincount(dests[dests != GRAVEYARD], minlength=S)
+        self.I = self.I + np.bincount(dests - GRAVEYARD, minlength=S + 1)[1:]  # GRAVEYARD lands in bin 0
         houses = src.taxi_range(streams, self.taxi_read + 1, self.I + 1)
         houses += np.repeat(streams * n - 1, self.I - self.taxi_read)  # flat house index
         self.taxi_read = self.I.copy()
@@ -220,40 +230,46 @@ class _LoopEngine:
             self._scan_slice(touched[lo : lo + _SCAN_SLICE], new_hits[lo : lo + _SCAN_SLICE])
 
     def _scan_slice(self, touched: np.ndarray, new_hits: np.ndarray) -> None:
-        hit_before = self.revealed[touched] > 0
-        # Jumps still owed before the terminal notice.  A house hit before owes
-        # none and holds a terminal notice, which now becomes an ordinary one.
-        need = np.where(
-            hit_before,
-            new_hits - self.terminal[touched],
-            new_hits + self.sleeper.ravel()[touched] - 1,
-        )
+        S = self.I.size
         x, i = np.divmod(touched, self.n)
+        revealed = self.revealed[touched]
+        before = self.terminal[touched]
+        # Jumps still owed before the terminal notice.  A house hit before holds
+        # a terminal notice, which now becomes an ordinary one; an unvisited
+        # house (terminal 0) lets its initial sleeper wake but owes a jump for
+        # every other particle.
+        need = new_hits - before
+        new = (revealed == 0).nonzero()[0]
+        new_x = x[new]
+        sleeper = i[new] < self.floor_sigma[new_x]
+        need[new] += sleeper - 1
+        self.A += np.bincount(new_x, minlength=S)
+        self.Q -= np.bincount(new_x[sleeper], minlength=S)
         read = self.src.landlord_reader(x, i + 1)
         pos = np.arange(touched.size)
-        j = self.revealed[touched] + 1  # next unread notice
+        first = revealed + 1  # next unread notice
+        after = before.copy()
         while pos.size:
             # A house owing k JUMPs reads at least k + 1 more notices, and only
             # the last of them can be terminal: read those k + 1 in one block.
             width = need + 1
-            stops = np.cumsum(width)
-            starts = stops - width
-            draws = read(
-                np.repeat(pos, width), np.repeat(j - starts, width) + np.arange(stops[-1])
-            )
-            self.notices += int(stops[-1])
+            draws = read(pos, first, width)
+            self.notices += draws.size
             self._check_cap()
-            jumps = np.add.reduceat(draws, starts, dtype=np.int64)
+            stops = width.cumsum()
+            need -= np.add.reduceat(draws, stops - width, dtype=np.int64)
             last = draws[stops - 1]
-            final = jumps - last == need
-            if final.any():
-                done = touched[pos[final]]
-                self.terminal[done] = last[final]
-                self.revealed[done] = j[final] + need[final]
-                more = ~final
-                pos, j, need, width, jumps = pos[more], j[more], need[more], width[more], jumps[more]
-            need = need - jumps
-            j = j + width
+            # Record each house's last notice read.  A house whose last notice
+            # is terminal (it owed no other jump: need + last == 0) is done,
+            # and its record stays.
+            first += width - 1
+            revealed[pos] = first
+            after[pos] = last
+            more = (need + last).nonzero()[0]
+            pos, first, need = pos[more], first[more] + 1, need[more]
+        self.revealed[touched] = revealed
+        self.terminal[touched] = after
+        self.J += np.bincount(x, weights=after.view(np.int8) - before.view(np.int8), minlength=S).astype(np.int64)
 
     def _check_cap(self) -> None:
         if self.step_cap is not None and self.tickets + self.notices > self.step_cap:
@@ -265,12 +281,7 @@ class _LoopEngine:
     def totals(self):
         """(I, A, Q, J) per stream: arrivals, visited houses, initial
         sleepers never hit, and terminal JUMP notices."""
-        S, n = self.I.shape[0], self.n
-        visited = self.revealed.reshape(S, n) > 0
-        A = np.count_nonzero(visited, axis=1).astype(np.int64)
-        Q = self.floor_sigma - np.count_nonzero(visited & self.sleeper, axis=1)
-        J = self.terminal.reshape(S, n).sum(axis=1, dtype=np.int64)
-        return self.I.copy(), A, Q, J
+        return self.I.copy(), self.A.copy(), self.Q.copy(), self.J.copy()
 
 
 def _outflux(floor_sigma, I, A, Q, J) -> np.ndarray:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_right
+from functools import cached_property
 
 import numpy as np
 
@@ -49,7 +50,12 @@ _U64_C2 = np.uint64(_MIX_C2)
 _U64_K_VILLAGE = np.uint64(_K_VILLAGE)
 _U64_K_HOUSE = np.uint64(_K_HOUSE)
 _U64_ONE = np.uint64(1)
+_U64_11 = np.uint64(11)
+_U64_27 = np.uint64(27)
+_U64_30 = np.uint64(30)
+_U64_31 = np.uint64(31)
 _TO_UNIT = 2.0**-53
+_NEVER = np.uint64(_MASK64)  # a cut no 53-bit uniform reaches
 
 
 def _mix64(z: int) -> int:
@@ -61,13 +67,29 @@ def _mix64(z: int) -> int:
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
-    """Vectorized twin of _mix64; identical output for identical inputs."""
-    z = z ^ (z >> np.uint64(30))
+    """Vectorized twin of _mix64; identical output for identical inputs.
+    Mixes the uint64 array z in place and returns it."""
+    t = z >> _U64_30
+    z ^= t
     z *= _U64_C1
-    z ^= z >> np.uint64(27)
+    np.right_shift(z, _U64_27, out=t)
+    z ^= t
     z *= _U64_C2
-    z ^= z >> np.uint64(31)
+    np.right_shift(z, _U64_31, out=t)
+    z ^= t
     return z
+
+
+def _counter_words(keys: np.ndarray, first, width: np.ndarray) -> np.ndarray:
+    """Mixed counter words of width[k] consecutive stack indices from first[k]
+    of the stream with key keys[k], block after block (uint64): entry e of
+    block k, at index first[k] + e - start[k], has the word
+    mix(keys[k] + index * golden)."""
+    stops = width.cumsum()
+    z = np.arange(stops[-1] if stops.size else 0, dtype=np.uint64)
+    z *= _U64_GOLDEN
+    z += (keys + (first - (stops - width)).view(np.uint64) * _U64_GOLDEN).repeat(width)
+    return _mix64_np(z)
 
 
 def _stream_key(master_seed: int, kind: int, x: int) -> int:
@@ -132,10 +154,10 @@ def _check_n(n) -> int:
     return n
 
 
-def _range_entries(x, j_start, j_stop, num_villages: int):
-    """Village and stack index of every entry of the ranges j_start..j_stop-1
-    of villages x, one village after another (int64 arrays).  x, j_start and
-    j_stop are scalars, read as one range, or equal-length vectors."""
+def _check_ranges(x, j_start, j_stop, num_villages: int):
+    """The ranges j_start..j_stop-1 of villages x as checked int64 vectors
+    (x, j_start, lengths).  x, j_start and j_stop are scalars, read as one
+    range, or equal-length vectors."""
     x, j_start, j_stop = (np.atleast_1d(np.asarray(a, dtype=np.int64)) for a in (x, j_start, j_stop))
     if x.ndim != 1 or not x.shape == j_start.shape == j_stop.shape:
         raise ValidationError("villages, starts and stops must be equal-length vectors")
@@ -149,10 +171,61 @@ def _range_entries(x, j_start, j_stop, num_villages: int):
     bad = lengths[lengths < 0]
     if bad.size:
         raise ValidationError(f"prefix length must be >= 0, got {int(bad[0])!r}")
-    villages = np.repeat(x, lengths)
-    first = np.cumsum(lengths) - lengths  # position of each range's first entry
-    j = np.repeat(j_start - first, lengths) + np.arange(villages.size)
-    return villages, j
+    return x, j_start, lengths
+
+
+class _Cutpoints:
+    """Exact inverse of the row CDFs of a kernel by the cutpoint (guide
+    table) method of Chen & Asau (1974), in expected O(1) steps per draw.
+
+    The destination of a 64-bit word z in row x is the number of entries of
+    row x's CDF that are <= the uniform u = (z >> 11) * 2^-53, or GRAVEYARD
+    when all V are.  With k = z >> 11, a CDF value c is <= u exactly when its
+    cut ceil(c * 2^53) is <= k, so every compare is on integers.
+
+    The tables hold, row after row, one entry per run of equal cuts (a run
+    spans the zero kernel entries after its first column), then a sentinel
+    whose cut no k reaches: `cut` is the run's cut and `dest` its first
+    column, the answer for every u below it (GRAVEYARD for the sentinel).
+    The answer is the first entry of its row with cut > k.  With
+    m = 2^bits >= V buckets, guide[x * m + b] is the first entry of row x
+    with a value > b / m; bucket b = z >> (64 - bits) = floor(u * m) starts
+    the search there, which never passes the answer, and each step passes
+    one whole run.
+    """
+
+    def __init__(self, kernel: np.ndarray):
+        V = kernel.shape[0]
+        W = V + 1
+        self.bits = bits = max(1, (V - 1).bit_length())
+        cut = np.empty((V, W), dtype=np.uint64)
+        cut[:, :V] = np.ceil(np.cumsum(kernel, axis=1) * 2.0**53)
+        cut[:, V] = _NEVER
+        first = np.ones((V, W), dtype=bool)  # first columns of runs of equal cuts; the sentinel
+        np.greater(cut[:, 1:], cut[:, :V], out=first[:, 1:])
+        flat = first.ravel().nonzero()[0]
+        rows, cols = np.divmod(flat, W)
+        self.cut = cut.ravel()[flat]
+        self.dest = np.where(cols == V, GRAVEYARD, cols)
+        # A value is <= b / m exactly when its cut is <= b * 2^shift, that is
+        # for the buckets b >= ceil(cut / 2^shift); the sentinel takes bucket m.
+        shift = 53 - bits
+        bucket = (np.minimum(self.cut, np.uint64(1 << 53)) + np.uint64((1 << shift) - 1)) >> np.uint64(shift)
+        # The entry keys x * m + bucket are sorted, and guide[g] counts the keys <= g.
+        edges = np.concatenate(([0], (rows << bits) + bucket.view(np.int64), [V << bits]))
+        self.guide = np.repeat(np.arange(flat.size + 1), edges[1:] - edges[:-1])
+
+    def __call__(self, rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Destination village (or GRAVEYARD) of word z[k] in row rows[k]
+        (int64).  Shifts z in place."""
+        pos = self.guide[(rows << self.bits) + (z >> np.uint64(64 - self.bits)).view(np.int64)]
+        z >>= _U64_11
+        step = (self.cut[pos] <= z).nonzero()[0]
+        while step.size:
+            nxt = pos[step] + 1
+            pos[step] = nxt
+            step = step[self.cut[nxt] <= z[step]]
+        return self.dest[pos]
 
 
 class _SourceReads:
@@ -181,17 +254,18 @@ class _SourceReads:
         """
         self._check_village(x)
         houses = np.asarray(houses, dtype=np.int64)
+        first = np.broadcast_to(_index_array(j), houses.shape)
         return self.landlord_reader(np.full(houses.shape, x), houses)(
-            np.arange(houses.size), np.broadcast_to(_index_array(j), houses.shape)
+            np.arange(houses.size), first, np.ones(houses.size, dtype=np.int64)
         )
 
 
 class StackSource(_SourceReads):
     """All three instruction families for one (seed, params, n) triple.
 
-    The source holds only per-village constants (stream keys, kernel row
-    CDFs, sleep probabilities) and computes every entry from its counter, so
-    it can be shared by any number of runs and readers.
+    The source holds only per-village constants (stream keys, the kernel's
+    cutpoint tables, sleep thresholds) and computes every entry from its
+    counter, so it can be shared by any number of runs and readers.
 
     With a 1-d sequence of T master seeds the source holds T independent
     trials: stream s = t*V + x is village x of trial t, and every method
@@ -216,24 +290,23 @@ class StackSource(_SourceReads):
         self._air_key, self._taxi_key, self._land_key = keys
         # The same keys as Python ints, for the scalar reads.
         self._air_ints, self._taxi_ints, self._land_ints = keys.tolist()
-        cdf = np.cumsum(params.kernel, axis=1)
-        self._cdf = cdf.tolist()  # row CDFs for the scalar bisect
-        # Row x's CDF as the complex numbers x + cdf*1j, which order
-        # lexicographically: one searchsorted over all rows places a uniform
-        # u of village x, as x + u*1j, within row x alone.
-        rows = np.empty(cdf.shape, dtype=np.complex128)
-        rows.real = np.arange(V)[:, None]
-        rows.imag = cdf
-        self._cdf_rows = rows.ravel()
+        self._cutpoints = _Cutpoints(params.kernel)
         lam = params.sleep_rates
         self._p_sleep = np.tile(lam / (1.0 + lam), self.trials)
+        # A notice is JUMP when its uniform (z >> 11) * 2^-53 is >= p_sleep,
+        # that is when z >> 11 >= ceil(p_sleep * 2^53); exact for p_sleep 0 and 1.
+        self._jump_from = np.ceil(self._p_sleep * 2.0**53).astype(np.uint64)
+
+    @cached_property
+    def _cdf(self) -> list[list[float]]:
+        """Row CDFs as lists, for the scalar bisect; built on first use."""
+        return np.cumsum(self.params.kernel, axis=1).tolist()
 
     def _draws(self, keys: np.ndarray, x, j_start, j_stop):
-        """Streams and uint64 counter outputs of the ranges (see airplane_range)."""
-        villages, j = _range_entries(x, j_start, j_stop, self.num_streams)
-        z = j.view(np.uint64) * _U64_GOLDEN
-        z += keys[villages]
-        return villages, _mix64_np(z)
+        """Streams, lengths and uint64 counter words of the ranges (see
+        airplane_range)."""
+        x, j_start, lengths = _check_ranges(x, j_start, j_stop, self.num_streams)
+        return x, lengths, _counter_words(keys[x], j_start, lengths)
 
     def _check_index(self, j: int) -> None:
         if j < 1:
@@ -256,19 +329,13 @@ class StackSource(_SourceReads):
         With equal-length arrays of villages x, starts and stops, the ranges
         of all villages, one village after another.
         """
-        streams, z = self._draws(self._air_key, x, j_start, j_stop)
+        streams, lengths, z = self._draws(self._air_key, x, j_start, j_stop)
+        if self.trials == 1:
+            return self._cutpoints(np.repeat(streams, lengths), z)
         V = self._V
-        villages = streams % V
-        z >>= np.uint64(11)
-        q = np.empty(z.shape, dtype=np.complex128)
-        q.real = villages
-        q.imag = z
-        q.imag *= _TO_UNIT  # the uniform (z >> 11) * 2^-53, exact in float64
-        dest = np.searchsorted(self._cdf_rows, q, side="right") - villages * V
-        graveyard = dest == V
-        dest += streams - villages  # trial offset t*V
-        dest[graveyard] = GRAVEYARD
-        return dest
+        offset = np.repeat(streams - streams % V, lengths)  # trial offset t*V
+        dest = self._cutpoints(np.repeat(streams % V, lengths), z)
+        return np.where(dest == GRAVEYARD, GRAVEYARD, dest + offset)
 
     # -- taxi tickets ----------------------------------------------------------
 
@@ -281,8 +348,11 @@ class StackSource(_SourceReads):
     def taxi_range(self, x, j_start, j_stop) -> np.ndarray:
         """Tickets gamma_{j_start,x}..gamma_{j_stop-1,x} as an int64 array,
         with the array form of airplane_range."""
-        _, z = self._draws(self._taxi_key, x, j_start, j_stop)
-        return (z % np.uint64(self.n)).astype(np.int64) + 1
+        z = self._draws(self._taxi_key, x, j_start, j_stop)[2]
+        z %= np.uint64(self.n)
+        houses = z.view(np.int64)
+        houses += 1
+        return houses
 
     # -- landlord notices --------------------------------------------------------
 
@@ -300,28 +370,26 @@ class StackSource(_SourceReads):
         """Notice reader for the fixed house list (villages[k], houses[k]).
 
         Each house's stream key is computed once, here.  The returned
-        `read(sel, j)` gives notice j[k] of the house at list position
-        sel[k] (uint8), for an index array `sel` and aligned `j`.
+        `read(pos, first, width)` gives, block after block, the width[k]
+        notices first[k], first[k] + 1, ... of the house at list position
+        pos[k] (uint8), for int64 arrays pos, first and width >= 0.
         """
         x = np.asarray(villages, dtype=np.intp)
         h = np.asarray(houses, dtype=np.uint64)
-        keys = _mix64_np(self._land_key[x] ^ (h * _U64_K_HOUSE + np.uint64(1)))
-        p_sleep = self._p_sleep[x]
+        keys = _mix64_np(self._land_key[x] ^ (h * _U64_K_HOUSE + _U64_ONE))
+        jump_from = self._jump_from[x]
 
-        def read(sel: np.ndarray, j: np.ndarray) -> np.ndarray:
-            return _notices(keys[sel] + j.view(np.uint64) * _U64_GOLDEN, p_sleep[sel])
+        def read(pos: np.ndarray, first: np.ndarray, width: np.ndarray) -> np.ndarray:
+            return _notices(_counter_words(keys[pos], first, width), jump_from[pos].repeat(width))
 
         return read
 
 
-def _notices(z: np.ndarray, p_sleep) -> np.ndarray:
-    """Notices from counter inputs z = key + j*golden: SLEEP (0) when the
-    uniform falls below p_sleep, else JUMP (1)."""
-    z = _mix64_np(z)
-    z >>= np.uint64(11)
-    u = z.astype(np.float64)
-    u *= _TO_UNIT
-    return (u >= p_sleep).view(np.uint8)
+def _notices(z: np.ndarray, jump_from) -> np.ndarray:
+    """Notices of mixed counter words z: JUMP (1) when z >> 11 >= jump_from,
+    else SLEEP (0).  Shifts z in place."""
+    z >>= _U64_11
+    return (z >= jump_from).view(np.uint8)
 
 
 def _index_array(j) -> np.ndarray:
@@ -403,8 +471,8 @@ class InjectedStackSource(_SourceReads):
         return self.fallback.landlord(x, i, j) if got is None else got
 
     def _read_ranges(self, scalar, x, j_start, j_stop) -> np.ndarray:
-        villages, j = _range_entries(x, j_start, j_stop, self.num_streams)
-        return np.array([scalar(v, k) for v, k in zip(villages.tolist(), j.tolist())], dtype=np.int64)
+        ranges = zip(*(a.tolist() for a in _check_ranges(x, j_start, j_stop, self.num_streams)))
+        return np.array([scalar(v, j) for v, a, k in ranges for j in range(a, a + k)], dtype=np.int64)
 
     def airplane_range(self, x, j_start, j_stop) -> np.ndarray:
         return self._read_ranges(self.airplane, x, j_start, j_stop)
@@ -416,8 +484,10 @@ class InjectedStackSource(_SourceReads):
         xs = np.asarray(villages).tolist()
         hs = np.asarray(houses).tolist()
 
-        def read(sel: np.ndarray, j: np.ndarray) -> np.ndarray:
-            pairs = zip(sel.tolist(), j.tolist())
-            return np.array([self.landlord(xs[k], hs[k], jk) for k, jk in pairs], dtype=np.uint8)
+        def read(pos: np.ndarray, first: np.ndarray, width: np.ndarray) -> np.ndarray:
+            blocks = zip(pos.tolist(), first.tolist(), width.tolist())
+            return np.array(
+                [self.landlord(xs[k], hs[k], j) for k, a, w in blocks for j in range(a, a + w)], dtype=np.uint8
+            )
 
         return read

@@ -298,3 +298,16 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
     )
     assert proc.stdout == "[]\n"
+
+
+def test_import_loads_no_process_pool():
+    """`run_lln` imports its process pool only when it starts one."""
+    src = Path(varw.__file__).resolve().parent.parent
+    code = (
+        "import sys, varw, varw.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "[]\n"

@@ -641,36 +641,38 @@ def test_stabilize_invariant_errors_name_n_and_seed(monkeypatch, breaker, messag
 
 @pytest.mark.parametrize("broken", ["stable", "mass-balance", "nondecreasing"])
 def test_stabilize_invariant_errors_name_the_trial_and_its_seed(monkeypatch, broken):
-    """The seed is named as the caller passed it, not by its residue mod 2^64."""
+    """The seed is named as the caller passed it, not by its residue mod 2^64,
+    and the first failing village after it: village 1 of trial 1 here."""
     params, V = two_village_params(), 2
     config = simulator_mod.DiscreteConfig
     for seed in (9, -9, 2**64 + 9):
         trial_1 = stabilize(params, 10, StackSource(params, 10, seed)).final_config.counts
-        if broken == "stable":  # the whole configuration and trial 1's rows fail
-            assert not np.array_equal(trial_1, stabilize(params, 10, StackSource(params, 10, 3)).final_config.counts)
-            unstable = property(lambda self: len(self.counts) == V and not np.array_equal(self.counts, trial_1))
+        if broken == "stable":  # every configuration holding trial 1's village-1 row fails
+            others = [*stabilize(params, 10, StackSource(params, 10, 3)).final_config.counts, trial_1[0]]
+            assert not any(np.array_equal(trial_1[1], row) for row in others)
+            unstable = property(lambda self: not any(np.array_equal(trial_1[1], row) for row in self.counts))
             monkeypatch.setattr(config, "is_stable", unstable)
             message = "non-stable configuration"
-        elif broken == "mass-balance":  # one sleeper too many in every stream of trial 1
+        elif broken == "mass-balance":  # one sleeper too many in village 1 of trial 1
             real = config.sleepers_per_village
 
             def off_by_one(self):
-                return real(self) + (np.arange(len(self.counts)) >= V)
+                return real(self) + (np.arange(len(self.counts)) == V + 1)
 
             monkeypatch.setattr(config, "sleepers_per_village", off_by_one)
             message = "mass balance violated"
-        else:  # trial 1's second iterate falls back to 0
+        else:  # trial 1's second iterate falls back to 0 in village 1
             real_outflux, calls = simulator_mod._outflux, []
 
             def outflux(*args):
                 calls.append(None)
                 Phi = real_outflux(*args)
                 if len(calls) == 2:
-                    Phi[V:] = 0
+                    Phi[V + 1] = 0
                 return Phi
 
             monkeypatch.setattr(simulator_mod, "_outflux", outflux)
             message = "iterates from M=0 must be nondecreasing"
-        with pytest.raises(AcceptanceCheckError, match=rf"{message} \(n=10, trial 1, seed={seed}\)"):
+        with pytest.raises(AcceptanceCheckError, match=rf"{message} \(n=10, trial 1, seed={seed}\) in village 1\b"):
             stabilize(params, 10, StackSource(params, 10, [3, seed]))
         monkeypatch.undo()

@@ -19,7 +19,7 @@ from varw import (
     derive_seeds,
     single_loop_trials,
 )
-from varw.stacks import _stream_key, _stream_keys, _seed_words
+from varw.stacks import _Cutpoints, _notices, _seed_words, _stream_key, _stream_keys
 
 
 def test_airplane_zero_row_always_graveyard():
@@ -220,7 +220,10 @@ def test_array_index_landlord_batch_matches_scalar_on_both_sources():
     inj = InjectedStackSource(
         params, 30, landlord={(1, i): [src.landlord(1, i, k) for k in range(1, 10)] for i in (1, 3, 7, 30)}
     )
+    blocks = np.array([1, 0, 2, 3]), np.array([2, 1, 1, 5]), np.array([3, 0, 1, 4])  # pos, first, width
+    want_blocks = [src.landlord(1, int(houses[k]), int(a + d)) for k, a, w in zip(*blocks) for d in range(w)]
     for source in (src, inj):
+        assert source.landlord_reader(np.full(houses.size, 1), houses)(*blocks).tolist() == want_blocks
         assert source.landlord_batch(1, houses, j).tolist() == want
         assert source.landlord_batch(1, houses, 2).tolist() == [src.landlord(1, int(i), 2) for i in houses]
         with pytest.raises(ValidationError):
@@ -265,10 +268,13 @@ def test_scalar_reads_match_range_and_reader_reads(case, js):
     villages = np.arange(V).repeat(2)
     houses = np.tile([1, n], V)
     read = src.landlord_reader(villages, houses)
-    sel = np.repeat(np.arange(villages.size), len(js))
-    j = np.tile(js, villages.size)
-    want = [src.landlord(int(villages[k]), int(houses[k]), int(jk)) for k, jk in zip(sel, j)]
-    assert read(sel, j).tolist() == want
+    pos = np.repeat(np.arange(villages.size), len(js))
+    first = np.tile(js, villages.size)
+    width = np.arange(pos.size) % 4  # blocks of 0 to 3 consecutive notices
+    want = [
+        src.landlord(int(villages[k]), int(houses[k]), int(a + d)) for k, a, w in zip(pos, first, width) for d in range(w)
+    ]
+    assert read(pos, first, width).tolist() == want
     starts = np.array([js[0]] * V)
     stops = starts + np.arange(V) % 3  # some ranges empty
     assert np.array_equal(
@@ -383,3 +389,160 @@ def test_trial_source_streams_match_single_trial_sources():
 def test_non_integer_seeds_and_n_are_rejected(call, message):
     with pytest.raises(ValidationError, match=message):
         call(two_village_params())
+
+
+# The frozen stream contract, (seed, stack identity, index) -> value, as
+# literals: each list is one village (airplane, taxi) or house (landlord,
+# houses 1 and 7 of n = 7) over GOLDEN_INDICES.  Any change of the counter
+# generator, the key derivation or the lookups shows here by value.
+GOLDEN_SEEDS = (0, -1, 2**64 + 5)
+GOLDEN_INDICES = (1, 2, 3, 4096, 4097, 2**31 + 1)
+DYADIC_KERNEL = [[0.0, 0.5, 0.25], [0.5, 0.0, 0.5], [0.5, 0.0, 0.0]]  # zero entries, and row 1 sums to 1.0
+GOLDEN_AIRPLANE = {
+    ("two_village", 0): [[-1, 1, -1, -1, 1, -1], [0, 0, -1, -1, -1, -1]],
+    ("two_village", -1): [[1, 1, 1, -1, 1, 1], [-1, -1, -1, 0, -1, 0]],
+    ("two_village", 2**64 + 5): [[1, 1, -1, 1, -1, -1], [0, -1, 0, 0, -1, -1]],
+    ("dyadic", 0): [[-1, 1, -1, 2, 1, -1], [0, 0, 2, 2, 2, 0], [-1, 0, -1, -1, -1, 0]],
+    ("dyadic", -1): [[1, 1, 1, -1, 1, 1], [2, 0, 2, 0, 2, 0], [0, 0, 0, -1, -1, -1]],
+    ("dyadic", 2**64 + 5): [[1, 1, -1, 1, -1, -1], [0, 2, 0, 0, 2, 2], [0, -1, 0, -1, 0, 0]],
+}
+GOLDEN_TAXI = {
+    (1, 0): [[1] * 6, [1] * 6],
+    (1, -1): [[1] * 6, [1] * 6],
+    (1, 2**64 + 5): [[1] * 6, [1] * 6],
+    (7, 0): [[2, 5, 7, 4, 2, 4], [7, 4, 7, 6, 7, 5]],
+    (7, -1): [[1, 1, 2, 7, 7, 7], [4, 6, 1, 3, 7, 2]],
+    (7, 2**64 + 5): [[6, 4, 4, 3, 6, 4], [3, 2, 4, 1, 7, 1]],
+    (2**31, 0): [
+        [79606801, 270912136, 477688962, 347146815, 1159942045, 769281309],
+        [1788445170, 1234149867, 1298197657, 253017849, 1470299285, 2031334422],
+    ],
+    (2**31, -1): [
+        [607106047, 917337691, 1877411440, 1351356471, 287966928, 1039270606],
+        [945456219, 1488306121, 1553660937, 620848154, 2080176588, 780400422],
+    ],
+    (2**31, 2**64 + 5): [
+        [663272275, 1042801077, 39638026, 860460461, 2064533241, 85086560],
+        [1015880202, 1591455604, 1838761424, 329825656, 1497245871, 700017788],
+    ],
+}
+GOLDEN_LANDLORD = {  # lambda = 1e300 gives p_sleep = 1.0: every notice is SLEEP (0)
+    (0.0, 0): ["111111", "111111"],
+    (0.0, -1): ["111111", "111111"],
+    (0.0, 2**64 + 5): ["111111", "111111"],
+    (1.0, 0): ["010111", "110011"],
+    (1.0, -1): ["110001", "000101"],
+    (1.0, 2**64 + 5): ["010101", "000010"],
+    (1e300, 0): ["000000", "000000"],
+    (1e300, -1): ["000000", "000000"],
+    (1e300, 2**64 + 5): ["000000", "000000"],
+}
+
+
+def _golden_model(name):
+    if name == "two_village":
+        return two_village_params()
+    V = len(DYADIC_KERNEL)
+    return ModelParams(kernel=np.array(DYADIC_KERNEL), sleep_rates=[1.0] * V, init_sleepers=[0.0] * V, init_actives=[0.0] * V)
+
+
+def _golden_ranges(V, trials=1):
+    """(streams, starts, stops) reading every golden index of every stream, in order."""
+    js = np.tile(GOLDEN_INDICES, V * trials)
+    return np.repeat(np.arange(V * trials), len(GOLDEN_INDICES)), js, js + 1
+
+
+@pytest.mark.parametrize("family", ["airplane", "taxi"])
+def test_golden_tickets_through_scalar_and_range_reads(family):
+    golden = GOLDEN_AIRPLANE if family == "airplane" else GOLDEN_TAXI
+    for model_or_n in dict.fromkeys(key for key, _ in golden):
+        params, n = (_golden_model(model_or_n), 7) if family == "airplane" else (two_village_params(), model_or_n)
+        V = params.num_villages
+        for seed in GOLDEN_SEEDS:
+            want = golden[model_or_n, seed]
+            src = StackSource(params, n, seed)
+            scalar = getattr(src, family)
+            assert [[scalar(x, j) for j in GOLDEN_INDICES] for x in range(V)] == want
+            got = getattr(src, f"{family}_range")(*_golden_ranges(V))
+            assert got.reshape(V, -1).tolist() == want
+        # One multi-seed source: trial t reads seed t's tickets, destinations offset by t*V.
+        batch = StackSource(params, n, list(GOLDEN_SEEDS))
+        got = getattr(batch, f"{family}_range")(*_golden_ranges(V, len(GOLDEN_SEEDS))).reshape(-1, V, len(GOLDEN_INDICES))
+        for t, seed in enumerate(GOLDEN_SEEDS):
+            want = np.array(golden[model_or_n, seed])
+            if family == "airplane":
+                want = np.where(want == GRAVEYARD, GRAVEYARD, want + t * V)
+            assert got[t].tolist() == want.tolist()
+
+
+def test_golden_notices_through_scalar_reader_and_batch_reads():
+    houses = np.array([1, 7])
+    js = np.array(GOLDEN_INDICES)
+    for (lam, seed), want in GOLDEN_LANDLORD.items():
+        want = [[int(c) for c in row] for row in want]
+        src = StackSource(one_village_params(lam=lam), 7, seed)
+        assert [[src.landlord(0, int(i), j) for j in GOLDEN_INDICES] for i in houses] == want
+        assert [src.landlord_batch(0, houses, j).tolist() for j in GOLDEN_INDICES] == np.transpose(want).tolist()
+        read = src.landlord_reader(np.zeros(2, dtype=np.int64), houses)
+        one_each = read(np.repeat([0, 1], js.size), np.tile(js, 2), np.ones(2 * js.size, dtype=np.int64))
+        assert one_each.reshape(2, -1).tolist() == want
+        # Blocks of consecutive notices: 1..3, 4096..4097 and 2^31+1 of each house.
+        blocks = read(np.repeat([0, 1], 3), np.tile(js[[0, 3, 5]], 2), np.tile([3, 2, 1], 2))
+        assert blocks.reshape(2, -1).tolist() == want
+
+
+# Kernels for the lookup on crafted words: one village with a zero row (all
+# GRAVEYARD), a power-of-two V, and V just above one (2^k + 1), with zero
+# entries (runs of equal CDF values) and rows summing to exactly 1.0.
+CRAFTED_KERNELS = {
+    "V1-zero-row": [[0.0]],
+    "V4": [[0.0, 0.25, 0.0, 0.5], [0.5, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.125], [1 / 3, 1 / 3, 0.0, 0.0]],
+    "V5": [
+        [0.0, 0.0, 0.0, 0.0, 0.9],
+        [0.2, 0.0, 0.0, 0.0, 0.8],
+        [0.0, 0.1, 0.1, 0.1, 0.1],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.25, 0.25, 0.0, 0.25, 0.0],
+    ],
+}
+
+
+def _crafted_words(cdf: np.ndarray, bits: int) -> np.ndarray:
+    """Words around every CDF breakpoint (its exact 53-bit uniform and +-1)
+    and every bucket edge, plus 0 and 2^64 - 1; the low 11 bits vary too."""
+    k = np.ceil(cdf.ravel() * 2.0**53)
+    k = k[k < 2.0**53].astype(np.uint64)
+    edges = np.arange(1 << bits, dtype=np.uint64) << np.uint64(53 - bits)
+    k53 = np.concatenate([k, k + np.uint64(1), k - np.uint64(1), edges, edges - np.uint64(1)])
+    k53 = k53[k53 < 2**53]  # drops the wrapped 0 - 1
+    low = np.array([0, 1, 2**11 - 1], dtype=np.uint64)
+    words = (k53[:, None] << np.uint64(11)) | low
+    return np.concatenate([words.ravel(), np.array([0, 2**64 - 1], dtype=np.uint64)])
+
+
+@pytest.mark.parametrize("name", list(CRAFTED_KERNELS))
+def test_cutpoint_lookup_matches_searchsorted_on_crafted_words(name):
+    kernel = np.array(CRAFTED_KERNELS[name])
+    V = kernel.shape[0]
+    cdf = np.cumsum(kernel, axis=1)
+    lookup = _Cutpoints(kernel)
+    for x in range(V):
+        z = _crafted_words(cdf, lookup.bits)
+        want = np.searchsorted(cdf[x], (z >> np.uint64(11)) * 2.0**-53, "right")
+        want[want == V] = GRAVEYARD
+        assert lookup(np.full(z.size, x), z.copy()).tolist() == want.tolist()
+    # One table entry per distinct CDF value and one sentinel per row, so that
+    # a step passes a whole run of zero kernel entries.
+    assert lookup.cut.size == sum(np.unique(row).size for row in cdf) + V
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 1e300])
+def test_notice_compare_matches_float_uniform_on_crafted_words(lam):
+    """p_sleep is 0, 1/3, 0.5 and (at lambda = 1e300) 1.0."""
+    src = StackSource(one_village_params(lam=lam), 5, 1)
+    p = src._p_sleep[0]
+    k = int(np.ceil(p * 2.0**53))
+    words = [0, 2**64 - 1] + [w for w in ((k << 11) - 1, k << 11, (k << 11) + 1) if 0 <= w < 2**64]
+    z = np.array(words, dtype=np.uint64)
+    want = ((z >> np.uint64(11)) * 2.0**-53 >= p).astype(np.uint8)
+    assert _notices(z.copy(), src._jump_from[[0]]).tolist() == want.tolist()
