@@ -10,7 +10,6 @@ from .errors import (
     AcceptanceCheckError,
     InputSizeError,
     IterationCapError,
-    StackExhaustedError,
     StepCapError,
     ValidationError,
     VarwError,
@@ -46,7 +45,6 @@ from .stacks import (
     GRAVEYARD,
     JUMP,
     SLEEP,
-    InjectedStackSource,
     StackSource,
     derive_seed,
     derive_seeds,

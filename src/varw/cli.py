@@ -23,7 +23,6 @@ from .errors import (
     AcceptanceCheckError,
     InputSizeError,
     IterationCapError,
-    StackExhaustedError,
     StepCapError,
     ValidationError,
 )
@@ -274,7 +273,7 @@ def main(argv=None) -> int:
     except _CliArgumentError as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return 1
-    except (ValidationError, StackExhaustedError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (StepCapError, IterationCapError, InputSizeError) as exc:

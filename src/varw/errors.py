@@ -26,9 +26,5 @@ class InputSizeError(VarwError):
     """An input integer too large for the 64-bit arrays it is stored in."""
 
 
-class StackExhaustedError(VarwError):
-    """A strict injected stack was queried beyond its explicit prefix."""
-
-
 class AcceptanceCheckError(VarwError):
     """An exact invariant (mass balance, fixed point, bound) failed during a sweep."""

@@ -148,8 +148,12 @@ def run_lln(config: LLNConfig, out_dir=None) -> LLNReport:
         raise ValidationError("seeds must be nonempty")
     V = params.num_villages
 
+    n_values = [_check_n(n) for n in config.n_values]
+    repeated = [n for k, n in enumerate(n_values) if n in n_values[:k]]
+    if repeated:
+        raise ValidationError(f"n_values must be distinct, but n={repeated[0]} is given more than once")
     seeds = [_as_int(seed, "seed") for seed in config.seeds]
-    chunking = [(n, _trials_per_chunk(V, n)) for n in map(_check_n, config.n_values)]
+    chunking = [(n, _trials_per_chunk(V, n)) for n in n_values]
     tasks = [(params, n, seeds[lo : lo + per]) for n, per in chunking for lo in range(0, len(seeds), per)]
     workers = min(worker_count(), len(tasks))
     if workers > 1:
@@ -163,7 +167,7 @@ def run_lln(config: LLNConfig, out_dir=None) -> LLNReport:
 
     rows: list[dict] = []
     per_n_errors: dict[int, dict[str, list[float]]] = {
-        int(n): {"err_m_inf": [], "err_s_inf": [], "err_m_eta": []} for n in config.n_values
+        n: {"err_m_inf": [], "err_s_inf": [], "err_m_eta": []} for n in n_values
     }
     runs = ((n, *run) for (_, n, chunk), result in zip(tasks, results) for run in zip(chunk, *result))
     for n, seed, M_star, S_star, fp_ok in runs:
@@ -195,12 +199,12 @@ def run_lln(config: LLNConfig, out_dir=None) -> LLNReport:
             )
 
     summary: list[dict] = []
-    for n in config.n_values:
+    for n in n_values:
         for metric in ("err_m_inf", "err_s_inf", "err_m_eta"):
-            vals = per_n_errors[int(n)][metric]
+            vals = per_n_errors[n][metric]
             summary.append(
                 {
-                    "n": int(n),
+                    "n": n,
                     "metric": metric,
                     "median": float(np.median(vals)),
                     "p90": float(np.percentile(vals, 90)),
@@ -275,15 +279,16 @@ def run_concentration(config: ConcentrationConfig, out_path=None) -> Concentrati
     n = _check_n(config.n)
     if not config.a > 0:
         raise ValidationError(f"a must be positive, got {config.a!r}")
-    if config.trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {config.trials}")
+    trials = _as_int(config.trials, "trials")
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
     M = _check_odometer(config.M, params.num_villages)
     m_scaled = M / n
     s_limit = sleep_profile(params, m_scaled)
     phi_limit = phi(params, m_scaled)
 
     a = float(config.a)
-    seeds = derive_seeds(config.seed, 1, np.arange(config.trials))
+    seeds = derive_seeds(config.seed, 1, np.arange(trials))
     res = single_loop_trials(params, n, seeds, M)
     _check_trials("concentration", params, n, M, config.seed, seeds, res)
     dev_s = np.max(np.abs(res.S / n - s_limit), axis=1)
@@ -291,19 +296,19 @@ def run_concentration(config: ConcentrationConfig, out_path=None) -> Concentrati
     hits_s = int(np.count_nonzero(dev_s >= a))
     hits_phi = int(np.count_nonzero(dev_phi >= a))
 
-    freq_s = hits_s / config.trials
-    freq_phi = hits_phi / config.trials
+    freq_s = hits_s / trials
+    freq_phi = hits_phi / trials
     bound_s, bound_phi = concentration_bounds(params, n, M, a)
     p_s = min(bound_s, 1.0)
     p_phi = min(bound_phi, 1.0)
-    slack_s = 3.0 * float(np.sqrt(p_s * (1.0 - p_s) / config.trials))
-    slack_phi = 3.0 * float(np.sqrt(p_phi * (1.0 - p_phi) / config.trials))
+    slack_s = 3.0 * float(np.sqrt(p_s * (1.0 - p_s) / trials))
+    slack_phi = 3.0 * float(np.sqrt(p_phi * (1.0 - p_phi) / trials))
     violated = freq_s > bound_s + slack_s or freq_phi > bound_phi + slack_phi
 
     report = ConcentrationReport(
         n=n,
         a=a,
-        trials=config.trials,
+        trials=trials,
         freq_s=freq_s,
         bound_s=bound_s,
         freq_phi=freq_phi,
@@ -321,7 +326,7 @@ def run_concentration(config: ConcentrationConfig, out_path=None) -> Concentrati
             f"n: {n}",
             f"M: {','.join(str(v) for v in M.tolist())}",
             f"a: {a!r}",
-            f"trials: {config.trials}",
+            f"trials: {trials}",
             f"freq_s: {freq_s!r}",
             f"bound_s: {bound_s!r}",
             f"slack_s: {slack_s!r}",
@@ -393,6 +398,7 @@ def run_kappa_equivalence(
     and its resampled variant, then the per-village marginal samples are
     compared with a pooled two-sample chi-square.
     """
+    trials = _as_int(trials, "trials")
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     n = _check_n(n)

@@ -152,8 +152,6 @@ def _failed_at(src, s: int, V: int) -> str:
 
 def _run_name(src, t: int) -> str:
     """The run an invariant failure happened in: n and the seed of trial t."""
-    if src.master_seed is None:
-        return f"n={src.n}, no seed (injected stacks)"
     if np.ndim(src.master_seed) == 0:
         return f"n={src.n}, seed={src.master_seed}"
     return f"n={src.n}, trial {t}, seed={src.master_seed[t]}"
@@ -354,7 +352,9 @@ def _resampled_outflux(params: ModelParams, engine: _LoopEngine, totals, aux_see
     1/(1+lambda_x): per trial, village by village, n uniforms, one per
     house, from default_rng(aux_seeds[t])."""
     V, n = params.num_villages, engine.n
-    fresh = np.stack([np.random.default_rng(a).random((V, n)) for a in aux_seeds])
+    fresh = np.empty((len(aux_seeds), V, n))
+    for a, row in zip(aux_seeds, fresh):
+        np.random.default_rng(a).random(out=row)
     p_jump = (1.0 / (1.0 + params.sleep_rates))[:, None]
     visited = engine.revealed.reshape(fresh.shape) > 0
     J = np.count_nonzero((fresh < p_jump) & visited, axis=2).ravel()
@@ -392,12 +392,3 @@ def single_loop_trials(params: ModelParams, n: int, seeds, M, aux_seeds=None) ->
 def _trials_per_chunk(V: int, n: int) -> int:
     """Trials per engine in batched calls: _TRIAL_HOUSES houses, at least one."""
     return max(1, _TRIAL_HOUSES // (V * n))
-
-
-def expected_outflux_given_influx(params: ModelParams, x: int, n: int, u: int) -> float:
-    """Exact conditional mean of the single-loop outflux of village x given
-    that u particles arrived there."""
-    lam = float(params.sleep_rates[x])
-    sc = float(floor_counts(params.init_sleepers, n)[x])
-    visited_frac = 1.0 - (1.0 - 1.0 / n) ** u
-    return n * (sc / n - lam / (1.0 + lam)) * visited_frac + u

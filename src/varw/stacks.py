@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import StackExhaustedError, ValidationError
+from .errors import ValidationError
 from .model import ModelParams
 
 GRAVEYARD = -1
@@ -92,15 +92,10 @@ def _counter_words(keys: np.ndarray, first, width: np.ndarray) -> np.ndarray:
     return _mix64_np(z)
 
 
-def _stream_key(master_seed: int, kind: int, x: int) -> int:
-    h = _mix64((master_seed & _MASK64) ^ _GOLDEN)
-    h = _mix64(h ^ ((kind * _K_KIND + 1) & _MASK64))
-    return _mix64(h ^ ((x * _K_VILLAGE + 1) & _MASK64))
-
-
 def _stream_keys(seeds: np.ndarray, V: int) -> np.ndarray:
-    """Vector twin of _stream_key: row k-1 holds the kind-k keys of every
-    (trial, village) stream t*V + x under the master seeds `seeds` (uint64)."""
+    """Stream keys: row k-1 holds the kind-k keys of every (trial, village)
+    stream t*V + x under the master seeds `seeds` (uint64), each
+    mix(mix(mix(seed ^ golden) ^ (kind * K_KIND + 1)) ^ (x * K_VILLAGE + 1))."""
     kinds = [(kind * _K_KIND + 1) & _MASK64 for kind in (_KIND_AIRPLANE, _KIND_TAXI, _KIND_LANDLORD)]
     h = _mix64_np(seeds ^ _U64_GOLDEN)
     h = _mix64_np(h ^ np.array(kinds, dtype=np.uint64)[:, None])
@@ -228,39 +223,7 @@ class _Cutpoints:
         return self.dest[pos]
 
 
-class _SourceReads:
-    """Prefix and batch reads, built on a source's range and reader methods;
-    a source sets `num_streams` when it is built."""
-
-    trials = 1  # independent trials held, each with one stream per village
-
-    def _check_village(self, x: int) -> None:
-        if not 0 <= x < self.num_streams:
-            raise ValidationError(f"village index {x!r} out of range")
-
-    def airplane_prefix(self, x: int, count: int) -> np.ndarray:
-        """Tickets zeta_{1,x}..zeta_{count,x} as an int64 array."""
-        return self.airplane_range(x, 1, count + 1)
-
-    def taxi_prefix(self, x: int, count: int) -> np.ndarray:
-        """Tickets gamma_{1,x}..gamma_{count,x} as an int64 array."""
-        return self.taxi_range(x, 1, count + 1)
-
-    def landlord_batch(self, x: int, houses: np.ndarray, j) -> np.ndarray:
-        """Notices of many houses of village x at once (uint8 array).
-
-        `j` is one stack index for every house or an array of per-house
-        indices.
-        """
-        self._check_village(x)
-        houses = np.asarray(houses, dtype=np.int64)
-        first = np.broadcast_to(_index_array(j), houses.shape)
-        return self.landlord_reader(np.full(houses.shape, x), houses)(
-            np.arange(houses.size), first, np.ones(houses.size, dtype=np.int64)
-        )
-
-
-class StackSource(_SourceReads):
+class StackSource:
     """All three instruction families for one (seed, params, n) triple.
 
     The source holds only per-village constants (stream keys, the kernel's
@@ -308,6 +271,10 @@ class StackSource(_SourceReads):
         x, j_start, lengths = _check_ranges(x, j_start, j_stop, self.num_streams)
         return x, lengths, _counter_words(keys[x], j_start, lengths)
 
+    def _check_village(self, x: int) -> None:
+        if not 0 <= x < self.num_streams:
+            raise ValidationError(f"village index {x!r} out of range")
+
     def _check_index(self, j: int) -> None:
         if j < 1:
             raise ValidationError(f"stack index must be >= 1, got {j!r}")
@@ -337,6 +304,10 @@ class StackSource(_SourceReads):
         dest = self._cutpoints(np.repeat(streams % V, lengths), z)
         return np.where(dest == GRAVEYARD, GRAVEYARD, dest + offset)
 
+    def airplane_prefix(self, x: int, count: int) -> np.ndarray:
+        """Tickets zeta_{1,x}..zeta_{count,x} as an int64 array."""
+        return self.airplane_range(x, 1, count + 1)
+
     # -- taxi tickets ----------------------------------------------------------
 
     def taxi(self, x: int, j: int) -> int:
@@ -353,6 +324,10 @@ class StackSource(_SourceReads):
         houses = z.view(np.int64)
         houses += 1
         return houses
+
+    def taxi_prefix(self, x: int, count: int) -> np.ndarray:
+        """Tickets gamma_{1,x}..gamma_{count,x} as an int64 array."""
+        return self.taxi_range(x, 1, count + 1)
 
     # -- landlord notices --------------------------------------------------------
 
@@ -384,6 +359,19 @@ class StackSource(_SourceReads):
 
         return read
 
+    def landlord_batch(self, x: int, houses: np.ndarray, j) -> np.ndarray:
+        """Notices of many houses of village x at once (uint8 array).
+
+        `j` is one stack index for every house or an array of per-house
+        indices.
+        """
+        self._check_village(x)
+        houses = np.asarray(houses, dtype=np.int64)
+        first = np.broadcast_to(_index_array(j), houses.shape)
+        return self.landlord_reader(np.full(houses.shape, x), houses)(
+            np.arange(houses.size), first, np.ones(houses.size, dtype=np.int64)
+        )
+
 
 def _notices(z: np.ndarray, jump_from) -> np.ndarray:
     """Notices of mixed counter words z: JUMP (1) when z >> 11 >= jump_from,
@@ -399,95 +387,3 @@ def _index_array(j) -> np.ndarray:
     if j.size and int(j.min()) < 1:
         raise ValidationError(f"stack index must be >= 1, got {int(j.min())!r}")
     return j
-
-
-class InjectedStackSource(_SourceReads):
-    """A stack source serving hand-written instruction prefixes.
-
-    Built for hand-traced tests: any query past an injected prefix raises
-    StackExhaustedError, unless a fallback source is given, which then
-    serves it.
-    """
-
-    master_seed = None  # hand-written stacks come from no seed
-
-    def __init__(
-        self,
-        params: ModelParams,
-        n: int,
-        airplane: dict[int, list[int]] | None = None,
-        taxi: dict[int, list[int]] | None = None,
-        landlord: dict[tuple[int, int], list[int]] | None = None,
-        fallback: StackSource | None = None,
-    ):
-        self.n = _check_n(n)
-        self.params = params
-        self.fallback = fallback
-        V = self.num_streams = params.num_villages
-        self._air = {int(x): [int(v) for v in seq] for x, seq in (airplane or {}).items()}
-        self._taxi = {int(x): [int(v) for v in seq] for x, seq in (taxi or {}).items()}
-        self._land = {
-            (int(x), int(i)): [int(v) for v in seq] for (x, i), seq in (landlord or {}).items()
-        }
-        for x, seq in self._air.items():
-            if not 0 <= x < V:
-                raise ValidationError(f"injected airplane stack for bad village {x}")
-            for v in seq:
-                if v != GRAVEYARD and not 0 <= v < V:
-                    raise ValidationError(f"injected airplane value {v!r} out of range")
-        for x, seq in self._taxi.items():
-            if not 0 <= x < V:
-                raise ValidationError(f"injected taxi stack for bad village {x}")
-            for v in seq:
-                if not 1 <= v <= self.n:
-                    raise ValidationError(f"injected taxi value {v!r} out of range 1..{self.n}")
-        for (x, i), seq in self._land.items():
-            if not 0 <= x < V or not 1 <= i <= self.n:
-                raise ValidationError(f"injected landlord stack for bad house ({x}, {i})")
-            for v in seq:
-                if v not in (SLEEP, JUMP):
-                    raise ValidationError(f"injected landlord value {v!r} is not SLEEP/JUMP")
-
-    def _lookup(self, seq: list[int] | None, j: int, what: str):
-        """Injected value at index j, or None to signal fallback delegation."""
-        if j < 1:
-            raise ValidationError(f"stack index must be >= 1, got {j!r}")
-        if seq is not None and j <= len(seq):
-            return seq[j - 1]
-        if self.fallback is not None:
-            return None
-        raise StackExhaustedError(f"{what} queried at index {j} beyond injected prefix")
-
-    def airplane(self, x: int, j: int) -> int:
-        got = self._lookup(self._air.get(x), j, f"airplane stack of village {x}")
-        return self.fallback.airplane(x, j) if got is None else got
-
-    def taxi(self, x: int, j: int) -> int:
-        got = self._lookup(self._taxi.get(x), j, f"taxi stack of village {x}")
-        return self.fallback.taxi(x, j) if got is None else got
-
-    def landlord(self, x: int, i: int, j: int) -> int:
-        got = self._lookup(self._land.get((x, i)), j, f"landlord stack of house ({x}, {i})")
-        return self.fallback.landlord(x, i, j) if got is None else got
-
-    def _read_ranges(self, scalar, x, j_start, j_stop) -> np.ndarray:
-        ranges = zip(*(a.tolist() for a in _check_ranges(x, j_start, j_stop, self.num_streams)))
-        return np.array([scalar(v, j) for v, a, k in ranges for j in range(a, a + k)], dtype=np.int64)
-
-    def airplane_range(self, x, j_start, j_stop) -> np.ndarray:
-        return self._read_ranges(self.airplane, x, j_start, j_stop)
-
-    def taxi_range(self, x, j_start, j_stop) -> np.ndarray:
-        return self._read_ranges(self.taxi, x, j_start, j_stop)
-
-    def landlord_reader(self, villages: np.ndarray, houses: np.ndarray):
-        xs = np.asarray(villages).tolist()
-        hs = np.asarray(houses).tolist()
-
-        def read(pos: np.ndarray, first: np.ndarray, width: np.ndarray) -> np.ndarray:
-            blocks = zip(pos.tolist(), first.tolist(), width.tolist())
-            return np.array(
-                [self.landlord(xs[k], hs[k], j) for k, a, w in blocks for j in range(a, a + w)], dtype=np.uint8
-            )
-
-        return read

@@ -1,10 +1,15 @@
-"""Scalar toppling oracle for the round-based stabilizer.
+"""Test tools: the scalar toppling oracle, hand-written stacks, and scalar
+twins of stack and simulator formulas.
 
 `reference_stabilize` topples one landlord notice at a time from a schedule
 of active houses, reading every instruction through the scalar
 `src.airplane`/`taxi`/`landlord`, one entry at a time.  By the abelian
 property every schedule consumes the same stack prefixes and gives the same
 result as `varw.stabilize`; the tests check that on shared stacks.
+
+`InjectedStackSource` serves hand-written stack prefixes through the reads
+the round engine makes, so hand-traced runs and strict prefix checks go
+through `varw.stabilize` and `varw.single_loop` unchanged.
 """
 
 from __future__ import annotations
@@ -14,9 +19,10 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from varw import GRAVEYARD, SLEEP, StepCapError
+from varw import GRAVEYARD, JUMP, SLEEP, ModelParams, StackSource, StepCapError, ValidationError, VarwError
 from varw.model import floor_counts
 from varw.simulator import DEFAULT_STEP_CAP, ConsumedCounters, DiscreteConfig, SimResult
+from varw.stacks import _GOLDEN, _K_KIND, _K_VILLAGE, _MASK64, _check_n, _check_ranges, _mix64
 
 SCHEDULES = ("fifo-house-queue", "village-round-robin", "lowest-index-first")
 
@@ -192,3 +198,128 @@ def reference_stabilize(params, n: int, src, schedule: str, step_cap: int = DEFA
         ),
         final_config=final,
     )
+
+
+def reference_runs(params, n: int, seed: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """(M*, S*) of `reference_stabilize` under every schedule, each on a
+    fresh `StackSource` of the seed."""
+    runs = {}
+    for schedule in SCHEDULES:
+        sim = reference_stabilize(params, n, StackSource(params, n, seed), schedule)
+        runs[schedule] = (sim.M_star, sim.S_star)
+    return runs
+
+
+class StackExhaustedError(VarwError):
+    """A strict injected stack was queried beyond its explicit prefix."""
+
+
+class InjectedStackSource:
+    """A stack source serving hand-written instruction prefixes.
+
+    It has the reads the round engine and the oracle make: the scalar
+    `airplane`, `taxi` and `landlord`, the range reads and the landlord
+    reader.  Any query past an injected prefix raises StackExhaustedError,
+    unless a fallback source is given, which then serves it.
+    """
+
+    master_seed = None  # hand-written stacks come from no seed
+    trials = 1
+
+    def __init__(
+        self,
+        params: ModelParams,
+        n: int,
+        airplane: dict[int, list[int]] | None = None,
+        taxi: dict[int, list[int]] | None = None,
+        landlord: dict[tuple[int, int], list[int]] | None = None,
+        fallback: StackSource | None = None,
+    ):
+        self.n = _check_n(n)
+        self.params = params
+        self.fallback = fallback
+        V = self.num_streams = params.num_villages
+        self._air = {int(x): [int(v) for v in seq] for x, seq in (airplane or {}).items()}
+        self._taxi = {int(x): [int(v) for v in seq] for x, seq in (taxi or {}).items()}
+        self._land = {
+            (int(x), int(i)): [int(v) for v in seq] for (x, i), seq in (landlord or {}).items()
+        }
+        for x, seq in self._air.items():
+            if not 0 <= x < V:
+                raise ValidationError(f"injected airplane stack for bad village {x}")
+            for v in seq:
+                if v != GRAVEYARD and not 0 <= v < V:
+                    raise ValidationError(f"injected airplane value {v!r} out of range")
+        for x, seq in self._taxi.items():
+            if not 0 <= x < V:
+                raise ValidationError(f"injected taxi stack for bad village {x}")
+            for v in seq:
+                if not 1 <= v <= self.n:
+                    raise ValidationError(f"injected taxi value {v!r} out of range 1..{self.n}")
+        for (x, i), seq in self._land.items():
+            if not 0 <= x < V or not 1 <= i <= self.n:
+                raise ValidationError(f"injected landlord stack for bad house ({x}, {i})")
+            for v in seq:
+                if v not in (SLEEP, JUMP):
+                    raise ValidationError(f"injected landlord value {v!r} is not SLEEP/JUMP")
+
+    def _lookup(self, seq: list[int] | None, j: int, what: str):
+        """Injected value at index j, or None to signal fallback delegation."""
+        if j < 1:
+            raise ValidationError(f"stack index must be >= 1, got {j!r}")
+        if seq is not None and j <= len(seq):
+            return seq[j - 1]
+        if self.fallback is not None:
+            return None
+        raise StackExhaustedError(f"{what} queried at index {j} beyond injected prefix")
+
+    def airplane(self, x: int, j: int) -> int:
+        got = self._lookup(self._air.get(x), j, f"airplane stack of village {x}")
+        return self.fallback.airplane(x, j) if got is None else got
+
+    def taxi(self, x: int, j: int) -> int:
+        got = self._lookup(self._taxi.get(x), j, f"taxi stack of village {x}")
+        return self.fallback.taxi(x, j) if got is None else got
+
+    def landlord(self, x: int, i: int, j: int) -> int:
+        got = self._lookup(self._land.get((x, i)), j, f"landlord stack of house ({x}, {i})")
+        return self.fallback.landlord(x, i, j) if got is None else got
+
+    def _read_ranges(self, scalar, x, j_start, j_stop) -> np.ndarray:
+        ranges = zip(*(a.tolist() for a in _check_ranges(x, j_start, j_stop, self.num_streams)))
+        return np.array([scalar(v, j) for v, a, k in ranges for j in range(a, a + k)], dtype=np.int64)
+
+    def airplane_range(self, x, j_start, j_stop) -> np.ndarray:
+        return self._read_ranges(self.airplane, x, j_start, j_stop)
+
+    def taxi_range(self, x, j_start, j_stop) -> np.ndarray:
+        return self._read_ranges(self.taxi, x, j_start, j_stop)
+
+    def landlord_reader(self, villages: np.ndarray, houses: np.ndarray):
+        xs = np.asarray(villages).tolist()
+        hs = np.asarray(houses).tolist()
+
+        def read(pos: np.ndarray, first: np.ndarray, width: np.ndarray) -> np.ndarray:
+            blocks = zip(pos.tolist(), first.tolist(), width.tolist())
+            return np.array(
+                [self.landlord(xs[k], hs[k], j) for k, a, w in blocks for j in range(a, a + w)], dtype=np.uint8
+            )
+
+        return read
+
+
+def _stream_key(master_seed: int, kind: int, x: int) -> int:
+    """Key of the kind-`kind` stack of village x under `master_seed`, one
+    scalar mix at a time: the scalar twin of `varw.stacks._stream_keys`."""
+    h = _mix64((master_seed & _MASK64) ^ _GOLDEN)
+    h = _mix64(h ^ ((kind * _K_KIND + 1) & _MASK64))
+    return _mix64(h ^ ((x * _K_VILLAGE + 1) & _MASK64))
+
+
+def expected_outflux_given_influx(params: ModelParams, x: int, n: int, u: int) -> float:
+    """Exact conditional mean of the single-loop outflux of village x given
+    that u particles arrived there."""
+    lam = float(params.sleep_rates[x])
+    sc = float(floor_counts(params.init_sleepers, n)[x])
+    visited_frac = 1.0 - (1.0 - 1.0 / n) ** u
+    return n * (sc / n - lam / (1.0 + lam)) * visited_frac + u

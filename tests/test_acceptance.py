@@ -5,13 +5,16 @@ PASS/FAIL lines and timings.  Every battery is seeded and deterministic.
 """
 
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 from time import perf_counter
 
 import numpy as np
 import pytest
 
 from helpers import one_village_params, random_subcritical_params, two_village_params
-from reference import SCHEDULES, reference_stabilize
+from reference import SCHEDULES, expected_outflux_given_influx, reference_runs
 
 from varw import (
     ConcentrationConfig,
@@ -31,7 +34,6 @@ from varw import (
     stabilize,
 )
 from varw.model import ModelParams, floor_counts
-from varw.simulator import expected_outflux_given_influx
 
 BATTERY_N_VALUES = (100, 1000, 10000)
 BATTERY_SEEDS = 10
@@ -46,7 +48,8 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 def battery():
     """Shared run battery for criteria 1-3: the default instance plus five
     random valid instances, three n values, ten seeds, and the three scalar
-    toppling schedules of the reference oracle."""
+    toppling schedules of the reference oracle.  The oracle runs go to at
+    most two worker processes while this process runs the stabilizer."""
     rng = np.random.default_rng(987654321)
     instances = [two_village_params()] + [
         random_subcritical_params(
@@ -59,37 +62,41 @@ def battery():
         )
         for _ in range(5)
     ]
+    cases = [
+        (inst_id, params, n, derive_seed(1000 + inst_id, n, k))
+        for inst_id, params in enumerate(instances)
+        for n in BATTERY_N_VALUES
+        for k in range(BATTERY_SEEDS)
+    ]
     runs = []
     fifo_seconds = 0.0
-    for inst_id, params in enumerate(instances):
-        floor_sigma = {n: floor_counts(params.init_sleepers, n) for n in BATTERY_N_VALUES}
-        for n in BATTERY_N_VALUES:
-            for k in range(BATTERY_SEEDS):
-                seed = derive_seed(1000 + inst_id, n, k)
-                t0 = perf_counter()
-                src = StackSource(params, n, seed)
-                sim = stabilize(params, n, src)
-                loop = single_loop(params, n, src, sim.M_star)
-                fifo_seconds += perf_counter() - t0
-                alt = {}
-                for schedule in SCHEDULES:
-                    alt_src = StackSource(params, n, seed)
-                    alt_sim = reference_stabilize(params, n, alt_src, schedule)
-                    alt[schedule] = (alt_sim.M_star, alt_sim.S_star)
-                runs.append(
-                    {
-                        "instance": inst_id,
-                        "n": n,
-                        "seed": seed,
-                        "floor_sigma": floor_sigma[n],
-                        "M_star": sim.M_star,
-                        "S_star": sim.S_star,
-                        "inflow": sim.inflow,
-                        "Phi": loop.Phi,
-                        "S_loop": loop.S,
-                        "alt": alt,
-                    }
-                )
+    workers = min(2, os.cpu_count() or 1)
+    # Spawned workers start from a fresh import; a fork would copy this
+    # process mid-run, with whatever threads its libraries have started.
+    with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+        _, params_of, n_of, seed_of = zip(*cases)
+        alts = pool.map(reference_runs, params_of, n_of, seed_of)  # submits every case now
+        for inst_id, params, n, seed in cases:
+            t0 = perf_counter()
+            src = StackSource(params, n, seed)
+            sim = stabilize(params, n, src)
+            loop = single_loop(params, n, src, sim.M_star)
+            fifo_seconds += perf_counter() - t0
+            runs.append(
+                {
+                    "instance": inst_id,
+                    "n": n,
+                    "seed": seed,
+                    "floor_sigma": floor_counts(params.init_sleepers, n),
+                    "M_star": sim.M_star,
+                    "S_star": sim.S_star,
+                    "inflow": sim.inflow,
+                    "Phi": loop.Phi,
+                    "S_loop": loop.S,
+                }
+            )
+        for run, alt in zip(runs, alts):
+            run["alt"] = alt
     return {"runs": runs, "fifo_seconds": fifo_seconds}
 
 

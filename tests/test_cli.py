@@ -9,7 +9,15 @@ import pytest
 from helpers import two_village_params
 
 import varw
-from varw import StepCapError, compute_spectral, solve_fixed_point
+from varw import (
+    AcceptanceCheckError,
+    InputSizeError,
+    IterationCapError,
+    StepCapError,
+    ValidationError,
+    compute_spectral,
+    solve_fixed_point,
+)
 from varw.cli import main
 
 
@@ -207,6 +215,16 @@ def test_lln_default_seeds_are_printed(capsys, model_file, tmp_path, monkeypatch
     assert "seeds: 12345,12346,12347" in out
 
 
+def test_lln_rejects_repeated_n(capsys, model_file, tmp_path):
+    code, _, err = run_cli(
+        capsys, "lln", "--model", model_file, "--n", "50", "--n", "50",
+        "--seeds", "1,2", "--out", str(tmp_path / "o"),
+    )
+    assert code == 1
+    assert err.startswith("error: ") and "n=50 is given more than once" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_concentration_subcommand(capsys, model_file, tmp_path):
     code, out, _ = run_cli(
         capsys, "concentration", "--model", model_file, "--n", "40", "--M", "20,10",
@@ -272,6 +290,34 @@ def test_batched_trial_mismatch_exit_code(capsys, model_file, tmp_path, monkeypa
     assert code == 3
     assert f"invariant failure: {argv[0]}: " in err
     assert "n=40, seed=2, trial 0, village 1: Phi=" in err
+
+
+# The exit code the module docstring of varw.cli documents for each error class.
+EXIT_CODES = {
+    ValidationError: 1,
+    IterationCapError: 2,
+    StepCapError: 2,
+    InputSizeError: 2,
+    AcceptanceCheckError: 3,
+}
+
+
+@pytest.mark.parametrize(
+    "error",
+    [cls for cls in varw.VarwError.__subclasses__() if cls.__module__.split(".")[0] == "varw"],
+    ids=lambda cls: cls.__name__,
+)
+def test_every_error_class_has_its_exit_code(capsys, model_file, monkeypatch, error):
+    import varw.cli as cli_mod
+
+    def bomb(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(cli_mod, "compute_spectral", bomb)
+    code, out, err = run_cli(capsys, "spectral", "--model", model_file)
+    assert code == EXIT_CODES[error]
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith(": boom\n")  # one line, no traceback
 
 
 @pytest.mark.parametrize(

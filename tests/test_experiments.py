@@ -292,6 +292,21 @@ def test_experiments_reject_non_integer_n_and_seeds(call):
         call(two_village_params())
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: run_concentration(
+            ConcentrationConfig(params=p, n=10, M=np.array([3, 3]), a=0.1, trials=10.5)
+        ),
+        lambda p: run_kappa_equivalence(p, 50, [20, 20], trials=10.5),
+    ],
+    ids=["concentration", "kappa"],
+)
+def test_experiments_reject_non_integer_trials(call):
+    with pytest.raises(ValidationError, match=r"trials must be an integer, got 10\.5"):
+        call(two_village_params())
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.integers(-30, 30), min_size=1, max_size=400),

@@ -7,16 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import one_village_params, random_subcritical_params, two_village_params
-from reference import SCHEDULES, reference_init_config, reference_stabilize
+from reference import (
+    SCHEDULES,
+    InjectedStackSource,
+    StackExhaustedError,
+    expected_outflux_given_influx,
+    reference_init_config,
+    reference_stabilize,
+)
 
 from varw import (
     AcceptanceCheckError,
     GRAVEYARD,
     JUMP,
     SLEEP,
-    InjectedStackSource,
     ModelParams,
-    StackExhaustedError,
     StackSource,
     StepCapError,
     ValidationError,
@@ -27,7 +32,6 @@ from varw import (
 )
 from varw.model import floor_counts
 import varw.simulator as simulator_mod
-from varw.simulator import expected_outflux_given_influx
 
 
 def test_init_config_all_sleepers_is_stable():
@@ -630,7 +634,7 @@ def test_stabilize_invariant_errors_name_n_and_seed(monkeypatch, breaker, messag
     src = StackSource(params, 10, 3)
     runs = [
         (src, r"n=10, seed=3"),
-        (InjectedStackSource(params, 10, fallback=src), r"n=10, no seed \(injected stacks\)"),
+        (InjectedStackSource(params, 10, fallback=src), r"n=10, seed=None"),
     ]
     for source, run in runs:
         breaker(monkeypatch)

@@ -5,21 +5,20 @@ from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
 from helpers import one_village_params, two_village_params
+from reference import InjectedStackSource, StackExhaustedError, _stream_key
 
 from varw import (
     GRAVEYARD,
     JUMP,
     SLEEP,
-    InjectedStackSource,
     ModelParams,
     StackSource,
-    StackExhaustedError,
     ValidationError,
     derive_seed,
     derive_seeds,
     single_loop_trials,
 )
-from varw.stacks import _Cutpoints, _notices, _seed_words, _stream_key, _stream_keys
+from varw.stacks import _Cutpoints, _notices, _seed_words, _stream_keys
 
 
 def test_airplane_zero_row_always_graveyard():
@@ -224,10 +223,10 @@ def test_array_index_landlord_batch_matches_scalar_on_both_sources():
     want_blocks = [src.landlord(1, int(houses[k]), int(a + d)) for k, a, w in zip(*blocks) for d in range(w)]
     for source in (src, inj):
         assert source.landlord_reader(np.full(houses.size, 1), houses)(*blocks).tolist() == want_blocks
-        assert source.landlord_batch(1, houses, j).tolist() == want
-        assert source.landlord_batch(1, houses, 2).tolist() == [src.landlord(1, int(i), 2) for i in houses]
-        with pytest.raises(ValidationError):
-            source.landlord_batch(1, houses, j - 1)
+    assert src.landlord_batch(1, houses, j).tolist() == want
+    assert src.landlord_batch(1, houses, 2).tolist() == [src.landlord(1, int(i), 2) for i in houses]
+    with pytest.raises(ValidationError):
+        src.landlord_batch(1, houses, j - 1)
 
 
 @st.composite
