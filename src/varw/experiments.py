@@ -30,7 +30,7 @@ from .simulator import (
     single_loop_trials,
     stabilize,
 )
-from .stacks import StackSource, _as_int, _check_n, derive_seeds
+from .stacks import StackSource, _as_int, _check_count, derive_seeds
 
 LLN_ROWS_HEADER = "experiment,n,seed,village,m_n,s_n,m_limit,s_limit,err_m_inf,err_s_inf,err_m_eta"
 LLN_SUMMARY_HEADER = "n,metric,median,p90,runs"
@@ -148,7 +148,7 @@ def run_lln(config: LLNConfig, out_dir=None) -> LLNReport:
         raise ValidationError("seeds must be nonempty")
     V = params.num_villages
 
-    n_values = [_check_n(n) for n in config.n_values]
+    n_values = [_check_count(n, "n") for n in config.n_values]
     repeated = [n for k, n in enumerate(n_values) if n in n_values[:k]]
     if repeated:
         raise ValidationError(f"n_values must be distinct, but n={repeated[0]} is given more than once")
@@ -276,12 +276,10 @@ def run_concentration(config: ConcentrationConfig, out_path=None) -> Concentrati
     than three binomial standard errors.
     """
     params = validate_model(config.params)
-    n = _check_n(config.n)
+    n = _check_count(config.n, "n")
     if not config.a > 0:
         raise ValidationError(f"a must be positive, got {config.a!r}")
-    trials = _as_int(config.trials, "trials")
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    trials = _check_count(config.trials, "trials")
     M = _check_odometer(config.M, params.num_villages)
     m_scaled = M / n
     s_limit = sleep_profile(params, m_scaled)
@@ -398,10 +396,8 @@ def run_kappa_equivalence(
     and its resampled variant, then the per-village marginal samples are
     compared with a pooled two-sample chi-square.
     """
-    trials = _as_int(trials, "trials")
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
-    n = _check_n(n)
+    trials = _check_count(trials, "trials")
+    n = _check_count(n, "n")
     M = _check_odometer(M, params.num_villages)
     V = params.num_villages
     seeds = derive_seeds(seed, 1, np.arange(trials))

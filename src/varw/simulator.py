@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AcceptanceCheckError, StepCapError, ValidationError
+from .errors import AcceptanceCheckError, InputSizeError, StepCapError, ValidationError
 from .model import ModelParams, floor_counts
 from .model import validate_model  # noqa: F401  patched here by perfbench/traced.py
-from .stacks import GRAVEYARD, StackSource, _as_int, _check_n, _seed_words
+from .stacks import GRAVEYARD, StackSource, _as_int, _check_count, _seed_words
 
 DEFAULT_STEP_CAP = 10**9
 _SCAN_SLICE = 1 << 16  # houses per block of landlord reads
@@ -187,6 +187,7 @@ class _LoopEngine:
         self.floor_sigma = np.tile(floor_counts(params.init_sleepers, n), src.trials)
         self.floor_nu = np.tile(floor_counts(params.init_actives, n), src.trials)
         S = self.floor_sigma.size
+        _check_count(S * n, "houses in all streams")
         self.M = np.zeros(S, dtype=np.int64)
         self.I = self.floor_nu.copy()
         self.A = np.zeros(S, dtype=np.int64)
@@ -297,6 +298,8 @@ def _check_odometer(M, size: int) -> np.ndarray:
             raise ValidationError("M must be integer-valued")
     elif not np.issubdtype(M.dtype, np.integer):
         raise ValidationError(f"M must be an integer vector, got dtype {M.dtype}")
+    if (big := M[np.abs(M) >= 2**63]).size:
+        raise InputSizeError(f"M value {big[0].item()} does not fit in a 64-bit integer")
     M = M.astype(np.int64)
     if np.any(M < 0):
         raise ValidationError("M must be componentwise >= 0")
@@ -372,7 +375,7 @@ def single_loop_trials(params: ModelParams, n: int, seeds, M, aux_seeds=None) ->
     chunks of about _TRIAL_HOUSES houses, each chunk as the streams of one
     engine, so memory stays bounded.
     """
-    n = _check_n(n)
+    n = _check_count(n, "n")
     M = _check_odometer(M, params.num_villages)
     seeds = _seed_words(seeds)
     T, V = seeds.size, params.num_villages

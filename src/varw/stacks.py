@@ -3,9 +3,9 @@
 Every instruction is a pure function of (master_seed, stack identity, index),
 computed with a splitmix64-style counter generator.  Sources keep no record
 of what was read: every entry is computed on demand from its counter, so
-reads are query-order independent and may repeat.  The stabilization loop
-can consume a stack one entry at a time while the single-loop evaluator
-re-reads the same prefixes in bulk, and both see bitwise-identical values.
+reads are query-order independent and may repeat: the stabilization rounds
+and the single-loop evaluator read the same prefixes, through the range reads
+and the landlord reader, and see bitwise-identical values.
 This shared-randomness coupling is what turns the stabilizing odometer into
 an exact fixed point of the single-loop map, per run, not just in law.
 
@@ -20,12 +20,10 @@ Stack identities and distributions:
 from __future__ import annotations
 
 import operator
-from bisect import bisect_right
-from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import InputSizeError, ValidationError
 from .model import ModelParams
 
 GRAVEYARD = -1
@@ -40,10 +38,6 @@ _K_KIND = 0xC2B2AE3D27D4EB4F
 _K_VILLAGE = 0xFF51AFD7ED558CCD
 _K_HOUSE = 0xD6E8FEB86659FD93
 
-_KIND_AIRPLANE = 1
-_KIND_TAXI = 2
-_KIND_LANDLORD = 3
-
 _U64_GOLDEN = np.uint64(_GOLDEN)
 _U64_C1 = np.uint64(_MIX_C1)
 _U64_C2 = np.uint64(_MIX_C2)
@@ -54,21 +48,13 @@ _U64_11 = np.uint64(11)
 _U64_27 = np.uint64(27)
 _U64_30 = np.uint64(30)
 _U64_31 = np.uint64(31)
-_TO_UNIT = 2.0**-53
 _NEVER = np.uint64(_MASK64)  # a cut no 53-bit uniform reaches
-
-
-def _mix64(z: int) -> int:
-    """Scalar splitmix64 finalizer over Python ints (mod 2^64)."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * _MIX_C1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX_C2) & _MASK64
-    return z ^ (z >> 31)
+_MAX_ENTRIES = 1 << 60  # no array of this many 8-byte entries fits in a 64-bit address space
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
-    """Vectorized twin of _mix64; identical output for identical inputs.
-    Mixes the uint64 array z in place and returns it."""
+    """The splitmix64 finalizer, mod 2^64: mixes the uint64 array z in place
+    and returns it."""
     t = z >> _U64_30
     z ^= t
     z *= _U64_C1
@@ -96,7 +82,7 @@ def _stream_keys(seeds: np.ndarray, V: int) -> np.ndarray:
     """Stream keys: row k-1 holds the kind-k keys of every (trial, village)
     stream t*V + x under the master seeds `seeds` (uint64), each
     mix(mix(mix(seed ^ golden) ^ (kind * K_KIND + 1)) ^ (x * K_VILLAGE + 1))."""
-    kinds = [(kind * _K_KIND + 1) & _MASK64 for kind in (_KIND_AIRPLANE, _KIND_TAXI, _KIND_LANDLORD)]
+    kinds = [(kind * _K_KIND + 1) & _MASK64 for kind in (1, 2, 3)]  # airplane, taxi, landlord
     h = _mix64_np(seeds ^ _U64_GOLDEN)
     h = _mix64_np(h ^ np.array(kinds, dtype=np.uint64)[:, None])
     x = np.arange(V, dtype=np.uint64) * _U64_K_VILLAGE + _U64_ONE
@@ -105,14 +91,12 @@ def _stream_keys(seeds: np.ndarray, V: int) -> np.ndarray:
 
 def derive_seed(master_seed: int, *components: int) -> int:
     """Stable 64-bit child seed from a master seed and integer components."""
-    h = _mix64((_as_int(master_seed, "seed") & _MASK64) ^ _MIX_C1)
-    for c in components:
-        h = _mix64(h ^ ((_as_int(c, "seed component") * _K_VILLAGE + 1) & _MASK64))
-    return h
+    components = [_as_int(c, "seed component") for c in components]
+    return int(derive_seeds(_as_int(master_seed, "seed"), *components)[0])
 
 
 def derive_seeds(master_seed, *components) -> np.ndarray:
-    """Vector twin of derive_seed.  Every argument is an integer or a 1-d
+    """Child seeds of master seeds and components, each an integer or a 1-d
     integer array; arrays broadcast together.  Returns uint64 seeds."""
     h = _mix64_np(_seed_words(master_seed) ^ _U64_C1)
     for c in components:
@@ -141,31 +125,42 @@ def _as_int(value, what: str) -> int:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from None
 
 
-def _check_n(n) -> int:
-    """Houses per village as a Python int >= 1."""
-    n = _as_int(n, "n")
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n!r}")
-    return n
+def _check_count(value, what: str) -> int:
+    """A count (houses per village, trials) as a Python int in 1.._MAX_ENTRIES-1."""
+    value = _as_int(value, what)
+    if value < 1:
+        raise ValidationError(f"{what} must be >= 1, got {value!r}")
+    if value >= _MAX_ENTRIES:
+        raise InputSizeError(f"{what} = {value} is too large for a 64-bit address space")
+    return value
+
+
+def _int64_vector(values) -> np.ndarray:
+    """An integer or integer array as an int64 array of at least one
+    dimension; a float or an integer past int64 raises ValidationError."""
+    a = np.atleast_1d(np.asarray(values))
+    if a.dtype.kind not in "iu" or (a.dtype.kind == "u" and (a >> np.uint64(63)).any()):
+        raise ValidationError(f"stack reads take integers below 2^63, got {values!r}")
+    return a.astype(np.int64, copy=False)
 
 
 def _check_ranges(x, j_start, j_stop, num_villages: int):
     """The ranges j_start..j_stop-1 of villages x as checked int64 vectors
     (x, j_start, lengths).  x, j_start and j_stop are scalars, read as one
     range, or equal-length vectors."""
-    x, j_start, j_stop = (np.atleast_1d(np.asarray(a, dtype=np.int64)) for a in (x, j_start, j_stop))
+    x, j_start, j_stop = map(_int64_vector, (x, j_start, j_stop))
     if x.ndim != 1 or not x.shape == j_start.shape == j_stop.shape:
         raise ValidationError("villages, starts and stops must be equal-length vectors")
-    bad = x[(x < 0) | (x >= num_villages)]
-    if bad.size:
-        raise ValidationError(f"village index {int(bad[0])!r} out of range")
-    bad = j_start[j_start < 1]
-    if bad.size:
-        raise ValidationError(f"stack index must be >= 1, got {int(bad[0])!r}")
     lengths = j_stop - j_start
-    bad = lengths[lengths < 0]
-    if bad.size:
-        raise ValidationError(f"prefix length must be >= 0, got {int(bad[0])!r}")
+    for bad, message in (
+        (x[(x < 0) | (x >= num_villages)], "village index {} out of range"),
+        (j_start[j_start < 1], "stack index must be >= 1, got {}"),
+        (lengths[lengths < 0], "prefix length must be >= 0, got {}"),
+    ):
+        if bad.size:
+            raise ValidationError(message.format(int(bad[0])))
+    if lengths.sum(dtype=np.float64) >= _MAX_ENTRIES:
+        raise InputSizeError(f"a read of {lengths.sum(dtype=object)} stack entries is too large for a 64-bit address space")
     return x, j_start, lengths
 
 
@@ -239,7 +234,7 @@ class StackSource:
     """
 
     def __init__(self, params: ModelParams, n: int, master_seed):
-        self.n = _check_n(n)
+        self.n = _check_count(n, "n")
         seeds = _seed_words(master_seed)
         if not seeds.size:
             raise ValidationError("master_seed must hold at least one seed")
@@ -249,21 +244,12 @@ class StackSource:
         self.trials = seeds.size
         V = self._V = params.num_villages
         self.num_streams = V * self.trials
-        keys = _stream_keys(seeds, V)
-        self._air_key, self._taxi_key, self._land_key = keys
-        # The same keys as Python ints, for the scalar reads.
-        self._air_ints, self._taxi_ints, self._land_ints = keys.tolist()
+        self._air_key, self._taxi_key, self._land_key = _stream_keys(seeds, V)
         self._cutpoints = _Cutpoints(params.kernel)
         lam = params.sleep_rates
-        self._p_sleep = np.tile(lam / (1.0 + lam), self.trials)
-        # A notice is JUMP when its uniform (z >> 11) * 2^-53 is >= p_sleep,
-        # that is when z >> 11 >= ceil(p_sleep * 2^53); exact for p_sleep 0 and 1.
-        self._jump_from = np.ceil(self._p_sleep * 2.0**53).astype(np.uint64)
-
-    @cached_property
-    def _cdf(self) -> list[list[float]]:
-        """Row CDFs as lists, for the scalar bisect; built on first use."""
-        return np.cumsum(self.params.kernel, axis=1).tolist()
+        # A notice is JUMP when its uniform (z >> 11) * 2^-53 is >= p = lambda/(1+lambda),
+        # that is when z >> 11 >= ceil(p * 2^53); exact also for p 0 and 1.
+        self._jump_from = np.ceil(np.tile(lam / (1.0 + lam), self.trials) * 2.0**53).astype(np.uint64)
 
     def _draws(self, keys: np.ndarray, x, j_start, j_stop):
         """Streams, lengths and uint64 counter words of the ranges (see
@@ -271,24 +257,11 @@ class StackSource:
         x, j_start, lengths = _check_ranges(x, j_start, j_stop, self.num_streams)
         return x, lengths, _counter_words(keys[x], j_start, lengths)
 
-    def _check_village(self, x: int) -> None:
-        if not 0 <= x < self.num_streams:
-            raise ValidationError(f"village index {x!r} out of range")
-
-    def _check_index(self, j: int) -> None:
-        if j < 1:
-            raise ValidationError(f"stack index must be >= 1, got {j!r}")
-
     # -- airplane tickets ------------------------------------------------------
 
     def airplane(self, x: int, j: int) -> int:
         """Destination of the j-th jump ticket of village x (or GRAVEYARD)."""
-        self._check_village(x)
-        self._check_index(j)
-        out = _mix64((self._air_ints[x] + j * _GOLDEN) & _MASK64)
-        V = self._V
-        dest = bisect_right(self._cdf[x % V], (out >> 11) * _TO_UNIT)
-        return GRAVEYARD if dest == V else x - x % V + dest
+        return int(self.airplane_range(x, j, j + 1)[0])
 
     def airplane_range(self, x, j_start, j_stop) -> np.ndarray:
         """Tickets zeta_{j_start,x}..zeta_{j_stop-1,x} as an int64 array.
@@ -297,8 +270,6 @@ class StackSource:
         of all villages, one village after another.
         """
         streams, lengths, z = self._draws(self._air_key, x, j_start, j_stop)
-        if self.trials == 1:
-            return self._cutpoints(np.repeat(streams, lengths), z)
         V = self._V
         offset = np.repeat(streams - streams % V, lengths)  # trial offset t*V
         dest = self._cutpoints(np.repeat(streams % V, lengths), z)
@@ -312,9 +283,7 @@ class StackSource:
 
     def taxi(self, x: int, j: int) -> int:
         """House chosen by the j-th taxi ticket of village x, in {1..n}."""
-        self._check_village(x)
-        self._check_index(j)
-        return _mix64((self._taxi_ints[x] + j * _GOLDEN) & _MASK64) % self.n + 1
+        return int(self.taxi_range(x, j, j + 1)[0])
 
     def taxi_range(self, x, j_start, j_stop) -> np.ndarray:
         """Tickets gamma_{j_start,x}..gamma_{j_stop-1,x} as an int64 array,
@@ -333,13 +302,7 @@ class StackSource:
 
     def landlord(self, x: int, i: int, j: int) -> int:
         """The j-th notice of house (x, i): SLEEP or JUMP."""
-        self._check_village(x)
-        self._check_index(j)
-        if not 1 <= i <= self.n:
-            raise ValidationError(f"house index {i!r} out of range 1..{self.n}")
-        key = _mix64(self._land_ints[x] ^ ((i * _K_HOUSE + 1) & _MASK64))
-        out = _mix64((key + j * _GOLDEN) & _MASK64)
-        return SLEEP if (out >> 11) * _TO_UNIT < self._p_sleep[x] else JUMP
+        return int(self.landlord_batch(x, [i], j)[0])
 
     def landlord_reader(self, villages: np.ndarray, houses: np.ndarray):
         """Notice reader for the fixed house list (villages[k], houses[k]).
@@ -365,12 +328,13 @@ class StackSource:
         `j` is one stack index for every house or an array of per-house
         indices.
         """
-        self._check_village(x)
-        houses = np.asarray(houses, dtype=np.int64)
-        first = np.broadcast_to(_index_array(j), houses.shape)
-        return self.landlord_reader(np.full(houses.shape, x), houses)(
-            np.arange(houses.size), first, np.ones(houses.size, dtype=np.int64)
-        )
+        houses = _int64_vector(houses)
+        bad = houses[(houses < 1) | (houses > self.n)]
+        if bad.size:
+            raise ValidationError(f"house index {int(bad[0])!r} out of range 1..{self.n}")
+        x, first = np.broadcast_arrays(x, j, houses)[:2]
+        x, first, _ = _check_ranges(x, first, first, self.num_streams)
+        return self.landlord_reader(x, houses)(np.arange(houses.size), first, np.ones(houses.size, dtype=np.int64))
 
 
 def _notices(z: np.ndarray, jump_from) -> np.ndarray:
@@ -378,12 +342,3 @@ def _notices(z: np.ndarray, jump_from) -> np.ndarray:
     else SLEEP (0).  Shifts z in place."""
     z >>= _U64_11
     return (z >= jump_from).view(np.uint8)
-
-
-def _index_array(j) -> np.ndarray:
-    """Stack indices `j` as a 1-d int64 array, each checked >= 1; a single
-    index becomes an array of length one, which broadcasts over houses."""
-    j = np.atleast_1d(np.asarray(j, dtype=np.int64))
-    if j.size and int(j.min()) < 1:
-        raise ValidationError(f"stack index must be >= 1, got {int(j.min())!r}")
-    return j

@@ -1,11 +1,17 @@
 """Test tools: the scalar toppling oracle, hand-written stacks, and scalar
 twins of stack and simulator formulas.
 
+`ScalarStacks` is a second implementation of the frozen stream contract,
+(seed, stack identity, index) -> value, over Python ints, one entry at a
+time, written from the contract's constants.  It shares no code with the
+vector reads of `varw.StackSource` that it is checked against.
+
 `reference_stabilize` topples one landlord notice at a time from a schedule
-of active houses, reading every instruction through the scalar
-`src.airplane`/`taxi`/`landlord`, one entry at a time.  By the abelian
-property every schedule consumes the same stack prefixes and gives the same
-result as `varw.stabilize`; the tests check that on shared stacks.
+of active houses, reading every instruction through scalar `airplane`,
+`taxi` and `landlord` reads, one entry at a time: those of `ScalarStacks`
+for a `StackSource`.  By the abelian property every schedule consumes the
+same stack prefixes and gives the same result as `varw.stabilize`; the
+tests check that on shared stacks.
 
 `InjectedStackSource` serves hand-written stack prefixes through the reads
 the round engine makes, so hand-traced runs and strict prefix checks go
@@ -14,15 +20,27 @@ through `varw.stabilize` and `varw.single_loop` unchanged.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from heapq import heappop, heappush
+from itertools import accumulate
 
 import numpy as np
 
 from varw import GRAVEYARD, JUMP, SLEEP, ModelParams, StackSource, StepCapError, ValidationError, VarwError
 from varw.model import floor_counts
 from varw.simulator import DEFAULT_STEP_CAP, ConsumedCounters, DiscreteConfig, SimResult
-from varw.stacks import _GOLDEN, _K_KIND, _K_VILLAGE, _MASK64, _check_n, _check_ranges, _mix64
+from varw.stacks import (
+    _GOLDEN,
+    _K_HOUSE,
+    _K_KIND,
+    _K_VILLAGE,
+    _MASK64,
+    _MIX_C1,
+    _MIX_C2,
+    _check_count,
+    _check_ranges,
+)
 
 SCHEDULES = ("fifo-house-queue", "village-round-robin", "lowest-index-first")
 
@@ -90,10 +108,79 @@ def _make_schedule(schedule: str, V: int, n: int):
     raise ValueError(f"unknown schedule {schedule!r}; choose one of {SCHEDULES}")
 
 
+def _mix64(z: int) -> int:
+    """The splitmix64 finalizer over Python ints (mod 2^64)."""
+    z &= _MASK64
+    z = ((z ^ (z >> 30)) * _MIX_C1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX_C2) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _stream_key(master_seed: int, kind: int, x: int) -> int:
+    """Key of the kind-`kind` stack (1 airplane, 2 taxi, 3 landlord) of
+    village x under `master_seed`, one scalar mix at a time."""
+    h = _mix64((master_seed & _MASK64) ^ _GOLDEN)
+    h = _mix64(h ^ ((kind * _K_KIND + 1) & _MASK64))
+    return _mix64(h ^ ((x * _K_VILLAGE + 1) & _MASK64))
+
+
+def _derive_seed(master_seed: int, *components: int) -> int:
+    """Child seed of a master seed and integer components, one scalar mix at
+    a time: the twin of `varw.derive_seed`."""
+    h = _mix64((master_seed & _MASK64) ^ _MIX_C1)
+    for c in components:
+        h = _mix64(h ^ ((c * _K_VILLAGE + 1) & _MASK64))
+    return h
+
+
+class ScalarStacks:
+    """The entries of a `StackSource`, read one at a time over Python ints.
+
+    Entry j of the stream with key k has the counter word
+    z = mix(k + j * golden) and the uniform u = (z >> 11) * 2^-53.  An
+    airplane ticket of stream s = t*V + x is the number of entries of row x's
+    CDF that are <= u, or GRAVEYARD when all V are, offset by t*V; a taxi
+    ticket is z % n + 1; the notice of house i is SLEEP when the u of its
+    key mix(k ^ (i * K_HOUSE + 1)) is below lambda_x/(1+lambda_x).
+    """
+
+    def __init__(self, src: StackSource):
+        params, self.n = src.params, src.n
+        V = self._V = params.num_villages
+        seeds = [src.master_seed] if np.ndim(src.master_seed) == 0 else list(src.master_seed)
+        self._keys = [[_stream_key(seed, kind, x) for seed in seeds for x in range(V)] for kind in (1, 2, 3)]
+        self._cdf = [list(accumulate(row)) for row in params.kernel.tolist()]
+        self._p_sleep = [lam / (1.0 + lam) for lam in params.sleep_rates.tolist()]
+
+    def _word(self, kind: int, s: int, j: int) -> int:
+        return _mix64(self._keys[kind - 1][s] + j * _GOLDEN)
+
+    def airplane(self, s: int, j: int) -> int:
+        V = self._V
+        dest = bisect_right(self._cdf[s % V], (self._word(1, s, j) >> 11) * 2.0**-53)
+        return GRAVEYARD if dest == V else s - s % V + dest
+
+    def taxi(self, s: int, j: int) -> int:
+        return self._word(2, s, j) % self.n + 1
+
+    def landlord(self, s: int, i: int, j: int) -> int:
+        key = _mix64(self._keys[2][s] ^ ((i * _K_HOUSE + 1) & _MASK64))
+        u = (_mix64(key + j * _GOLDEN) >> 11) * 2.0**-53
+        return SLEEP if u < self._p_sleep[s % self._V] else JUMP
+
+
+def scalar_reads(src):
+    """The scalar reads the oracle makes on `src`: `ScalarStacks` for a
+    `StackSource`, and any other source (hand-written stacks, a recording
+    twin) as it is."""
+    return ScalarStacks(src) if isinstance(src, StackSource) else src
+
+
 def reference_init_config(params, n: int, src) -> DiscreteConfig:
     """Initial configuration, read one scalar taxi ticket at a time: one
     sleeper in each of the first floor(sigma*n) houses, then floor(nu*n)
     immigrants landed by taxi ticket, each waking any sleeper it hits."""
+    src = scalar_reads(src)
     counts, sleeping = [], []
     floor_sigma = floor_counts(params.init_sleepers, n).tolist()
     for x, immigrants in enumerate(floor_counts(params.init_actives, n).tolist()):
@@ -119,6 +206,7 @@ def reference_stabilize(params, n: int, src, schedule: str, step_cap: int = DEFA
     airplane tickets and post-landing taxi tickets) have been executed.
     """
     V = params.num_villages
+    src = scalar_reads(src)
     cfg = reference_init_config(params, n, src)
     # House (x, i) is hid = x*n + i - 1, so hid order is (village, house) order.
     counts = cfg.counts.ravel().tolist()
@@ -220,7 +308,8 @@ class InjectedStackSource:
     It has the reads the round engine and the oracle make: the scalar
     `airplane`, `taxi` and `landlord`, the range reads and the landlord
     reader.  Any query past an injected prefix raises StackExhaustedError,
-    unless a fallback source is given, which then serves it.
+    unless a fallback `StackSource` is given, whose `ScalarStacks` twin then
+    serves it.
     """
 
     master_seed = None  # hand-written stacks come from no seed
@@ -235,9 +324,9 @@ class InjectedStackSource:
         landlord: dict[tuple[int, int], list[int]] | None = None,
         fallback: StackSource | None = None,
     ):
-        self.n = _check_n(n)
+        self.n = _check_count(n, "n")
         self.params = params
-        self.fallback = fallback
+        self.fallback = None if fallback is None else ScalarStacks(fallback)
         V = self.num_streams = params.num_villages
         self._air = {int(x): [int(v) for v in seq] for x, seq in (airplane or {}).items()}
         self._taxi = {int(x): [int(v) for v in seq] for x, seq in (taxi or {}).items()}
@@ -306,14 +395,6 @@ class InjectedStackSource:
             )
 
         return read
-
-
-def _stream_key(master_seed: int, kind: int, x: int) -> int:
-    """Key of the kind-`kind` stack of village x under `master_seed`, one
-    scalar mix at a time: the scalar twin of `varw.stacks._stream_keys`."""
-    h = _mix64((master_seed & _MASK64) ^ _GOLDEN)
-    h = _mix64(h ^ ((kind * _K_KIND + 1) & _MASK64))
-    return _mix64(h ^ ((x * _K_VILLAGE + 1) & _MASK64))
 
 
 def expected_outflux_given_influx(params: ModelParams, x: int, n: int, u: int) -> float:

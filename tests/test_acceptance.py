@@ -23,6 +23,7 @@ from varw import (
     compute_spectral,
     critical_profile,
     derive_seed,
+    derive_seeds,
     eta_norm,
     phi,
     run_concentration,
@@ -326,7 +327,7 @@ def test_criterion_10_conditional_outflux_mean():
     n = 100
     M = np.array([50])
     trials = 20_000
-    res = single_loop_trials(params, n, [derive_seed(161803, t) for t in range(trials)], M)
+    res = single_loop_trials(params, n, derive_seeds(161803, np.arange(trials)), M)
     influx = res.I[:, 0]
     outflux = res.Phi[:, 0]
     retained = 0

@@ -159,6 +159,31 @@ def test_oversized_input_exit_code(capsys, model_file, argv):
     assert "runtime guard: input too large for memory" in err
 
 
+HUGE = str(2**62)  # fits in int64, but no array of that many entries fits in memory
+
+
+@pytest.mark.parametrize(
+    "argv, printed",
+    [
+        (("single-loop", "--n", "10", "--M", f"{HUGE},0"), ""),
+        (("simulate", "--n", HUGE), ""),
+        (("lln", "--n", HUGE, "--num-seeds", "1"), "seeds: 12345\n"),
+        (("concentration", "--n", "10", "--M", "1,1", "--a", "0.1", "--trials", HUGE), "seed: 12345\n"),
+        (("kappa-test", "--n", "10", "--M", "1,1", "--trials", HUGE), "seed: 12345\n"),
+    ],
+    ids=["single-loop-M", "simulate-n", "lln-n", "concentration-trials", "kappa-test-trials"],
+)
+def test_count_beyond_address_space_exit_code(capsys, model_file, tmp_path, monkeypatch, argv, printed):
+    # The guard fires before the allocation that numpy would refuse with a ValueError.
+    monkeypatch.setenv("VARW_THREADS", "1")
+    out_dir = ("--out", str(tmp_path / "o")) if argv[0] in ("lln", "concentration", "kappa-test") else ()
+    code, out, err = run_cli(capsys, argv[0], "--model", model_file, *argv[1:], *out_dir)
+    assert code == 2
+    assert out == printed  # only the seeds, which these commands print before any work
+    assert err.count("\n") == 1 and err.startswith("runtime guard: ")
+    assert "too large for a 64-bit address space" in err
+
+
 def test_simulate_broken_identity_exit_code(capsys, model_file, monkeypatch):
     import varw.cli as cli_mod
     from varw.simulator import SingleLoopResult

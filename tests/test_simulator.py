@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -10,6 +12,7 @@ from helpers import one_village_params, random_subcritical_params, two_village_p
 from reference import (
     SCHEDULES,
     InjectedStackSource,
+    ScalarStacks,
     StackExhaustedError,
     expected_outflux_given_influx,
     reference_init_config,
@@ -19,6 +22,7 @@ from reference import (
 from varw import (
     AcceptanceCheckError,
     GRAVEYARD,
+    InputSizeError,
     JUMP,
     SLEEP,
     ModelParams,
@@ -326,12 +330,12 @@ def test_rounds_stabilizer_matches_scalar_schedules_on_many_villages(case):
         _assert_same_run(sim, reference_stabilize(params, n, StackSource(params, n, seed), schedule))
 
 
-class _RecordingSource(StackSource):
-    """A stack source that records the highest notice index it served per
-    house through scalar `landlord` reads."""
+class _RecordingSource(ScalarStacks):
+    """The scalar reads of a stack source, recording the highest notice index
+    served per house."""
 
     def __init__(self, params, n, seed):
-        super().__init__(params, n, seed)
+        super().__init__(StackSource(params, n, seed))
         self.landlord_high = {}
 
     def landlord(self, x, i, j):
@@ -352,8 +356,8 @@ def _strict_copy(params, n, full, consumed, drop_last_notice=False):
     return InjectedStackSource(
         params,
         n,
-        airplane={x: full.airplane_prefix(x, int(k)).tolist() for x, k in enumerate(consumed.airplane)},
-        taxi={x: full.taxi_prefix(x, int(k)).tolist() for x, k in enumerate(consumed.taxi)},
+        airplane={x: [full.airplane(x, j) for j in range(1, k + 1)] for x, k in enumerate(consumed.airplane.tolist())},
+        taxi={x: [full.taxi(x, j) for j in range(1, k + 1)] for x, k in enumerate(consumed.taxi.tolist())},
         landlord=landlord,
     )
 
@@ -365,6 +369,30 @@ def test_rounds_stabilizer_reads_only_the_scalar_prefixes(case):
     full = _RecordingSource(params, n, seed)
     ref = reference_stabilize(params, n, full, "fifo-house-queue")
     _assert_same_run(stabilize(params, n, _strict_copy(params, n, full, ref.consumed)), ref)
+
+
+@pytest.mark.parametrize(
+    "M, shown",
+    [(np.array([1e19, 0.0]), "1e+19"), (np.array([0.0, -np.inf]), "-inf"), (np.array([2**63, 0], dtype=np.uint64), str(2**63))],
+    ids=["float", "inf", "uint64"],
+)
+def test_odometer_past_int64_raises_input_size_error(M, shown):
+    params = two_village_params()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "invalid value encountered in cast" on the way
+        with pytest.raises(InputSizeError, match=rf"^M value {re.escape(shown)} does not fit in a 64-bit integer$"):
+            single_loop(params, 10, StackSource(params, 10, 1), M)
+
+
+def test_oracle_reads_a_stack_source_only_through_its_scalar_twin():
+    """The oracle stays an independent check: on a StackSource it makes no
+    call into the package's one-entry views."""
+    params = two_village_params()
+    want = stabilize(params, 40, StackSource(params, 40, 3))
+    with mock.patch.multiple(StackSource, airplane=mock.DEFAULT, taxi=mock.DEFAULT, landlord=mock.DEFAULT) as views:
+        for schedule in SCHEDULES:
+            _assert_same_run(reference_stabilize(params, 40, StackSource(params, 40, 3), schedule), want)
+    assert not any(view.called for view in views.values())
 
 
 def test_rounds_stabilizer_needs_every_consumed_notice():

@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
 from helpers import one_village_params, two_village_params
-from reference import InjectedStackSource, StackExhaustedError, _stream_key
+from reference import InjectedStackSource, ScalarStacks, StackExhaustedError, _derive_seed, _stream_key
 
 from varw import (
     GRAVEYARD,
     JUMP,
     SLEEP,
+    InputSizeError,
     ModelParams,
     StackSource,
     ValidationError,
@@ -23,7 +24,8 @@ from varw.stacks import _Cutpoints, _notices, _seed_words, _stream_keys
 
 def test_airplane_zero_row_always_graveyard():
     src = StackSource(one_village_params(q=0.0), 10, 1)
-    assert all(src.airplane(0, j) == GRAVEYARD for j in range(1, 200))
+    assert src.airplane(0, 1) == GRAVEYARD
+    assert (src.airplane_range(0, 1, 200) == GRAVEYARD).all()
 
 
 def test_airplane_deterministic_row():
@@ -34,7 +36,8 @@ def test_airplane_deterministic_row():
         init_actives=[0.0, 0.0],
     )
     src = StackSource(params, 10, 5)
-    assert all(src.airplane(0, j) == 1 for j in range(1, 200))
+    assert src.airplane(0, 1) == 1
+    assert (src.airplane_range(0, 1, 200) == 1).all()
 
 
 def test_airplane_graveyard_frequency():
@@ -46,7 +49,8 @@ def test_airplane_graveyard_frequency():
 
 def test_taxi_single_house():
     src = StackSource(one_village_params(), 1, 3)
-    assert all(src.taxi(0, j) == 1 for j in range(1, 100))
+    assert src.taxi(0, 1) == 1
+    assert (src.taxi_range(0, 1, 100) == 1).all()
 
 
 def test_taxi_memoization():
@@ -64,13 +68,18 @@ def test_taxi_uniformity():
 
 def test_landlord_zero_rate_always_jumps():
     src = StackSource(one_village_params(lam=0.0), 5, 9)
-    assert all(src.landlord(0, 2, j) == JUMP for j in range(1, 200))
+    assert src.landlord(0, 2, 1) == JUMP
+    assert (_notice_block(src, 0, 2, 199) == JUMP).all()
+
+
+def _notice_block(src, x, i, count):
+    """Notices 1..count of house (x, i), read as one block."""
+    return src.landlord_reader(np.array([x]), np.array([i]))(np.array([0]), np.array([1]), np.array([count]))
 
 
 def test_landlord_sleep_frequency():
     src = StackSource(one_village_params(lam=1.0), 5, 13)
-    draws = [src.landlord(0, 1, j) for j in range(1, 100_001)]
-    freq = draws.count(SLEEP) / len(draws)
+    freq = float(np.mean(_notice_block(src, 0, 1, 100_000) == SLEEP))
     assert abs(freq - 0.5) <= 0.01
 
 
@@ -86,9 +95,9 @@ def test_query_order_independence():
     a = StackSource(params, 20, 123)
     b = StackSource(params, 20, 123)
     # realize a forward, b backward and interleaved
-    fwd = [a.airplane(0, j) for j in range(1, 101)]
-    bwd = [b.airplane(0, j) for j in range(100, 0, -1)][::-1]
-    assert fwd == bwd
+    fwd = a.airplane_range(0, 1, 101)
+    bwd = b.airplane_range(np.zeros(100, dtype=np.int64), np.arange(100, 0, -1), np.arange(101, 1, -1))[::-1]
+    assert np.array_equal(fwd, bwd)
     fwd_t = a.taxi_prefix(1, 50)
     for j in (50, 3, 17):
         assert b.taxi(1, j) == fwd_t[j - 1]
@@ -109,24 +118,28 @@ def test_sources_with_equal_seed_agree():
 def test_scalar_and_batch_landlord_agree():
     params = two_village_params()
     src = StackSource(params, 40, 2024)
+    twin = ScalarStacks(src)
     houses = np.arange(1, 41)
     for j in range(1, 8):
         batch = src.landlord_batch(1, houses, j)
-        scalar = np.array([src.landlord(1, int(i), j) for i in houses], dtype=np.uint8)
+        scalar = np.array([twin.landlord(1, int(i), j) for i in houses], dtype=np.uint8)
         assert np.array_equal(batch, scalar)
+    assert src.landlord(1, 40, 7) == twin.landlord(1, 40, 7)
 
 
 def test_prefix_matches_scalar_access():
     src = StackSource(two_village_params(), 9, 31)
+    twin = ScalarStacks(src)
     pre = src.airplane_prefix(0, 64)
-    assert [src.airplane(0, j) for j in range(1, 65)] == pre.tolist()
+    assert [twin.airplane(0, j) for j in range(1, 65)] == pre.tolist()
+    assert src.airplane(0, 64) == pre[-1]
 
 
 def test_cross_stack_independence_chi_square():
     src = StackSource(one_village_params(q=0.5, lam=1.0), 50, 314)
     n_draws = 10_000
     air = src.airplane_prefix(0, n_draws) == GRAVEYARD
-    land = np.array([src.landlord(0, 1, j) for j in range(1, n_draws + 1)], dtype=bool)
+    land = _notice_block(src, 0, 1, n_draws).astype(bool)
     table = np.array(
         [
             [np.sum(air & land), np.sum(air & ~land)],
@@ -148,6 +161,40 @@ def test_source_rejects_bad_arguments():
         src.taxi(0, 0)
     with pytest.raises(ValidationError):
         src.landlord(0, 6, 1)
+
+
+BELOW_2_63 = r"stack reads take integers below 2\^63"
+BAD_READS = [
+    ("airplane", (0, 1.5), ValidationError, BELOW_2_63),
+    ("airplane", (0, 2**63), ValidationError, BELOW_2_63),
+    ("airplane", (0.5, 1), ValidationError, BELOW_2_63),
+    ("taxi", (0, 1.5), ValidationError, BELOW_2_63),
+    ("taxi", (0, 2**63), ValidationError, BELOW_2_63),
+    ("landlord", (0, 1, 1.5), ValidationError, BELOW_2_63),
+    ("landlord", (0, 1, 2**63), ValidationError, BELOW_2_63),
+    ("landlord", (0, 1.5, 1), ValidationError, BELOW_2_63),
+    ("landlord", (0, 11, 1), ValidationError, r"house index 11 out of range 1\.\.10"),
+    ("airplane_range", (0, 1.5, 3.7), ValidationError, BELOW_2_63),
+    ("airplane_range", (0, 1, 2**63), ValidationError, BELOW_2_63),
+    ("airplane_range", (0, 1, 2**62), InputSizeError, "too large for a 64-bit address space"),
+    ("taxi_range", ([0, 1], [1, 1], [2.5, 3]), ValidationError, BELOW_2_63),
+    ("airplane_prefix", (0, 1.5), ValidationError, BELOW_2_63),
+    ("taxi_prefix", (0, 2**63), ValidationError, BELOW_2_63),
+    ("landlord_batch", (0, [1, 2], 1.7), ValidationError, BELOW_2_63),
+    ("landlord_batch", (0, [1, 2], 2**63), ValidationError, BELOW_2_63),
+    ("landlord_batch", (0, [1.5], 1), ValidationError, BELOW_2_63),
+    ("landlord_batch", (0.5, [1], 1), ValidationError, BELOW_2_63),
+    ("landlord_batch", (2, [1], 1), ValidationError, "village index 2 out of range"),
+    ("landlord_batch", (0, [0, 11], 1), ValidationError, r"house index 0 out of range 1\.\.10"),
+    ("landlord_batch", (0, [1, 11], 1), ValidationError, r"house index 11 out of range 1\.\.10"),
+]
+
+
+@pytest.mark.parametrize("read, args, error, message", BAD_READS, ids=[f"{read}{args}" for read, args, _, _ in BAD_READS])
+def test_public_reads_reject_non_integer_and_out_of_range_arguments(read, args, error, message):
+    src = StackSource(two_village_params(), 10, 1)
+    with pytest.raises(error, match=message):
+        getattr(src, read)(*args)
 
 
 def test_inject_taxi_echo():
@@ -190,8 +237,9 @@ def test_inject_validates_values():
 
 
 def test_derive_seed_is_stable_and_spreads():
-    assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
-    seen = {derive_seed(0, 1, t) for t in range(1000)}
+    assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3) == _derive_seed(1, 2, 3)
+    assert isinstance(derive_seed(1, 2, 3), int)
+    seen = set(derive_seeds(0, 1, np.arange(1000)).tolist())
     assert len(seen) == 1000
 
 
@@ -213,18 +261,19 @@ def test_range_accessors_match_prefixes_on_both_sources():
 def test_array_index_landlord_batch_matches_scalar_on_both_sources():
     params = two_village_params()
     src = StackSource(params, 30, 5)
+    twin = ScalarStacks(src)
     houses = np.array([3, 1, 3, 30, 7, 1])
     j = np.array([1, 4, 2, 9, 1, 1])
-    want = [src.landlord(1, int(i), int(k)) for i, k in zip(houses, j)]
+    want = [twin.landlord(1, int(i), int(k)) for i, k in zip(houses, j)]
     inj = InjectedStackSource(
-        params, 30, landlord={(1, i): [src.landlord(1, i, k) for k in range(1, 10)] for i in (1, 3, 7, 30)}
+        params, 30, landlord={(1, i): [twin.landlord(1, i, k) for k in range(1, 10)] for i in (1, 3, 7, 30)}
     )
     blocks = np.array([1, 0, 2, 3]), np.array([2, 1, 1, 5]), np.array([3, 0, 1, 4])  # pos, first, width
-    want_blocks = [src.landlord(1, int(houses[k]), int(a + d)) for k, a, w in zip(*blocks) for d in range(w)]
+    want_blocks = [twin.landlord(1, int(houses[k]), int(a + d)) for k, a, w in zip(*blocks) for d in range(w)]
     for source in (src, inj):
         assert source.landlord_reader(np.full(houses.size, 1), houses)(*blocks).tolist() == want_blocks
     assert src.landlord_batch(1, houses, j).tolist() == want
-    assert src.landlord_batch(1, houses, 2).tolist() == [src.landlord(1, int(i), 2) for i in houses]
+    assert src.landlord_batch(1, houses, 2).tolist() == [twin.landlord(1, int(i), 2) for i in houses]
     with pytest.raises(ValidationError):
         src.landlord_batch(1, houses, j - 1)
 
@@ -256,14 +305,16 @@ def stack_instances(draw):
 def test_scalar_reads_match_range_and_reader_reads(case, js):
     params, n, seed = case
     src = StackSource(params, n, seed)
+    twin = ScalarStacks(src)
     V = params.num_villages
     js = js + [4096, 4097]  # either side of where prefixes were once cached in chunks
     air = [src.airplane_prefix(x, 8194) for x in range(V)]  # the ranges below end at js[0] + 2
     taxi = [src.taxi_prefix(x, 8192) for x in range(V)]
     for x in range(V):
         for j in js:
-            assert src.airplane(x, j) == air[x][j - 1] == src.airplane_range(x, j, j + 1)[0]
-            assert src.taxi(x, j) == taxi[x][j - 1] == src.taxi_range(x, j, j + 1)[0]
+            assert twin.airplane(x, j) == air[x][j - 1] == src.airplane_range(x, j, j + 1)[0]
+            assert twin.taxi(x, j) == taxi[x][j - 1] == src.taxi_range(x, j, j + 1)[0]
+        assert src.airplane(x, js[0]) == air[x][js[0] - 1] and src.taxi(x, js[0]) == taxi[x][js[0] - 1]
     villages = np.arange(V).repeat(2)
     houses = np.tile([1, n], V)
     read = src.landlord_reader(villages, houses)
@@ -271,9 +322,10 @@ def test_scalar_reads_match_range_and_reader_reads(case, js):
     first = np.tile(js, villages.size)
     width = np.arange(pos.size) % 4  # blocks of 0 to 3 consecutive notices
     want = [
-        src.landlord(int(villages[k]), int(houses[k]), int(a + d)) for k, a, w in zip(pos, first, width) for d in range(w)
+        twin.landlord(int(villages[k]), int(houses[k]), int(a + d)) for k, a, w in zip(pos, first, width) for d in range(w)
     ]
     assert read(pos, first, width).tolist() == want
+    assert src.landlord(V - 1, n, js[0]) == twin.landlord(V - 1, n, js[0])
     starts = np.array([js[0]] * V)
     stops = starts + np.arange(V) % 3  # some ranges empty
     assert np.array_equal(
@@ -332,12 +384,14 @@ def test_vector_seed_and_key_derivation_match_scalar(seeds, V, components):
     for k, kind in enumerate((1, 2, 3)):
         want = [_stream_key(s, kind, x) for s in seeds for x in range(V)]
         assert keys[k].tolist() == want
-    assert derive_seeds(seeds, *components).tolist() == [derive_seed(s, *components) for s in seeds]
+    want = [_derive_seed(s, *components) for s in seeds]
+    assert derive_seeds(seeds, *components).tolist() == want
+    assert derive_seed(seeds[0], *components) == want[0]
     # The per-trial form: one master seed, a trial axis in the last component.
     for s in seeds[:2]:
         t = np.arange(len(seeds)) - 3  # negative components too
         assert derive_seeds(s, *components, t).tolist() == [
-            derive_seed(s, *components, int(k)) for k in t
+            _derive_seed(s, *components, int(k)) for k in t
         ]
 
 
@@ -346,6 +400,7 @@ def test_trial_source_streams_match_single_trial_sources():
     n, V = 30, 2
     seeds = [5, -7, 2**63 + 1, 5]
     batch = StackSource(params, n, seeds)
+    twin = ScalarStacks(batch)
     assert batch.trials == 4 and batch.num_streams == 8
     assert batch.master_seed == tuple(seeds)  # as given: -7 is not named by its residue
     for t, seed in enumerate(seeds):
@@ -355,10 +410,11 @@ def test_trial_source_streams_match_single_trial_sources():
             air = one.airplane_prefix(x, 60)
             want = np.where(air == GRAVEYARD, GRAVEYARD, air + t * V)
             assert np.array_equal(batch.airplane_prefix(s, 60), want)
-            assert [batch.airplane(s, j) for j in (1, 17, 60)] == [int(want[j - 1]) for j in (1, 17, 60)]
+            assert [twin.airplane(s, j) for j in (1, 17, 60)] == [int(want[j - 1]) for j in (1, 17, 60)]
+            assert batch.airplane(s, 17) == want[16]
             assert np.array_equal(batch.taxi_prefix(s, 60), one.taxi_prefix(x, 60))
-            assert batch.taxi(s, 9) == one.taxi(x, 9)
-            assert batch.landlord(s, 3, 4) == one.landlord(x, 3, 4)
+            assert batch.taxi(s, 9) == twin.taxi(s, 9) == one.taxi(x, 9)
+            assert batch.landlord(s, 3, 4) == twin.landlord(s, 3, 4) == one.landlord(x, 3, 4)
             houses = np.arange(1, n + 1)
             assert np.array_equal(batch.landlord_batch(s, houses, 2), one.landlord_batch(x, houses, 2))
     with pytest.raises(ValidationError):
@@ -460,18 +516,20 @@ def test_golden_tickets_through_scalar_and_range_reads(family):
         for seed in GOLDEN_SEEDS:
             want = golden[model_or_n, seed]
             src = StackSource(params, n, seed)
-            scalar = getattr(src, family)
-            assert [[scalar(x, j) for j in GOLDEN_INDICES] for x in range(V)] == want
+            for scalar in (getattr(ScalarStacks(src), family), getattr(src, family)):
+                assert [[scalar(x, j) for j in GOLDEN_INDICES] for x in range(V)] == want
             got = getattr(src, f"{family}_range")(*_golden_ranges(V))
             assert got.reshape(V, -1).tolist() == want
         # One multi-seed source: trial t reads seed t's tickets, destinations offset by t*V.
         batch = StackSource(params, n, list(GOLDEN_SEEDS))
         got = getattr(batch, f"{family}_range")(*_golden_ranges(V, len(GOLDEN_SEEDS))).reshape(-1, V, len(GOLDEN_INDICES))
+        twin = getattr(ScalarStacks(batch), family)
         for t, seed in enumerate(GOLDEN_SEEDS):
             want = np.array(golden[model_or_n, seed])
             if family == "airplane":
                 want = np.where(want == GRAVEYARD, GRAVEYARD, want + t * V)
             assert got[t].tolist() == want.tolist()
+            assert [[twin(t * V + x, j) for j in GOLDEN_INDICES] for x in range(V)] == want.tolist()
 
 
 def test_golden_notices_through_scalar_reader_and_batch_reads():
@@ -480,7 +538,8 @@ def test_golden_notices_through_scalar_reader_and_batch_reads():
     for (lam, seed), want in GOLDEN_LANDLORD.items():
         want = [[int(c) for c in row] for row in want]
         src = StackSource(one_village_params(lam=lam), 7, seed)
-        assert [[src.landlord(0, int(i), j) for j in GOLDEN_INDICES] for i in houses] == want
+        for scalar in (ScalarStacks(src).landlord, src.landlord):
+            assert [[scalar(0, int(i), j) for j in GOLDEN_INDICES] for i in houses] == want
         assert [src.landlord_batch(0, houses, j).tolist() for j in GOLDEN_INDICES] == np.transpose(want).tolist()
         read = src.landlord_reader(np.zeros(2, dtype=np.int64), houses)
         one_each = read(np.repeat([0, 1], js.size), np.tile(js, 2), np.ones(2 * js.size, dtype=np.int64))
@@ -539,7 +598,7 @@ def test_cutpoint_lookup_matches_searchsorted_on_crafted_words(name):
 def test_notice_compare_matches_float_uniform_on_crafted_words(lam):
     """p_sleep is 0, 1/3, 0.5 and (at lambda = 1e300) 1.0."""
     src = StackSource(one_village_params(lam=lam), 5, 1)
-    p = src._p_sleep[0]
+    p = lam / (1.0 + lam)
     k = int(np.ceil(p * 2.0**53))
     words = [0, 2**64 - 1] + [w for w in ((k << 11) - 1, k << 11, (k << 11) + 1) if 0 <= w < 2**64]
     z = np.array(words, dtype=np.uint64)
