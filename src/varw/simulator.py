@@ -28,11 +28,18 @@ import numpy as np
 from .errors import AcceptanceCheckError, InputSizeError, StepCapError, ValidationError
 from .model import ModelParams, floor_counts
 from .model import validate_model  # noqa: F401  patched here by perfbench/traced.py
-from .stacks import GRAVEYARD, StackSource, _as_int, _check_count, _seed_words
+from .stacks import _MAX_ENTRIES, GRAVEYARD, StackSource, _as_int, _check_count, _seed_words
 
 DEFAULT_STEP_CAP = 10**9
 _SCAN_SLICE = 1 << 16  # houses per block of landlord reads
 _TRIAL_HOUSES = 1 << 14  # houses per chunk of trials in single_loop_trials and run_lln
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
+_SEED_INIT_A, _SEED_MULT_A = 0x43B0D7E5, 0x931E8875
+_SEED_INIT_B, _SEED_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SEED_MIX_L, _SEED_MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,6 +310,9 @@ def _check_odometer(M, size: int) -> np.ndarray:
     M = M.astype(np.int64)
     if np.any(M < 0):
         raise ValidationError("M must be componentwise >= 0")
+    # Bounded here, the engine's read stops M + 1 cannot wrap in int64.
+    if (big := M[M >= _MAX_ENTRIES]).size:
+        raise InputSizeError(f"M value {big[0]} is too large for a 64-bit address space")
     return M
 
 
@@ -321,21 +331,26 @@ def single_loop_tilde(params: ModelParams, n: int, src, M, aux_seed) -> np.ndarr
     The evaluation of single_loop, but each visited house's terminal notice
     is replaced by a fresh Bernoulli(1/(1+lambda_x)) draw, independent of
     the landlord stacks (see `_resampled_outflux`).  `aux_seed` holds one
-    aux seed per trial of the source; an integer is the aux seed of a
-    one-seed source.  Returns the outflux vector only.
+    aux seed per trial of the source, each in 0..2^128-1; an integer is the
+    aux seed of a one-seed source.  Trial t's draws are those of
+    np.random.default_rng(aux_seed[t]), and every trial is seeded in one
+    pass.  Returns the outflux vector only.
     """
     M = _check_odometer(M, src.num_streams)
     return _evaluate(params, n, src, M, _aux_seeds(aux_seed, src.trials)).Phi_tilde
 
 
-def _aux_seeds(aux_seeds, trials: int) -> list[int]:
-    """One aux seed per trial, as Python ints >= 0; an integer is one seed."""
+def _aux_seeds(aux_seeds, trials: int) -> np.ndarray:
+    """One aux seed per trial, in 0..2^128-1, as a (trials, 4) uint32 array
+    of its little-endian 32-bit words; an integer is one seed."""
     aux = [_as_int(a, "aux seed") for a in ([aux_seeds] if np.ndim(aux_seeds) == 0 else aux_seeds)]
     if len(aux) != trials:
         raise ValidationError(f"got {len(aux)} aux seeds for {trials} trials")
     if min(aux) < 0:
         raise ValidationError(f"aux seeds must be >= 0, got {min(aux)}")
-    return aux
+    if max(aux) > _MASK128:
+        raise ValidationError(f"aux seeds must be below 2^128, got {max(aux)}")
+    return np.frombuffer(b"".join(a.to_bytes(16, "little") for a in aux), dtype="<u4").reshape(trials, 4)
 
 
 def _evaluate(params: ModelParams, n: int, src, M: np.ndarray, aux_seeds=None) -> SingleLoopResult:
@@ -349,20 +364,69 @@ def _evaluate(params: ModelParams, n: int, src, M: np.ndarray, aux_seeds=None) -
     return SingleLoopResult(Phi=Phi, S=-M + engine.floor_sigma + I, I=I, A=A, Q=Q, J=J, Phi_tilde=Phi_tilde)
 
 
-def _resampled_outflux(params: ModelParams, engine: _LoopEngine, totals, aux_seeds) -> np.ndarray:
+def _resampled_outflux(params: ModelParams, engine: _LoopEngine, totals, aux_words) -> np.ndarray:
     """Outflux per stream of an advanced engine with every visited house's
     terminal notice replaced by a fresh JUMP with probability
     1/(1+lambda_x): per trial, village by village, n uniforms, one per
-    house, from default_rng(aux_seeds[t])."""
-    V, n = params.num_villages, engine.n
-    fresh = np.empty((len(aux_seeds), V, n))
-    for a, row in zip(aux_seeds, fresh):
-        np.random.default_rng(a).random(out=row)
+    house, equal to default_rng(aux_seed).random((V, n)) for the trial's
+    aux seed (see `_fresh_uniforms`)."""
+    fresh = _fresh_uniforms(aux_words, (params.num_villages, engine.n))
     p_jump = (1.0 / (1.0 + params.sleep_rates))[:, None]
     visited = engine.revealed.reshape(fresh.shape) > 0
     J = np.count_nonzero((fresh < p_jump) & visited, axis=2).ravel()
     I, A, Q, _ = totals
     return _outflux(engine.floor_sigma, I, A, Q, J)
+
+
+def _fresh_uniforms(aux_words: np.ndarray, shape) -> np.ndarray:
+    """Row t is default_rng(aux seed t).random(shape), bit for bit, for the
+    seed words of `_aux_seeds`.  Every trial is seeded in one pass
+    (`_pcg64_states`), and one PCG64 set to each trial's state in turn
+    draws its row with numpy's own uniform fill."""
+    fresh = np.empty((len(aux_words), *shape))
+    bits = np.random.PCG64(0)
+    draw = np.random.Generator(bits).random
+    for state, row in zip(_pcg64_states(aux_words), fresh):
+        bits.state = state
+        draw(out=row)
+    return fresh
+
+
+def _pcg64_states(aux_words: np.ndarray) -> list[dict]:
+    """The PCG64 state default_rng starts from, as a `PCG64.state` dict,
+    for each row of seed words.  numpy's SeedSequence hashes the four words
+    into a four-word pool, mixes the pool, and draws eight words from it:
+    the PCG64 seed (initstate, initseq).  Here that runs for every row at
+    once on uint32 arrays, whose products wrap mod 2^32 as SeedSequence's
+    do, and with the hash constant a scalar sequence shared by every row.
+    PCG64 then steps its LCG twice from state 0, adding initstate between
+    the steps; that last part is Python-int arithmetic mod 2^128 per row.
+    numpy's own SeedSequence, built per trial, is no cheaper than the
+    default_rng this replaces, so the hash is repeated here on arrays."""
+    const = _SEED_INIT_A
+
+    def hashmix(value, mult):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    pool = [hashmix(word, _SEED_MULT_A) for word in aux_words.T]
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                mixed = pool[j] * _SEED_MIX_L - hashmix(pool[i], _SEED_MULT_A) * _SEED_MIX_R
+                pool[j] = mixed ^ (mixed >> 16)
+    const = _SEED_INIT_B
+    out = [hashmix(pool[k % 4], _SEED_MULT_B) for k in range(8)]
+    seed = np.stack(out[1::2], axis=1).astype(np.uint64) << 32 | np.stack(out[0::2], axis=1)
+    states = []
+    for w0, w1, w2, w3 in seed.tolist():
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0})
+    return states
 
 
 def single_loop_trials(params: ModelParams, n: int, seeds, M, aux_seeds=None) -> SingleLoopResult:

@@ -404,3 +404,13 @@ def expected_outflux_given_influx(params: ModelParams, x: int, n: int, u: int) -
     sc = float(floor_counts(params.init_sleepers, n)[x])
     visited_frac = 1.0 - (1.0 - 1.0 / n) ** u
     return n * (sc / n - lam / (1.0 + lam)) * visited_frac + u
+
+
+def reference_fresh_uniforms(aux_seeds, shape) -> np.ndarray:
+    """The resampled uniforms of `single_loop_tilde`, one
+    np.random.default_rng per trial: row t is
+    default_rng(aux_seeds[t]).random(shape)."""
+    fresh = np.empty((len(aux_seeds), *shape))
+    for a, row in zip(aux_seeds, fresh):
+        np.random.default_rng(a).random(out=row)
+    return fresh

@@ -362,6 +362,14 @@ def test_integer_beyond_64_bits_exit_code(capsys, model_file, argv, option):
     assert "does not fit in a 64-bit integer" in err
 
 
+def test_odometer_at_int64_max_exit_code(capsys, model_file):
+    """M + 1 would wrap in int64 here; the odometer bound fires first."""
+    code, out, err = run_cli(capsys, "single-loop", "--model", model_file, "--n", "10", "--M", f"{2**63 - 1},0")
+    assert code == 2
+    assert out == ""
+    assert err == f"runtime guard: M value {2**63 - 1} is too large for a 64-bit address space\n"
+
+
 def test_import_loads_no_scipy():
     src = Path(varw.__file__).resolve().parent.parent
     code = "import sys, varw, varw.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"

@@ -15,6 +15,7 @@ from reference import (
     ScalarStacks,
     StackExhaustedError,
     expected_outflux_given_influx,
+    reference_fresh_uniforms,
     reference_init_config,
     reference_stabilize,
 )
@@ -384,6 +385,22 @@ def test_odometer_past_int64_raises_input_size_error(M, shown):
             single_loop(params, 10, StackSource(params, 10, 1), M)
 
 
+@pytest.mark.parametrize("M", [[2**60, 0], [0, 2**63 - 1]], ids=["2^60", "int64-max"])
+def test_odometer_past_max_entries_raises_before_routing(M):
+    """An entry >= 2^60 cannot be read, and the engine's read stops M + 1
+    would wrap at 2^63 - 1: the check fires before anything is routed."""
+    params = two_village_params()
+    shown = max(M)
+    with mock.patch.object(simulator_mod._LoopEngine, "route") as route:
+        with pytest.raises(InputSizeError, match=rf"^M value {shown} is too large for a 64-bit address space$"):
+            single_loop(params, 10, StackSource(params, 10, 1), M)
+        with pytest.raises(InputSizeError, match=rf"^M value {shown} "):
+            single_loop_tilde(params, 10, StackSource(params, 10, 1), M, 3)
+        with pytest.raises(InputSizeError, match=rf"^M value {shown} "):
+            single_loop_trials(params, 10, [1, 2], M)
+    assert not route.called
+
+
 def test_oracle_reads_a_stack_source_only_through_its_scalar_twin():
     """The oracle stays an independent check: on a StackSource it makes no
     call into the package's one-entry views."""
@@ -558,16 +575,61 @@ def test_multi_seed_single_loop_tilde_equals_per_seed_calls(case, data):
 def test_single_loop_tilde_takes_one_aux_seed_per_trial():
     params = two_village_params()
     one, two = StackSource(params, 30, 4), StackSource(params, 30, [4, -5])
-    by_int, by_list = (single_loop_tilde(params, 30, one, [9, 7], aux) for aux in (11, [11]))
-    assert np.array_equal(by_int, by_list)
+    by_int, *others = (
+        single_loop_tilde(params, 30, one, [9, 7], aux)
+        for aux in (11, [11], np.array([11], dtype=np.int32), np.array([11], dtype=np.uint8))
+    )
+    for got in others:
+        assert np.array_equal(got, by_int)
     for src, aux in [(one, [11, 12]), (two, [11]), (two, [11, 12, 13]), (two, 11)]:
         with pytest.raises(ValidationError, match=rf"got {np.size(aux)} aux seeds for {src.trials} trials"):
             single_loop_tilde(params, 30, src, np.tile([9, 7], src.trials), aux)
-    for aux in (-1, 1.5, "3"):
+    for aux in (-1, 1.5, "3", 2**128, np.array([-1], dtype=np.int32)):
         with pytest.raises(ValidationError, match="aux seed"):
             single_loop_tilde(params, 30, one, [9, 7], aux)
         with pytest.raises(ValidationError, match="aux seed"):
             single_loop_trials(params, 30, [4], [9, 7], aux_seeds=[aux])
+
+
+EDGE_AUX_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**127 + 3, 2**128 - 1]
+UNIFORM_SHAPES = [(1, 1), (1, 7), (3, 50)]
+
+
+@pytest.mark.parametrize("shape", UNIFORM_SHAPES, ids=str)
+def test_fresh_uniforms_equal_one_default_rng_per_trial(shape):
+    want = reference_fresh_uniforms(EDGE_AUX_SEEDS, shape)
+    words = simulator_mod._aux_seeds(EDGE_AUX_SEEDS, len(EDGE_AUX_SEEDS))
+    assert np.array_equal(simulator_mod._fresh_uniforms(words, shape), want)
+    # derive_seeds returns uint64; narrower integer arrays are taken value by value too.
+    for dtype, k in [(np.uint64, 6), (np.int64, 4), (np.int32, 2), (np.uint16, 2), (np.uint8, 2)]:
+        words = simulator_mod._aux_seeds(np.array(EDGE_AUX_SEEDS[:k], dtype=dtype), k)
+        assert np.array_equal(simulator_mod._fresh_uniforms(words, shape), want[:k])
+    with pytest.raises(ValidationError, match=rf"^aux seeds must be below 2\^128, got {2**128}$"):
+        simulator_mod._aux_seeds([1, 2**128], 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=6), st.sampled_from(UNIFORM_SHAPES))
+def test_fresh_uniforms_equal_default_rng_on_any_seed_below_2_128(aux, shape):
+    words = simulator_mod._aux_seeds(aux, len(aux))
+    assert np.array_equal(simulator_mod._fresh_uniforms(words, shape), reference_fresh_uniforms(aux, shape))
+
+
+def test_single_loop_tilde_keeps_few_bytes_per_house():
+    """The resampled draws add one float64 uniform per house (8 bytes) to
+    the evaluation; tracemalloc read 19.04 B/house here with one
+    default_rng per trial."""
+    params = one_village_params(q=0.5, lam=1.0, sigma=0.3, nu=1e-6)  # two immigrants
+    single_loop_tilde(params, 10, StackSource(params, 10, 7), [1], 5)  # imports numpy.random outside the trace
+    n = 2 * 10**6
+    src = StackSource(params, n, 7)
+    tracemalloc.start()
+    try:
+        single_loop_tilde(params, n, src, [1], 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 19.1
 
 
 def test_single_loop_keeps_few_bytes_per_house():
