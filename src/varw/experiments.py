@@ -4,10 +4,10 @@ Each harness is deterministic given its config: per-trial stack seeds are
 derived from the config seed with the same 64-bit mix the stacks use, rows
 are emitted in config order, and CSV/report files are byte-stable across
 invocations.  The LLN sweep stabilizes the seeds of each n in chunks, each
-as one multi-seed source, on a process pool sized by VARW_THREADS.  The
-distribution experiments evaluate all their trials in batches
-(`single_loop_trials`) and re-evaluate the first and last trial through
-`single_loop` as a runtime check of the batched path.
+as one multi-seed source, on VARW_THREADS workers: the calling process and
+a pool of the others.  The distribution experiments evaluate all their
+trials in batches (`single_loop_trials`) and re-evaluate the first and last
+trial through `single_loop` as a runtime check of the batched path.
 """
 
 from __future__ import annotations
@@ -136,7 +136,8 @@ def run_lln(config: LLNConfig, out_dir=None) -> LLNReport:
     stabilization, records scaled odometer/sleeper profiles and their
     distances to the limit, and verifies the exact single-loop fixed-point
     identity.  A single identity failure fails the whole sweep.  The seeds
-    of each n go in chunks of the size `single_loop_trials` uses.
+    of each n go in chunks of the size `single_loop_trials` uses, but of at
+    most ceil(seeds / workers) seeds, so that every worker gets a chunk.
     """
     params = config.params
     # Solved first: solve_fixed_point makes the sweep's one subcriticality check.
@@ -153,15 +154,21 @@ def run_lln(config: LLNConfig, out_dir=None) -> LLNReport:
     if repeated:
         raise ValidationError(f"n_values must be distinct, but n={repeated[0]} is given more than once")
     seeds = [_as_int(seed, "seed") for seed in config.seeds]
-    chunking = [(n, _trials_per_chunk(V, n)) for n in n_values]
+    workers = worker_count()
+    share = -(-len(seeds) // workers)  # seeds per worker
+    chunking = [(n, min(_trials_per_chunk(V, n), share)) for n in n_values]
     tasks = [(params, n, seeds[lo : lo + per]) for n, per in chunking for lo in range(0, len(seeds), per)]
-    workers = min(worker_count(), len(tasks))
+    workers = min(workers, len(tasks))
     if workers > 1:
         # imported here so that `import varw` loads no process pool machinery
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_lln_task, tasks, chunksize=1))
+        # The parent is one of the workers: it forks the others, runs every
+        # workers-th task itself, then collects the rest in task order.
+        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+            forked = {k: pool.submit(_lln_task, t) for k, t in enumerate(tasks) if k % workers}
+            own = {k: _lln_task(t) for k, t in enumerate(tasks) if k % workers == 0}
+            results = [own[k] if k in own else forked[k].result() for k in range(len(tasks))]
     else:
         results = [_lln_task(t) for t in tasks]
 

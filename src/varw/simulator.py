@@ -28,11 +28,11 @@ import numpy as np
 from .errors import AcceptanceCheckError, InputSizeError, StepCapError, ValidationError
 from .model import ModelParams, floor_counts
 from .model import validate_model  # noqa: F401  patched here by perfbench/traced.py
-from .stacks import _MAX_ENTRIES, GRAVEYARD, StackSource, _as_int, _check_count, _seed_words
+from .stacks import _MAX_ENTRIES, GRAVEYARD, StackSource, _as_int, _check_count, _check_read_size, _ndim, _seed_words
 
 DEFAULT_STEP_CAP = 10**9
-_SCAN_SLICE = 1 << 16  # houses per block of landlord reads
-_TRIAL_HOUSES = 1 << 14  # houses per chunk of trials in single_loop_trials and run_lln
+_SCAN_SLICE = 1 << 14  # houses per block of landlord reads
+_TRIAL_HOUSES = 1 << 17  # houses per chunk of trials in single_loop_trials and run_lln
 _MASK32 = (1 << 32) - 1
 _MASK128 = (1 << 128) - 1
 # numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
@@ -216,14 +216,20 @@ class _LoopEngine:
     def route(self, M: np.ndarray):
         """Inbound phase: read the airplane tickets past the current odometer
         and land the arrivals they imply on the next taxi tickets.  Returns
-        the houses hit this round and how many arrivals each received."""
+        the houses hit this round and how many arrivals each received.
+        Both reads are of ranges built here, past what was read before, so
+        only their total size is checked."""
         S, n, src = self.I.shape[0], self.n, self.src
         streams = np.arange(S)
-        dests = src.airplane_range(streams, self.M + 1, M + 1)
+        flights = M - self.M
+        _check_read_size(flights)
+        dests = src._airplane_range(streams, self.M + 1, flights)
         self.M = M
         self.I = self.I + np.bincount(dests - GRAVEYARD, minlength=S + 1)[1:]  # GRAVEYARD lands in bin 0
-        houses = src.taxi_range(streams, self.taxi_read + 1, self.I + 1)
-        houses += np.repeat(streams * n - 1, self.I - self.taxi_read)  # flat house index
+        arrivals = self.I - self.taxi_read
+        _check_read_size(arrivals)
+        houses = src._taxi_range(streams, self.taxi_read + 1, arrivals)
+        houses += np.repeat(streams * n - 1, arrivals)  # flat house index
         self.taxi_read = self.I.copy()
         self.tickets = int(M.sum() + self.I.sum() - self.floor_nu.sum())
         return np.unique(houses, return_counts=True)
@@ -251,7 +257,7 @@ class _LoopEngine:
         need[new] += sleeper - 1
         self.A += np.bincount(new_x, minlength=S)
         self.Q -= np.bincount(new_x[sleeper], minlength=S)
-        read = self.src.landlord_reader(x, i + 1)
+        read = self.src._landlord_reader(x, i + 1)
         pos = np.arange(touched.size)
         first = revealed + 1  # next unread notice
         after = before.copy()
@@ -343,7 +349,7 @@ def single_loop_tilde(params: ModelParams, n: int, src, M, aux_seed) -> np.ndarr
 def _aux_seeds(aux_seeds, trials: int) -> np.ndarray:
     """One aux seed per trial, in 0..2^128-1, as a (trials, 4) uint32 array
     of its little-endian 32-bit words; an integer is one seed."""
-    aux = [_as_int(a, "aux seed") for a in ([aux_seeds] if np.ndim(aux_seeds) == 0 else aux_seeds)]
+    aux = [_as_int(a, "aux seed") for a in ([aux_seeds] if _ndim(aux_seeds) == 0 else aux_seeds)]
     if len(aux) != trials:
         raise ValidationError(f"got {len(aux)} aux seeds for {trials} trials")
     if min(aux) < 0:

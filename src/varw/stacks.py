@@ -107,13 +107,22 @@ def derive_seeds(master_seed, *components) -> np.ndarray:
 def _seed_words(values) -> np.ndarray:
     """An integer or a sequence of integers, of any sign and size, as a 1-d
     uint64 array of their residues mod 2^64."""
-    if np.ndim(values) > 1:
+    if _ndim(values) > 1:
         raise ValidationError("seeds must be an integer or a 1-d sequence of integers")
     if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
         return np.atleast_1d(values.astype(np.uint64))
     if np.ndim(values) == 0:
         values = [values]
     return np.array([_as_int(v, "seed") & _MASK64 for v in values], dtype=np.uint64)
+
+
+def _ndim(values) -> int:
+    """np.ndim, with a ragged nest of sequences such as [[1, 2], 3], which
+    numpy refuses, counted as 2-d."""
+    try:
+        return np.ndim(values)
+    except ValueError:
+        return 2
 
 
 def _as_int(value, what: str) -> int:
@@ -159,9 +168,15 @@ def _check_ranges(x, j_start, j_stop, num_villages: int):
     ):
         if bad.size:
             raise ValidationError(message.format(int(bad[0])))
+    _check_read_size(lengths)
+    return x, j_start, lengths
+
+
+def _check_read_size(lengths: np.ndarray) -> None:
+    """Raise InputSizeError when a read of ranges of these int64 lengths
+    could not fit in a 64-bit address space."""
     if lengths.sum(dtype=np.float64) >= _MAX_ENTRIES:
         raise InputSizeError(f"a read of {lengths.sum(dtype=object)} stack entries is too large for a 64-bit address space")
-    return x, j_start, lengths
 
 
 class _Cutpoints:
@@ -251,12 +266,6 @@ class StackSource:
         # that is when z >> 11 >= ceil(p * 2^53); exact also for p 0 and 1.
         self._jump_from = np.ceil(np.tile(lam / (1.0 + lam), self.trials) * 2.0**53).astype(np.uint64)
 
-    def _draws(self, keys: np.ndarray, x, j_start, j_stop):
-        """Streams, lengths and uint64 counter words of the ranges (see
-        airplane_range)."""
-        x, j_start, lengths = _check_ranges(x, j_start, j_stop, self.num_streams)
-        return x, lengths, _counter_words(keys[x], j_start, lengths)
-
     # -- airplane tickets ------------------------------------------------------
 
     def airplane(self, x: int, j: int) -> int:
@@ -269,11 +278,17 @@ class StackSource:
         With equal-length arrays of villages x, starts and stops, the ranges
         of all villages, one village after another.
         """
-        streams, lengths, z = self._draws(self._air_key, x, j_start, j_stop)
-        V = self._V
-        offset = np.repeat(streams - streams % V, lengths)  # trial offset t*V
-        dest = self._cutpoints(np.repeat(streams % V, lengths), z)
-        return np.where(dest == GRAVEYARD, GRAVEYARD, dest + offset)
+        return self._airplane_range(*_check_ranges(x, j_start, j_stop, self.num_streams))
+
+    def _airplane_range(self, streams: np.ndarray, j_start: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """airplane_range over int64 vectors of streams, starts >= 1 and
+        lengths >= 0, unchecked: the engine's read of ranges it built."""
+        z = _counter_words(self._air_key[streams], j_start, lengths)
+        village = streams % self._V
+        dest = self._cutpoints(np.repeat(village, lengths), z)
+        if self.trials > 1:  # trial offsets t*V, on the tickets that did not go to GRAVEYARD
+            np.add(dest, np.repeat(streams - village, lengths), out=dest, where=dest != GRAVEYARD)
+        return dest
 
     def airplane_prefix(self, x: int, count: int) -> np.ndarray:
         """Tickets zeta_{1,x}..zeta_{count,x} as an int64 array."""
@@ -288,7 +303,11 @@ class StackSource:
     def taxi_range(self, x, j_start, j_stop) -> np.ndarray:
         """Tickets gamma_{j_start,x}..gamma_{j_stop-1,x} as an int64 array,
         with the array form of airplane_range."""
-        z = self._draws(self._taxi_key, x, j_start, j_stop)[2]
+        return self._taxi_range(*_check_ranges(x, j_start, j_stop, self.num_streams))
+
+    def _taxi_range(self, streams: np.ndarray, j_start: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """taxi_range over unchecked int64 vectors, as _airplane_range."""
+        z = _counter_words(self._taxi_key[streams], j_start, lengths)
         z %= np.uint64(self.n)
         houses = z.view(np.int64)
         houses += 1
@@ -304,8 +323,9 @@ class StackSource:
         """The j-th notice of house (x, i): SLEEP or JUMP."""
         return int(self.landlord_batch(x, [i], j)[0])
 
-    def landlord_reader(self, villages: np.ndarray, houses: np.ndarray):
-        """Notice reader for the fixed house list (villages[k], houses[k]).
+    def _landlord_reader(self, villages: np.ndarray, houses: np.ndarray):
+        """Notice reader for the fixed house list (villages[k], houses[k]),
+        unchecked: the engine reads only houses it routed to.
 
         Each house's stream key is computed once, here.  The returned
         `read(pos, first, width)` gives, block after block, the width[k]
@@ -334,7 +354,7 @@ class StackSource:
             raise ValidationError(f"house index {int(bad[0])!r} out of range 1..{self.n}")
         x, first = np.broadcast_arrays(x, j, houses)[:2]
         x, first, _ = _check_ranges(x, first, first, self.num_streams)
-        return self.landlord_reader(x, houses)(np.arange(houses.size), first, np.ones(houses.size, dtype=np.int64))
+        return self._landlord_reader(x, houses)(np.arange(houses.size), first, np.ones(houses.size, dtype=np.int64))
 
 
 def _notices(z: np.ndarray, jump_from) -> np.ndarray:

@@ -306,10 +306,11 @@ class InjectedStackSource:
     """A stack source serving hand-written instruction prefixes.
 
     It has the reads the round engine and the oracle make: the scalar
-    `airplane`, `taxi` and `landlord`, the range reads and the landlord
-    reader.  Any query past an injected prefix raises StackExhaustedError,
-    unless a fallback `StackSource` is given, whose `ScalarStacks` twin then
-    serves it.
+    `airplane`, `taxi` and `landlord`, the checked range reads, and the
+    engine's unchecked `_airplane_range`, `_taxi_range` and
+    `_landlord_reader`.  Any query past an injected prefix raises
+    StackExhaustedError, unless a fallback `StackSource` is given, whose
+    `ScalarStacks` twin then serves it.
     """
 
     master_seed = None  # hand-written stacks come from no seed
@@ -374,17 +375,24 @@ class InjectedStackSource:
         got = self._lookup(self._land.get((x, i)), j, f"landlord stack of house ({x}, {i})")
         return self.fallback.landlord(x, i, j) if got is None else got
 
-    def _read_ranges(self, scalar, x, j_start, j_stop) -> np.ndarray:
-        ranges = zip(*(a.tolist() for a in _check_ranges(x, j_start, j_stop, self.num_streams)))
+    @staticmethod
+    def _read_ranges(scalar, x, j_start, lengths) -> np.ndarray:
+        ranges = zip(x.tolist(), j_start.tolist(), lengths.tolist())
         return np.array([scalar(v, j) for v, a, k in ranges for j in range(a, a + k)], dtype=np.int64)
 
     def airplane_range(self, x, j_start, j_stop) -> np.ndarray:
-        return self._read_ranges(self.airplane, x, j_start, j_stop)
+        return self._airplane_range(*_check_ranges(x, j_start, j_stop, self.num_streams))
 
     def taxi_range(self, x, j_start, j_stop) -> np.ndarray:
-        return self._read_ranges(self.taxi, x, j_start, j_stop)
+        return self._taxi_range(*_check_ranges(x, j_start, j_stop, self.num_streams))
 
-    def landlord_reader(self, villages: np.ndarray, houses: np.ndarray):
+    def _airplane_range(self, x, j_start, lengths) -> np.ndarray:
+        return self._read_ranges(self.airplane, x, j_start, lengths)
+
+    def _taxi_range(self, x, j_start, lengths) -> np.ndarray:
+        return self._read_ranges(self.taxi, x, j_start, lengths)
+
+    def _landlord_reader(self, villages: np.ndarray, houses: np.ndarray):
         xs = np.asarray(villages).tolist()
         hs = np.asarray(houses).tolist()
 

@@ -224,8 +224,10 @@ def test_batched_reports_are_byte_identical_to_per_trial(tmp_path, monkeypatch, 
 
 
 # sha256 of the LLN CSVs written with one stabilize call per (n, seed) run.
-# At the default budget n=50 takes all 20 seeds in one chunk, n=1000 8 per
-# chunk and n=3000 2 per chunk.
+# At the default budget of 2^17 houses each n takes all 20 seeds in one
+# chunk on one worker, 10 per chunk on two and 7 on three: 3, 6 and 9 tasks.
+# A budget of 8000 houses puts 7, 4 and 1 seeds in the chunks of n=50, 1000
+# and 3000 on three workers: 28 tasks.  One house is one seed per chunk.
 LLN_SEEDS = [7 + k for k in range(18)] + [-5, 2**64 + 9]
 PER_SEED_LLN_DIGESTS = {
     "lln_rows.csv": "cc78b53ef4fa1a9869739db52bd9e32d44eb231b3d50d00fa731926f6e3df624",
@@ -233,8 +235,8 @@ PER_SEED_LLN_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("budget", [simulator_mod._TRIAL_HOUSES, 1])  # 1 house: one seed per chunk
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+@pytest.mark.parametrize("budget", [simulator_mod._TRIAL_HOUSES, 8000, 1])
 def test_chunked_lln_is_byte_identical_to_per_seed_runs(tmp_path, monkeypatch, budget, threads):
     monkeypatch.setattr(simulator_mod, "_TRIAL_HOUSES", budget)
     monkeypatch.setenv("VARW_THREADS", threads)
@@ -243,6 +245,56 @@ def test_chunked_lln_is_byte_identical_to_per_seed_runs(tmp_path, monkeypatch, b
     assert [(r["n"], r["seed"]) for r in report.rows[::2]] == [(n, s) for n in (50, 1000, 3000) for s in LLN_SEEDS]
     for name, digest in PER_SEED_LLN_DIGESTS.items():
         assert _digest(tmp_path / name) == digest, name
+
+
+def test_run_lln_gives_every_worker_a_chunk(monkeypatch):
+    """Two workers and four seeds that fit in one engine: two chunks of two,
+    one for the parent and one for a pool of one process."""
+    import concurrent.futures
+
+    pools, chunks = [], []
+    real_task = exp_mod._lln_task
+
+    def task(args):
+        chunks.append(list(args[2]))
+        return real_task(args)
+
+    class InlinePool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(exp_mod, "_lln_task", task)
+    monkeypatch.setenv("VARW_THREADS", "2")
+    params = two_village_params()
+    assert simulator_mod._trials_per_chunk(params.num_villages, 50) >= 4
+    run_lln(LLNConfig(params=params, n_values=[50], seeds=[1, 2, 3, 4]))
+    assert pools == [1]
+    assert sorted(chunks) == [[1, 2], [3, 4]]
+
+
+@pytest.mark.parametrize("failing_seed", [1, 4], ids=["parent", "forked"])
+def test_run_lln_propagates_a_failed_task(monkeypatch, failing_seed):
+    """An invariant failure in a chunk ends the sweep, whether the parent or
+    a forked worker ran it, and leaves no worker process behind.  With three
+    workers and five seeds the parent runs the chunk of seeds 1-2, and a
+    pool of two runs those of 3-4 and 5."""
+    import multiprocessing
+
+    real = exp_mod.stabilize
+
+    def stabilize(params, n, src, *args):
+        if failing_seed in src.master_seed:
+            raise AcceptanceCheckError(f"mass balance violated (n={n}, seed={failing_seed})")
+        return real(params, n, src, *args)
+
+    monkeypatch.setattr(exp_mod, "stabilize", stabilize)  # forked workers inherit it
+    monkeypatch.setenv("VARW_THREADS", "3")
+    config = LLNConfig(params=two_village_params(), n_values=[50], seeds=[1, 2, 3, 4, 5])
+    with pytest.raises(AcceptanceCheckError, match=rf"^mass balance violated \(n=50, seed={failing_seed}\)$"):
+        run_lln(config)
+    assert multiprocessing.active_children() == []
 
 
 def _corrupt_last_trial(monkeypatch, field):

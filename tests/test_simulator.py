@@ -385,6 +385,19 @@ def test_odometer_past_int64_raises_input_size_error(M, shown):
             single_loop(params, 10, StackSource(params, 10, 1), M)
 
 
+def test_engine_reads_past_address_space_raise_input_size_error():
+    """The engine's own reads skip the range checks but not the size check:
+    every entry is below 2^60, and the round's airplane read (M) or taxi
+    read (the initial actives) is not."""
+    params = two_village_params()
+    with pytest.raises(InputSizeError, match=rf"^a read of {2**60} stack entries is too large"):
+        single_loop(params, 10, StackSource(params, 10, 1), [2**59, 2**59])
+    crowded = ModelParams(kernel=params.kernel, sleep_rates=params.sleep_rates,
+                          init_sleepers=params.init_sleepers, init_actives=np.full(2, 2.0**59))
+    with pytest.raises(InputSizeError, match=rf"^a read of {2**60} stack entries is too large"):
+        single_loop(crowded, 1, StackSource(crowded, 1, 1), [0, 0])
+
+
 @pytest.mark.parametrize("M", [[2**60, 0], [0, 2**63 - 1]], ids=["2^60", "int64-max"])
 def test_odometer_past_max_entries_raises_before_routing(M):
     """An entry >= 2^60 cannot be read, and the engine's read stops M + 1
@@ -591,6 +604,21 @@ def test_single_loop_tilde_takes_one_aux_seed_per_trial():
             single_loop_trials(params, 30, [4], [9, 7], aux_seeds=[aux])
 
 
+@pytest.mark.parametrize("ragged", [[[1, 2], 3], [3, [1, 2]], [[1], [2, 3]]], ids=str)
+def test_ragged_seed_lists_raise_validation_error(ragged):
+    """numpy refuses a ragged nest of sequences with a ValueError of its own;
+    the seed and aux-seed reads answer with a ValidationError instead."""
+    params = two_village_params()
+    with pytest.raises(ValidationError, match="aux seed must be an integer"):
+        single_loop_tilde(params, 30, StackSource(params, 30, [4, -5]), [9, 7, 9, 7], ragged)
+    with pytest.raises(ValidationError, match="aux seed must be an integer"):
+        single_loop_trials(params, 30, [4, -5], [9, 7], aux_seeds=ragged)
+    with pytest.raises(ValidationError, match="1-d sequence of integers"):
+        single_loop_trials(params, 30, ragged, [9, 7])
+    with pytest.raises(ValidationError, match="1-d sequence of integers"):
+        StackSource(params, 30, ragged)
+
+
 EDGE_AUX_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**127 + 3, 2**128 - 1]
 UNIFORM_SHAPES = [(1, 1), (1, 7), (3, 50)]
 
@@ -648,6 +676,26 @@ def test_single_loop_keeps_few_bytes_per_house():
         tracemalloc.stop()
     assert loop.I.tolist() == [2]
     assert peak / n < 16
+
+
+def test_single_loop_scans_many_houses_in_bounded_slices():
+    """One round hits far more houses than one scan slice holds, and the
+    landlord scan's per-notice temporaries grow with the slice, not with the
+    hit houses.  tracemalloc read 27.0 B/house here, where the route's
+    temporaries are the peak; 51.0 with slices of 2^16 houses, and 70.5
+    with one slice for all."""
+    params = one_village_params(q=0.5, lam=1.0, sigma=0.3, nu=0.5)
+    n = 1 << 18
+    assert n >= 16 * simulator_mod._SCAN_SLICE
+    src = StackSource(params, n, 7)
+    tracemalloc.start()
+    try:
+        loop = single_loop(params, n, src, [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loop.I.tolist() == [n // 2] and loop.A[0] > n // 4
+    assert peak / n <= 28
 
 
 @settings(max_examples=40, deadline=None)

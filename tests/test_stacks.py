@@ -74,7 +74,7 @@ def test_landlord_zero_rate_always_jumps():
 
 def _notice_block(src, x, i, count):
     """Notices 1..count of house (x, i), read as one block."""
-    return src.landlord_reader(np.array([x]), np.array([i]))(np.array([0]), np.array([1]), np.array([count]))
+    return src._landlord_reader(np.array([x]), np.array([i]))(np.array([0]), np.array([1]), np.array([count]))
 
 
 def test_landlord_sleep_frequency():
@@ -271,7 +271,7 @@ def test_array_index_landlord_batch_matches_scalar_on_both_sources():
     blocks = np.array([1, 0, 2, 3]), np.array([2, 1, 1, 5]), np.array([3, 0, 1, 4])  # pos, first, width
     want_blocks = [twin.landlord(1, int(houses[k]), int(a + d)) for k, a, w in zip(*blocks) for d in range(w)]
     for source in (src, inj):
-        assert source.landlord_reader(np.full(houses.size, 1), houses)(*blocks).tolist() == want_blocks
+        assert source._landlord_reader(np.full(houses.size, 1), houses)(*blocks).tolist() == want_blocks
     assert src.landlord_batch(1, houses, j).tolist() == want
     assert src.landlord_batch(1, houses, 2).tolist() == [twin.landlord(1, int(i), 2) for i in houses]
     with pytest.raises(ValidationError):
@@ -317,7 +317,7 @@ def test_scalar_reads_match_range_and_reader_reads(case, js):
         assert src.airplane(x, js[0]) == air[x][js[0] - 1] and src.taxi(x, js[0]) == taxi[x][js[0] - 1]
     villages = np.arange(V).repeat(2)
     houses = np.tile([1, n], V)
-    read = src.landlord_reader(villages, houses)
+    read = src._landlord_reader(villages, houses)
     pos = np.repeat(np.arange(villages.size), len(js))
     first = np.tile(js, villages.size)
     width = np.arange(pos.size) % 4  # blocks of 0 to 3 consecutive notices
@@ -541,7 +541,7 @@ def test_golden_notices_through_scalar_reader_and_batch_reads():
         for scalar in (ScalarStacks(src).landlord, src.landlord):
             assert [[scalar(0, int(i), j) for j in GOLDEN_INDICES] for i in houses] == want
         assert [src.landlord_batch(0, houses, j).tolist() for j in GOLDEN_INDICES] == np.transpose(want).tolist()
-        read = src.landlord_reader(np.zeros(2, dtype=np.int64), houses)
+        read = src._landlord_reader(np.zeros(2, dtype=np.int64), houses)
         one_each = read(np.repeat([0, 1], js.size), np.tile(js, 2), np.ones(2 * js.size, dtype=np.int64))
         assert one_each.reshape(2, -1).tolist() == want
         # Blocks of consecutive notices: 1..3, 4096..4097 and 2^31+1 of each house.
