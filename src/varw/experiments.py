@@ -13,6 +13,7 @@ trial through `single_loop` as a runtime check of the batched path.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -34,6 +35,12 @@ from .stacks import StackSource, _as_int, _check_count, derive_seeds
 
 LLN_ROWS_HEADER = "experiment,n,seed,village,m_n,s_n,m_limit,s_limit,err_m_inf,err_s_inf,err_m_eta"
 LLN_SUMMARY_HEADER = "n,metric,median,p90,runs"
+
+# run_lln's pool forks its workers on Linux, whatever the interpreter's default
+# (forkserver from Python 3.14): a spawned worker takes 0.3 s to start and
+# import varw, longer than a whole small sweep.  Elsewhere (macOS, where system
+# libraries are not fork-safe) the pool keeps the platform's default.
+_POOL_START_METHOD = "fork" if sys.platform.startswith("linux") else None
 
 
 def worker_count() -> int:
@@ -161,14 +168,29 @@ def run_lln(config: LLNConfig, out_dir=None) -> LLNReport:
     workers = min(workers, len(tasks))
     if workers > 1:
         # imported here so that `import varw` loads no process pool machinery
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # The parent is one of the workers: it forks the others, runs every
-        # workers-th task itself, then collects the rest in task order.
-        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+        # The parent is one of the workers: it forks the others and runs every
+        # workers-th task itself, stopping at its first failure.  The results
+        # are then read in task order, so that the first failing task in that
+        # order raises, as on one worker.
+        context = multiprocessing.get_context(_POOL_START_METHOD)
+        with ProcessPoolExecutor(max_workers=workers - 1, mp_context=context) as pool:
             forked = {k: pool.submit(_lln_task, t) for k, t in enumerate(tasks) if k % workers}
-            own = {k: _lln_task(t) for k, t in enumerate(tasks) if k % workers == 0}
-            results = [own[k] if k in own else forked[k].result() for k in range(len(tasks))]
+            own = {}
+            for k in range(0, len(tasks), workers):
+                try:
+                    own[k] = _lln_task(tasks[k])
+                except Exception as exc:  # raised below, in task order
+                    own[k] = exc
+                    break
+            results = []
+            for k in range(len(tasks)):
+                result = own[k] if k % workers == 0 else forked[k].result()
+                if isinstance(result, Exception):
+                    raise result
+                results.append(result)
     else:
         results = [_lln_task(t) for t in tasks]
 

@@ -286,8 +286,8 @@ class StackSource:
         z = _counter_words(self._air_key[streams], j_start, lengths)
         village = streams % self._V
         dest = self._cutpoints(np.repeat(village, lengths), z)
-        if self.trials > 1:  # trial offsets t*V, on the tickets that did not go to GRAVEYARD
-            np.add(dest, np.repeat(streams - village, lengths), out=dest, where=dest != GRAVEYARD)
+        # trial offsets t*V, on the tickets that did not go to GRAVEYARD
+        np.add(dest, np.repeat(streams - village, lengths), out=dest, where=dest != GRAVEYARD)
         return dest
 
     def airplane_prefix(self, x: int, count: int) -> np.ndarray:

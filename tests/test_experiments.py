@@ -260,7 +260,7 @@ def test_run_lln_gives_every_worker_a_chunk(monkeypatch):
         return real_task(args)
 
     class InlinePool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context=None):
             pools.append(max_workers)
             super().__init__(max_workers)
 
@@ -274,25 +274,44 @@ def test_run_lln_gives_every_worker_a_chunk(monkeypatch):
     assert sorted(chunks) == [[1, 2], [3, 4]]
 
 
-@pytest.mark.parametrize("failing_seed", [1, 4], ids=["parent", "forked"])
-def test_run_lln_propagates_a_failed_task(monkeypatch, failing_seed):
+# A failure injected by monkeypatching reaches a pool worker only if it forks.
+needs_fork = pytest.mark.skipif(exp_mod._POOL_START_METHOD != "fork", reason="pool workers do not fork here")
+
+
+@pytest.mark.parametrize(
+    "failing, threads",
+    [
+        ({50: 1}, "3"),
+        pytest.param({50: 4}, "3", marks=needs_fork),
+        ({50: 4, 60: 1}, "1"),
+        pytest.param({50: 4, 60: 1}, "2", marks=needs_fork),
+        pytest.param({50: 4, 60: 1}, "3", marks=needs_fork),
+    ],
+    ids=["parent", "forked", "two-on-1-worker", "two-on-2-workers", "two-on-3-workers"],
+)
+def test_run_lln_propagates_a_failed_task(monkeypatch, failing, threads):
     """An invariant failure in a chunk ends the sweep, whether the parent or
-    a forked worker ran it, and leaves no worker process behind.  With three
-    workers and five seeds the parent runs the chunk of seeds 1-2, and a
-    pool of two runs those of 3-4 and 5."""
+    a forked worker ran it, and leaves no worker process behind.  Stabilize
+    fails at each n of `failing` on the chunk holding the seed it maps to.
+    On three workers the chunks are seeds 1-2, 3-4 and 5 per n, and the
+    parent runs tasks 0 and 3 (seeds 1-2 at each n); on two workers they
+    are 1-3 and 4-5, and the parent runs tasks 0 and 2.  When two chunks
+    fail, every worker count raises the error of the first in task order,
+    the forked one at n=50, although the parent meets its own failure at
+    n=60 first."""
     import multiprocessing
 
     real = exp_mod.stabilize
 
     def stabilize(params, n, src, *args):
-        if failing_seed in src.master_seed:
-            raise AcceptanceCheckError(f"mass balance violated (n={n}, seed={failing_seed})")
+        if failing.get(n) in src.master_seed:
+            raise AcceptanceCheckError(f"mass balance violated (n={n}, seed={failing[n]})")
         return real(params, n, src, *args)
 
     monkeypatch.setattr(exp_mod, "stabilize", stabilize)  # forked workers inherit it
-    monkeypatch.setenv("VARW_THREADS", "3")
-    config = LLNConfig(params=two_village_params(), n_values=[50], seeds=[1, 2, 3, 4, 5])
-    with pytest.raises(AcceptanceCheckError, match=rf"^mass balance violated \(n=50, seed={failing_seed}\)$"):
+    monkeypatch.setenv("VARW_THREADS", threads)
+    config = LLNConfig(params=two_village_params(), n_values=[50, 60], seeds=[1, 2, 3, 4, 5])
+    with pytest.raises(AcceptanceCheckError, match=rf"^mass balance violated \(n=50, seed={failing[50]}\)$"):
         run_lln(config)
     assert multiprocessing.active_children() == []
 
