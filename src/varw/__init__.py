@@ -13,6 +13,7 @@ from .errors import (
     StepCapError,
     ValidationError,
     VarwError,
+    WorkerLostError,
 )
 from .experiments import (
     ConcentrationConfig,

@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 validation/usage error, 2 runtime guard tripped
 (step or iteration cap, an integer option beyond 64 bits, or an input too
 large for memory), 3 exact-invariant failure inside an experiment (including
-a batched trial that differs from its single_loop re-evaluation).
+a batched trial that differs from its single_loop re-evaluation), 4 a
+worker process of `lln` that ended without a result (killed by a signal,
+for example by the out-of-memory killer).
 Every subcommand is deterministic given its arguments and input files;
 seeds are always printed, defaulted or not.  `simulate` has no toppling
 order option: every order gives the same stabilizing odometer, and the one
@@ -25,6 +27,7 @@ from .errors import (
     IterationCapError,
     StepCapError,
     ValidationError,
+    WorkerLostError,
 )
 from .limit import solve_fixed_point
 from .model import compute_spectral, load_model, validate_model
@@ -285,6 +288,9 @@ def main(argv=None) -> int:
     except AcceptanceCheckError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 3
+    except WorkerLostError as exc:
+        print(f"worker lost: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

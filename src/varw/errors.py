@@ -2,7 +2,7 @@
 
 The CLI maps these onto exit codes: validation problems exit 1, runtime
 guards (iteration/step caps, oversized inputs) exit 2, tripped experiment
-invariants exit 3.
+invariants exit 3, a worker process lost without a result exits 4.
 """
 
 
@@ -28,3 +28,7 @@ class InputSizeError(VarwError):
 
 class AcceptanceCheckError(VarwError):
     """An exact invariant (mass balance, fixed point, bound) failed during a sweep."""
+
+
+class WorkerLostError(VarwError):
+    """A worker process ended without a result, for example killed by a signal."""

@@ -4,8 +4,9 @@ Each harness is deterministic given its config: per-trial stack seeds are
 derived from the config seed with the same 64-bit mix the stacks use, rows
 are emitted in config order, and CSV/report files are byte-stable across
 invocations.  The LLN sweep stabilizes the seeds of each n in chunks, each
-as one multi-seed source, on VARW_THREADS workers: the calling process and
-a pool of the others.  The distribution experiments evaluate all their
+as one multi-seed source, on VARW_THREADS workers: the calling process and,
+on Linux, processes it forks, each sending its results back through a pipe
+of its own.  The distribution experiments evaluate all their
 trials in batches (`single_loop_trials`) and re-evaluate the first and last
 trial through `single_loop` as a runtime check of the batched path.
 """
@@ -13,13 +14,15 @@ trial through `single_loop` as a runtime check of the batched path.
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import AcceptanceCheckError, ValidationError
+from .errors import AcceptanceCheckError, ValidationError, WorkerLostError
 from .limit import LimitSolution, phi, sleep_profile, solve_fixed_point
 from .model import ModelParams, SpectralData, compute_spectral, eta_norm, validate_model
 from .simulator import (
@@ -36,11 +39,9 @@ from .stacks import StackSource, _as_int, _check_count, derive_seeds
 LLN_ROWS_HEADER = "experiment,n,seed,village,m_n,s_n,m_limit,s_limit,err_m_inf,err_s_inf,err_m_eta"
 LLN_SUMMARY_HEADER = "n,metric,median,p90,runs"
 
-# run_lln's pool forks its workers on Linux, whatever the interpreter's default
-# (forkserver from Python 3.14): a spawned worker takes 0.3 s to start and
-# import varw, longer than a whole small sweep.  Elsewhere (macOS, where system
-# libraries are not fork-safe) the pool keeps the platform's default.
-_POOL_START_METHOD = "fork" if sys.platform.startswith("linux") else None
+# run_lln forks its workers on Linux only.  Elsewhere (macOS, where system
+# libraries are not fork-safe) the calling process runs every task.
+_FORKS = sys.platform.startswith("linux")
 
 
 def worker_count() -> int:
@@ -124,6 +125,76 @@ def _lln_task(args):
     return M_star, S_star, fixed_point_ok
 
 
+def _run_share(tasks) -> list:
+    """_lln_task over tasks, stopping at the first failure, whose exception
+    ends the list."""
+    results = []
+    for task in tasks:
+        try:
+            results.append(_lln_task(task))
+        except Exception as exc:  # raised by the caller, in task order
+            results.append(exc)
+            break
+    return results
+
+
+def _run_forked(tasks, workers: int) -> list:
+    """_lln_task over tasks on `workers` processes, the results in task order.
+
+    The caller forks workers - 1 children: child w runs the tasks k with
+    k % workers == w and pickles its share's results into a pipe of its own,
+    while the caller runs the tasks with k % workers == 0.  The first failing
+    task in task order raises, as on one worker; a child that ends without a
+    result fails its first task with WorkerLostError.  Every child is reaped
+    before this returns or raises, and killed first if the caller fails.
+    """
+    children = {}  # worker -> (pid, read end of its pipe)
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_fd)
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pickle.dump(_run_share(tasks[w::workers]), pipe)
+                    status = 0
+                finally:
+                    os._exit(status)  # never return into the caller's code
+            os.close(write_fd)
+            children[w] = pid, os.fdopen(read_fd, "rb")
+        shares = [_run_share(tasks[::workers])]
+        for w in range(1, workers):
+            pid, pipe = children[w]
+            with pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[w]
+            try:
+                shares.append(pickle.loads(data))
+            except Exception:
+                _, n, seeds = tasks[w]
+                if status < 0:
+                    how = f"was killed by signal {signal.Signals(-status).name}"
+                else:
+                    how = f"exited with status {status}"
+                lost = f"worker process {pid} {how} without a result; its first task was n={n}, seeds {list(seeds)}"
+                shares.append([WorkerLostError(lost)])
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    results = []
+    for k in range(len(tasks)):
+        result = shares[k % workers][k // workers]
+        if isinstance(result, Exception):
+            raise result
+        results.append(result)
+    return results
+
+
 def _format(value) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
 
@@ -166,31 +237,8 @@ def run_lln(config: LLNConfig, out_dir=None) -> LLNReport:
     chunking = [(n, min(_trials_per_chunk(V, n), share)) for n in n_values]
     tasks = [(params, n, seeds[lo : lo + per]) for n, per in chunking for lo in range(0, len(seeds), per)]
     workers = min(workers, len(tasks))
-    if workers > 1:
-        # imported here so that `import varw` loads no process pool machinery
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # The parent is one of the workers: it forks the others and runs every
-        # workers-th task itself, stopping at its first failure.  The results
-        # are then read in task order, so that the first failing task in that
-        # order raises, as on one worker.
-        context = multiprocessing.get_context(_POOL_START_METHOD)
-        with ProcessPoolExecutor(max_workers=workers - 1, mp_context=context) as pool:
-            forked = {k: pool.submit(_lln_task, t) for k, t in enumerate(tasks) if k % workers}
-            own = {}
-            for k in range(0, len(tasks), workers):
-                try:
-                    own[k] = _lln_task(tasks[k])
-                except Exception as exc:  # raised below, in task order
-                    own[k] = exc
-                    break
-            results = []
-            for k in range(len(tasks)):
-                result = own[k] if k % workers == 0 else forked[k].result()
-                if isinstance(result, Exception):
-                    raise result
-                results.append(result)
+    if workers > 1 and _FORKS:
+        results = _run_forked(tasks, workers)
     else:
         results = [_lln_task(t) for t in tasks]
 

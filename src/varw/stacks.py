@@ -20,6 +20,7 @@ Stack identities and distributions:
 from __future__ import annotations
 
 import operator
+import weakref
 
 import numpy as np
 
@@ -233,6 +234,17 @@ class _Cutpoints:
         return self.dest[pos]
 
 
+# One _Cutpoints per model: a source of any n and seeds reuses its model's tables.
+_CUTPOINTS: weakref.WeakKeyDictionary[ModelParams, _Cutpoints] = weakref.WeakKeyDictionary()
+
+
+def _cutpoints_of(params: ModelParams) -> _Cutpoints:
+    table = _CUTPOINTS.get(params)
+    if table is None:
+        table = _CUTPOINTS[params] = _Cutpoints(params.kernel)
+    return table
+
+
 class StackSource:
     """All three instruction families for one (seed, params, n) triple.
 
@@ -260,7 +272,7 @@ class StackSource:
         V = self._V = params.num_villages
         self.num_streams = V * self.trials
         self._air_key, self._taxi_key, self._land_key = _stream_keys(seeds, V)
-        self._cutpoints = _Cutpoints(params.kernel)
+        self._cutpoints = _cutpoints_of(params)
         lam = params.sleep_rates
         # A notice is JUMP when its uniform (z >> 11) * 2^-53 is >= p = lambda/(1+lambda),
         # that is when z >> 11 >= ceil(p * 2^53); exact also for p 0 and 1.
@@ -349,10 +361,13 @@ class StackSource:
         indices.
         """
         houses = _int64_vector(houses)
+        first = _int64_vector(j)
+        if first.size != 1 and first.shape != houses.shape:
+            raise ValidationError(f"expected one stack index or one per house ({houses.size}), got {first.size}")
         bad = houses[(houses < 1) | (houses > self.n)]
         if bad.size:
             raise ValidationError(f"house index {int(bad[0])!r} out of range 1..{self.n}")
-        x, first = np.broadcast_arrays(x, j, houses)[:2]
+        x, first = np.broadcast_arrays(x, first, houses)[:2]
         x, first, _ = _check_ranges(x, first, first, self.num_streams)
         return self._landlord_reader(x, houses)(np.arange(houses.size), first, np.ones(houses.size, dtype=np.int64))
 

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
-import numpy as np
+import os
+import signal
 
+import numpy as np
+import pytest
+
+import varw.experiments as exp_mod
 from varw import ModelParams, compute_spectral, validate_model
+
+# A failure injected by monkeypatching reaches a worker only if it is forked.
+needs_fork = pytest.mark.skipif(not exp_mod._FORKS, reason="run_lln forks no workers here")
 
 
 def two_village_params() -> ModelParams:
@@ -24,6 +32,46 @@ def one_village_params(q=0.5, lam=1.0, sigma=0.0, nu=1.0) -> ModelParams:
         init_sleepers=[float(sigma)],
         init_actives=[float(nu)],
     )
+
+
+def record_forks(monkeypatch) -> list[int]:
+    """A list that collects the pid of every child this process forks from
+    now on through os.fork."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def kill_forked_workers(monkeypatch, seed) -> None:
+    """Make every forked worker that stabilizes `seed` send itself SIGKILL,
+    as the out-of-memory killer would; the calling process runs its tasks
+    as usual."""
+    real, caller = exp_mod.stabilize, os.getpid()
+
+    def stabilize(params, n, src, *args):
+        if seed in src.master_seed and os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(params, n, src, *args)
+
+    monkeypatch.setattr(exp_mod, "stabilize", stabilize)
+
+
+def assert_reaped(pids) -> None:
+    """Each of pids has ended and been reaped, so that waitpid no longer
+    knows it.  (waitpid(-1) cannot tell: the acceptance battery's spawn pool
+    leaves multiprocessing's resource tracker running as a child of the
+    test process.)"""
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def random_subcritical_params(

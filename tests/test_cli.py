@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import two_village_params
+from helpers import assert_reaped, kill_forked_workers, needs_fork, record_forks, two_village_params
 
 import varw
 from varw import (
@@ -15,6 +16,7 @@ from varw import (
     IterationCapError,
     StepCapError,
     ValidationError,
+    WorkerLostError,
     compute_spectral,
     solve_fixed_point,
 )
@@ -250,6 +252,24 @@ def test_lln_rejects_repeated_n(capsys, model_file, tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@needs_fork
+def test_lln_lost_worker_exit_code(capsys, model_file, tmp_path, monkeypatch):
+    """A forked worker killed by a signal exits 4 with one line naming it,
+    not a traceback."""
+    kill_forked_workers(monkeypatch, 2)
+    monkeypatch.setenv("VARW_THREADS", "2")
+    forks = record_forks(monkeypatch)
+    code, _, err = run_cli(
+        capsys, "lln", "--model", model_file, "--n", "30", "--seeds", "1,2", "--out", str(tmp_path / "o"),
+    )
+    assert code == 4
+    assert err.count("\n") == 1
+    assert err.startswith("worker lost: worker process ")
+    assert err.endswith(" was killed by signal SIGKILL without a result; its first task was n=30, seeds [2]\n")
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
 def test_concentration_subcommand(capsys, model_file, tmp_path):
     code, out, _ = run_cli(
         capsys, "concentration", "--model", model_file, "--n", "40", "--M", "20,10",
@@ -324,6 +344,7 @@ EXIT_CODES = {
     StepCapError: 2,
     InputSizeError: 2,
     AcceptanceCheckError: 3,
+    WorkerLostError: 4,
 }
 
 
@@ -380,7 +401,7 @@ def test_import_loads_no_scipy():
 
 
 def test_import_loads_no_process_pool():
-    """`run_lln` imports its process pool only when it starts one."""
+    """`import varw` loads no process pool machinery."""
     src = Path(varw.__file__).resolve().parent.parent
     code = (
         "import sys, varw, varw.cli; "
@@ -390,3 +411,20 @@ def test_import_loads_no_process_pool():
         [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
     )
     assert proc.stdout == "[]\n"
+
+
+def test_lln_on_two_workers_loads_no_process_pool():
+    """`run_lln` forks its workers itself: a two-worker sweep, which forks
+    one, loads no `concurrent` or `multiprocessing` module."""
+    src = Path(varw.__file__).resolve().parent.parent
+    code = (
+        "import sys, varw; "
+        "p = varw.load_model('models/two_village.json'); "
+        "r = varw.run_lln(varw.LLNConfig(params=p, n_values=[50], seeds=[1, 2])); "
+        "print(len(r.rows), sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    env = dict(os.environ, VARW_THREADS="2", PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=src.parent, env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "4 []\n"

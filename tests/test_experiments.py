@@ -1,5 +1,7 @@
 import hashlib
 import math
+import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +9,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import one_village_params, two_village_params
+from helpers import (
+    assert_reaped,
+    kill_forked_workers,
+    needs_fork,
+    one_village_params,
+    record_forks,
+    two_village_params,
+)
 
 import varw.experiments as exp_mod
 import varw.simulator as simulator_mod
@@ -16,6 +25,7 @@ from varw import (
     ConcentrationConfig,
     LLNConfig,
     ValidationError,
+    WorkerLostError,
     run_concentration,
     run_kappa_equivalence,
     run_lln,
@@ -247,35 +257,30 @@ def test_chunked_lln_is_byte_identical_to_per_seed_runs(tmp_path, monkeypatch, b
         assert _digest(tmp_path / name) == digest, name
 
 
-def test_run_lln_gives_every_worker_a_chunk(monkeypatch):
+def test_run_lln_gives_every_worker_a_chunk(monkeypatch, tmp_path):
     """Two workers and four seeds that fit in one engine: two chunks of two,
-    one for the parent and one for a pool of one process."""
-    import concurrent.futures
-
-    pools, chunks = [], []
+    seeds 1-2 for the calling process and 3-4 for the one process it forks."""
+    log = tmp_path / "chunks"
     real_task = exp_mod._lln_task
 
     def task(args):
-        chunks.append(list(args[2]))
+        with log.open("a") as f:  # one short append per task, from either process
+            f.write(f"{os.getpid()} {list(args[2])}\n")
         return real_task(args)
 
-    class InlinePool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers, mp_context=None):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(exp_mod, "_lln_task", task)
     monkeypatch.setenv("VARW_THREADS", "2")
     params = two_village_params()
     assert simulator_mod._trials_per_chunk(params.num_villages, 50) >= 4
     run_lln(LLNConfig(params=params, n_values=[50], seeds=[1, 2, 3, 4]))
-    assert pools == [1]
-    assert sorted(chunks) == [[1, 2], [3, 4]]
+    chunks = {}
+    for line in log.read_text().splitlines():
+        pid, chunk = line.split(" ", 1)
+        chunks.setdefault(int(pid), []).append(chunk)
+    assert chunks.pop(os.getpid()) == ["[1, 2]"]
+    assert list(chunks.values()) == ([["[3, 4]"]] if exp_mod._FORKS else [])
 
 
-# A failure injected by monkeypatching reaches a pool worker only if it forks.
-needs_fork = pytest.mark.skipif(exp_mod._POOL_START_METHOD != "fork", reason="pool workers do not fork here")
 
 
 @pytest.mark.parametrize(
@@ -299,8 +304,6 @@ def test_run_lln_propagates_a_failed_task(monkeypatch, failing, threads):
     fail, every worker count raises the error of the first in task order,
     the forked one at n=50, although the parent meets its own failure at
     n=60 first."""
-    import multiprocessing
-
     real = exp_mod.stabilize
 
     def stabilize(params, n, src, *args):
@@ -310,10 +313,90 @@ def test_run_lln_propagates_a_failed_task(monkeypatch, failing, threads):
 
     monkeypatch.setattr(exp_mod, "stabilize", stabilize)  # forked workers inherit it
     monkeypatch.setenv("VARW_THREADS", threads)
+    forks = record_forks(monkeypatch)
     config = LLNConfig(params=two_village_params(), n_values=[50, 60], seeds=[1, 2, 3, 4, 5])
     with pytest.raises(AcceptanceCheckError, match=rf"^mass balance violated \(n=50, seed={failing[50]}\)$"):
         run_lln(config)
-    assert multiprocessing.active_children() == []
+    assert len(forks) == (int(threads) - 1 if exp_mod._FORKS else 0)
+    assert_reaped(forks)
+
+
+@needs_fork
+def test_run_lln_reports_a_killed_worker(monkeypatch):
+    """A worker that dies without a result, here by SIGKILL, fails its first
+    task with WorkerLostError naming the signal, n and the chunk's seeds;
+    the sweep still reaps every child."""
+    kill_forked_workers(monkeypatch, 3)
+    monkeypatch.setenv("VARW_THREADS", "2")
+    forks = record_forks(monkeypatch)
+    config = LLNConfig(params=two_village_params(), n_values=[50], seeds=[1, 2, 3, 4])
+    with pytest.raises(WorkerLostError, match=r"killed by signal SIGKILL without a result; its first task was n=50, seeds \[3, 4\]$"):
+        run_lln(config)
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+@needs_fork
+def test_run_lln_raises_a_failure_before_a_killed_worker_in_task_order(monkeypatch):
+    """Task 0 (the caller's, seeds 1-2) fails, and the worker that holds
+    task 1 (seeds 3-4) dies: task 0's error raises, as it comes first."""
+    kill_forked_workers(monkeypatch, 3)
+    real = exp_mod.stabilize
+
+    def stabilize(params, n, src, *args):
+        if 1 in src.master_seed:
+            raise AcceptanceCheckError("mass balance violated (n=50, seed=1)")
+        return real(params, n, src, *args)
+
+    monkeypatch.setattr(exp_mod, "stabilize", stabilize)
+    monkeypatch.setenv("VARW_THREADS", "2")
+    forks = record_forks(monkeypatch)
+    with pytest.raises(AcceptanceCheckError, match=r"seed=1\)$"):
+        run_lln(LLNConfig(params=two_village_params(), n_values=[50], seeds=[1, 2, 3, 4]))
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+@needs_fork
+def test_run_lln_kills_its_workers_when_interrupted(monkeypatch):
+    """An interrupt in the calling process kills and reaps a worker that is
+    still running (here one that would sleep for a minute)."""
+    real, caller = exp_mod.stabilize, os.getpid()
+
+    def stabilize(params, n, src, *args):
+        if os.getpid() != caller:
+            time.sleep(60)
+        elif 1 in src.master_seed:
+            raise KeyboardInterrupt
+        return real(params, n, src, *args)
+
+    monkeypatch.setattr(exp_mod, "stabilize", stabilize)
+    monkeypatch.setenv("VARW_THREADS", "2")
+    forks = record_forks(monkeypatch)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_lln(LLNConfig(params=two_village_params(), n_values=[50], seeds=[1, 2, 3, 4]))
+    assert time.monotonic() - start < 30
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+@needs_fork
+def test_run_lln_success_leaves_no_child_process(monkeypatch, tmp_path):
+    """Every worker is reaped, and none returns from run_lln into the code
+    that called it: one that did would leave a mark here and end."""
+    monkeypatch.setenv("VARW_THREADS", "3")
+    forks = record_forks(monkeypatch)
+    caller = os.getpid()
+    try:
+        run_lln(LLNConfig(params=two_village_params(), n_values=[50], seeds=[1, 2, 3, 4, 5]))
+    finally:
+        if os.getpid() != caller:
+            (tmp_path / f"escaped-{os.getpid()}").touch()
+            os._exit(0)
+    assert len(forks) == 2
+    assert_reaped(forks)
+    assert list(tmp_path.iterdir()) == []
 
 
 def _corrupt_last_trial(monkeypatch, field):

@@ -187,6 +187,8 @@ BAD_READS = [
     ("landlord_batch", (2, [1], 1), ValidationError, "village index 2 out of range"),
     ("landlord_batch", (0, [0, 11], 1), ValidationError, r"house index 0 out of range 1\.\.10"),
     ("landlord_batch", (0, [1, 11], 1), ValidationError, r"house index 11 out of range 1\.\.10"),
+    ("landlord_batch", (0, [1, 2, 3], [1, 2]), ValidationError, r"one stack index or one per house \(3\), got 2"),
+    ("landlord_batch", (0, [1], [1, 2]), ValidationError, r"one stack index or one per house \(1\), got 2"),
 ]
 
 
@@ -592,6 +594,13 @@ def test_cutpoint_lookup_matches_searchsorted_on_crafted_words(name):
     # One table entry per distinct CDF value and one sentinel per row, so that
     # a step passes a whole run of zero kernel entries.
     assert lookup.cut.size == sum(np.unique(row).size for row in cdf) + V
+
+
+def test_sources_of_one_model_share_its_cutpoint_tables():
+    params = two_village_params()
+    tables = StackSource(params, 10, 1)._cutpoints
+    assert StackSource(params, 500, [2, 3])._cutpoints is tables
+    assert StackSource(two_village_params(), 10, 1)._cutpoints is not tables  # an equal model of its own
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 1e300])
