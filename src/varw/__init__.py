@@ -34,7 +34,6 @@ from .model import (
     validate_model,
 )
 from .simulator import (
-    DiscreteConfig,
     SimResult,
     SingleLoopResult,
     single_loop,

@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 validation/usage error, 2 runtime guard tripped
 large for memory), 3 exact-invariant failure inside an experiment (including
 a batched trial that differs from its single_loop re-evaluation), 4 a
 worker process of `lln` that ended without a result (killed by a signal,
-for example by the out-of-memory killer).
+for example by the out-of-memory killer) or could not be started (its
+pipe or fork failed).
 Every subcommand is deterministic given its arguments and input files;
 seeds are always printed, defaulted or not.  `simulate` has no toppling
 order option: every order gives the same stabilizing odometer, and the one

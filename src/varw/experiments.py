@@ -145,14 +145,23 @@ def _run_forked(tasks, workers: int) -> list:
     k % workers == w and pickles its share's results into a pipe of its own,
     while the caller runs the tasks with k % workers == 0.  The first failing
     task in task order raises, as on one worker; a child that ends without a
-    result fails its first task with WorkerLostError.  Every child is reaped
-    before this returns or raises, and killed first if the caller fails.
+    result fails its first task with WorkerLostError.  A worker whose pipe
+    or fork fails (too many open files, or a process or memory limit)
+    raises WorkerLostError naming it and the OS error.  Every child is
+    reaped before this returns or raises, and killed first if the caller
+    fails.
     """
     children = {}  # worker -> (pid, read end of its pipe)
     try:
         for w in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
+            fds = ()  # the pipe, closed again if the fork fails
+            try:
+                fds = read_fd, write_fd = os.pipe()
+                pid = os.fork()
+            except OSError as exc:
+                for fd in fds:
+                    os.close(fd)
+                raise WorkerLostError(f"worker {w} of {workers - 1} could not be started: {exc}") from exc
             if pid == 0:
                 status = 1
                 try:
@@ -199,12 +208,16 @@ def _format(value) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
+def _write_lines(path: Path, lines: list[str]) -> None:
+    """Write each line with a newline after it, creating the directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def _write_csv(path: Path, header: str, records: list[dict]) -> None:
     """One line per record, its values in the order the header names them."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [header]
-    lines.extend(",".join(_format(r[k]) for k in header.split(",")) for r in records)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    keys = header.split(",")
+    _write_lines(path, [header, *(",".join(_format(r[k]) for k in keys) for r in records)])
 
 
 def run_lln(config: LLNConfig, out_dir=None) -> LLNReport:
@@ -395,7 +408,6 @@ def run_concentration(config: ConcentrationConfig, out_path=None) -> Concentrati
     )
     if out_path is not None:
         path = Path(out_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         lines = [
             "experiment: concentration",
             f"n: {n}",
@@ -410,7 +422,7 @@ def run_concentration(config: ConcentrationConfig, out_path=None) -> Concentrati
             f"slack_phi: {slack_phi!r}",
             f"violated: {str(violated).lower()}",
         ]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_lines(path, lines)
         report = replace(report, path=path)
     return report
 
@@ -497,7 +509,6 @@ def run_kappa_equivalence(
     )
     if out_path is not None:
         path = Path(out_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         lines = [
             "experiment: kappa-test",
             f"n: {n}",
@@ -508,6 +519,6 @@ def run_kappa_equivalence(
             lines.append(f"village_{x}_p_value: {p_values[x]!r}")
             lines.append(f"village_{x}_statistic: {statistics[x]!r}")
             lines.append(f"village_{x}_bins: {bins[x]}")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_lines(path, lines)
         report = replace(report, path=path)
     return report

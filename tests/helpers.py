@@ -50,6 +50,21 @@ def record_forks(monkeypatch) -> list[int]:
     return pids
 
 
+def fail_os_call(monkeypatch, name: str, call: int, error: OSError) -> None:
+    """Make call number `call` of os.<name> (os.pipe or os.fork) raise
+    `error`, as it would past the open-file limit or a process or memory
+    limit; the other calls run as before."""
+    real, calls = getattr(os, name), []
+
+    def failing():
+        calls.append(None)
+        if len(calls) == call:
+            raise error
+        return real()
+
+    monkeypatch.setattr(os, name, failing)
+
+
 def kill_forked_workers(monkeypatch, seed) -> None:
     """Make every forked worker that stabilizes `seed` send itself SIGKILL,
     as the out-of-memory killer would; the calling process runs its tasks

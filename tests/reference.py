@@ -9,7 +9,9 @@ vector reads of `varw.StackSource` that it is checked against.
 `reference_stabilize` topples one landlord notice at a time from a schedule
 of active houses, reading every instruction through scalar `airplane`,
 `taxi` and `landlord` reads, one entry at a time: those of `ScalarStacks`
-for a `StackSource`.  By the abelian property every schedule consumes the
+for a `StackSource`.  It holds its houses in a `DiscreteConfig`, which
+counts every particle, and checks that the configuration it ends in is
+stable.  By the abelian property every schedule consumes the
 same stack prefixes and gives the same result as `varw.stabilize`; the
 tests check that on shared stacks.
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import accumulate
 
@@ -29,7 +32,7 @@ import numpy as np
 
 from varw import GRAVEYARD, JUMP, SLEEP, ModelParams, StackSource, StepCapError, ValidationError, VarwError
 from varw.model import floor_counts
-from varw.simulator import DEFAULT_STEP_CAP, ConsumedCounters, DiscreteConfig, SimResult
+from varw.simulator import DEFAULT_STEP_CAP, ConsumedCounters, SimResult
 from varw.stacks import (
     _GOLDEN,
     _K_HOUSE,
@@ -43,6 +46,27 @@ from varw.stacks import (
 )
 
 SCHEDULES = ("fifo-house-queue", "village-round-robin", "lowest-index-first")
+
+
+@dataclass(frozen=True, eq=False)
+class DiscreteConfig:
+    """House-level configuration of the oracle at fixed n.
+
+    Row x, column i-1 describes house i of village x: its particle count
+    and, when it holds exactly one particle, whether that particle is
+    asleep.  Unlike `SimResult.occupied`, it can hold houses with several
+    particles, as the initial configuration and the toppling loop do.
+    """
+
+    n: int
+    counts: np.ndarray
+    sleeping: np.ndarray
+
+    @property
+    def is_stable(self) -> bool:
+        if np.any(self.counts > 1):
+            return False
+        return bool(np.all(self.sleeping[self.counts == 1]))
 
 
 class _FifoSchedule:
@@ -275,16 +299,18 @@ def reference_stabilize(params, n: int, src, schedule: str, step_cap: int = DEFA
         counts=np.array(counts, dtype=np.int64).reshape(V, n),
         sleeping=np.frombuffer(bytes(sleeping), dtype=np.uint8).reshape(V, n) > 0,
     )
+    assert final.is_stable, f"{schedule} toppling ended in a non-stable configuration"
+    occupied = final.sleeping & (final.counts == 1)  # lone sleepers
     return SimResult(
         M_star=np.array(M_star, dtype=np.int64),
-        S_star=final.sleepers_per_village(),
+        S_star=np.count_nonzero(occupied, axis=1),
         inflow=np.array(inflow, dtype=np.int64),
         consumed=ConsumedCounters(
             airplane=np.array([j - 1 for j in air_next], dtype=np.int64),
             taxi=np.array([j - 1 for j in taxi_next], dtype=np.int64),
             landlord=np.array(landlord_used, dtype=np.int64),
         ),
-        final_config=final,
+        occupied=occupied,
     )
 
 

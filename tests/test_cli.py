@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import assert_reaped, kill_forked_workers, needs_fork, record_forks, two_village_params
+from helpers import assert_reaped, fail_os_call, kill_forked_workers, needs_fork, record_forks, two_village_params
 
 import varw
 from varw import (
@@ -268,6 +269,20 @@ def test_lln_lost_worker_exit_code(capsys, model_file, tmp_path, monkeypatch):
     assert err.endswith(" was killed by signal SIGKILL without a result; its first task was n=30, seeds [2]\n")
     assert len(forks) == 1
     assert_reaped(forks)
+
+
+@needs_fork
+def test_lln_unstartable_worker_exit_code(capsys, model_file, tmp_path, monkeypatch):
+    """A worker whose fork fails (here under a process limit) exits 4 with
+    one line naming it and the OS error, not a traceback."""
+    monkeypatch.setenv("VARW_THREADS", "2")
+    fail_os_call(monkeypatch, "fork", 1, BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN)))
+    code, _, err = run_cli(
+        capsys, "lln", "--model", model_file, "--n", "30", "--seeds", "1,2", "--out", str(tmp_path / "o"),
+    )
+    assert code == 4
+    assert err == f"worker lost: worker 1 of 1 could not be started: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_concentration_subcommand(capsys, model_file, tmp_path):

@@ -1,6 +1,8 @@
+import errno
 import hashlib
 import math
 import os
+import re
 import time
 from dataclasses import replace
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     assert_reaped,
+    fail_os_call,
     kill_forked_workers,
     needs_fork,
     one_village_params,
@@ -318,6 +321,30 @@ def test_run_lln_propagates_a_failed_task(monkeypatch, failing, threads):
     with pytest.raises(AcceptanceCheckError, match=rf"^mass balance violated \(n=50, seed={failing[50]}\)$"):
         run_lln(config)
     assert len(forks) == (int(threads) - 1 if exp_mod._FORKS else 0)
+    assert_reaped(forks)
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        ("pipe", OSError(errno.EMFILE, os.strerror(errno.EMFILE))),
+        ("fork", BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))),
+    ],
+)
+def test_run_lln_reports_a_worker_it_could_not_start(monkeypatch, call, error):
+    """The second worker's pipe or fork fails: the sweep raises
+    WorkerLostError naming that worker and the OS error, leaves no file
+    descriptor open, and kills and reaps the worker it did start."""
+    monkeypatch.setenv("VARW_THREADS", "3")
+    forks = record_forks(monkeypatch)
+    fail_os_call(monkeypatch, call, 2, error)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    config = LLNConfig(params=two_village_params(), n_values=[50], seeds=[1, 2, 3, 4, 5])
+    with pytest.raises(WorkerLostError, match=rf"^worker 2 of 2 could not be started: {re.escape(str(error))}$"):
+        run_lln(config)
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+    assert len(forks) == 1
     assert_reaped(forks)
 
 
