@@ -16,6 +16,7 @@ stabilizer computes it in rounds.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -43,6 +44,12 @@ class _CliArgumentError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes a value that looks like a negative number, but not a
+        # comma list such as "--seeds -3,7", which it reads as an option.
+        self._negative_number_matcher = re.compile(r"^-\d+(,-?\d*)*$|^-\d*\.\d+$")
+
     def error(self, message):
         raise _CliArgumentError(message)
 

@@ -7,7 +7,7 @@ odometer map Phi on shared stacks: it routes the arrivals implied by a jump
 count per stream through the taxi tickets, finds each visited house's
 terminal landlord notice, and reports the resulting outflux, by the one
 evaluation `single_loop_tilde` and `single_loop_trials` share.  All entry
-points run on one flat engine of dense per-house arrays.
+points run on one flat engine that keeps one int32 word per house.
 
 `stabilize` computes the stabilizing odometer M* in rounds: Phi is
 monotone, so iterating M <- Phi(M) from M = 0 rises to its least fixed
@@ -31,7 +31,8 @@ from .model import validate_model  # noqa: F401  patched here by perfbench/trace
 from .stacks import _MAX_ENTRIES, GRAVEYARD, SLEEP, StackSource, _as_int, _check_count, _check_read_size, _ndim, _seed_words
 
 DEFAULT_STEP_CAP = 10**9
-_SCAN_SLICE = 1 << 14  # houses per block of landlord reads
+_SCAN_SLICE = 1 << 14  # houses per block of landlord reads, and entries per piece of a ticket read
+_MAX_NOTICES = (1 << 30) - 1  # landlord notices a house's int32 word counts
 _TRIAL_HOUSES = 1 << 17  # houses per chunk of trials in single_loop_trials and run_lln
 _MASK32 = (1 << 32) - 1
 _MASK128 = (1 << 128) - 1
@@ -40,6 +41,10 @@ _SEED_INIT_A, _SEED_MULT_A = 0x43B0D7E5, 0x931E8875
 _SEED_INIT_B, _SEED_MULT_B = 0x8B51F9DD, 0x58F38DED
 _SEED_MIX_L, _SEED_MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# SeedSequence's hash constant before each hash and after the last, INIT * MULT^k mod 2^32: pool
+# hashing and mixing hash 4 + 12 times with the A constants, the output 8 times with the B ones.
+_HASH_A = np.array([_SEED_INIT_A * pow(_SEED_MULT_A, k, 1 << 32) & _MASK32 for k in range(17)], dtype=np.uint32)
+_HASH_B = np.array([_SEED_INIT_B * pow(_SEED_MULT_B, k, 1 << 32) & _MASK32 for k in range(9)], dtype=np.uint32)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,12 +112,11 @@ def stabilize(params: ModelParams, n: int, src, step_cap: int = DEFAULT_STEP_CAP
             )
         M = Phi
 
-    shape = (src.num_streams, engine.n)
+    word = engine.word.reshape(src.num_streams, engine.n)
     # A visited house holds a lone sleeper iff its terminal notice is SLEEP,
     # and an unvisited one iff it held an initial sleeper.
-    visited = engine.revealed.reshape(shape) > 0
-    occupied = engine.terminal.reshape(shape) == SLEEP
-    occupied &= visited | (np.arange(engine.n) < engine.floor_sigma[:, None])
+    occupied = (word & 1) == SLEEP
+    occupied &= (word > 1) | (np.arange(engine.n) < engine.floor_sigma[:, None])
     S_star, inflow = _lone_sleepers(occupied), engine.I.copy()
     balance = engine.floor_sigma + inflow - M
     bad = np.flatnonzero(S_star != balance)
@@ -122,7 +126,7 @@ def stabilize(params: ModelParams, n: int, src, step_cap: int = DEFAULT_STEP_CAP
             f"mass balance violated {_failed_at(src, int(bad[0]), V)}: S*={S_star.reshape(-1, V)[t].tolist()} but "
             f"floor(sigma n)+inflow-M*={balance.reshape(-1, V)[t].tolist()}"
         )
-    landlord = engine.revealed.reshape(shape).sum(axis=1)
+    landlord = (word >> 1).sum(axis=1, dtype=np.int64)
     consumed = ConsumedCounters(airplane=M.copy(), taxi=inflow.copy(), landlord=landlord)
     return SimResult(M_star=M, S_star=S_star, inflow=inflow, consumed=consumed, occupied=occupied)
 
@@ -154,13 +158,14 @@ class _LoopEngine:
     stream s = t*V + x, and a one-trial source has one stream per village.
     House (s, i) is flat index s*n + i - 1, and it holds an initial sleeper
     exactly when i <= floor_sigma[s].  Per house the engine keeps what the
-    next round reads: the landlord notices read (`revealed`; a house is
-    visited exactly when it has read one, its terminal notice) and the last
-    of them (`terminal`).  Per stream it keeps the airplane tickets read
-    (`M`), the taxi tickets read, and the running counts of `totals`, updated
-    from the houses each round touches.  Every read is the next unread entry
-    of its stack, so advancing through M_1 <= M_2 <= ... reads the same
-    prefixes as one evaluation at the last odometer.
+    next round reads in one int32 `word`, 2 * notices + terminal: the
+    landlord notices read (a house is visited exactly when it has read one,
+    its terminal notice, so exactly when word > 1) and the last of them.
+    Per stream it keeps the airplane tickets read (`M`), the taxi tickets
+    read, and the running counts of `totals`, updated from the houses each
+    round touches.  Every read is the next unread entry of its stack, so
+    advancing through M_1 <= M_2 <= ... reads the same prefixes as one
+    evaluation at the last odometer.
 
     Every entry point builds one, so it is where the caller's model and n
     are checked against the source's.
@@ -184,8 +189,8 @@ class _LoopEngine:
         self.Q = self.floor_sigma.copy()
         self.J = np.zeros(S, dtype=np.int64)
         self.taxi_read = np.zeros(S, dtype=np.int64)
-        self.revealed = np.zeros(S * n, dtype=np.int64)
-        self.terminal = np.zeros(S * n, dtype=np.uint8)
+        self.word = np.zeros(S * n, dtype=np.int32)
+        self.house_dtype = np.int32 if S * n < 1 << 31 else np.int64  # flat house indices
         self.tickets = 0  # airplane tickets plus post-landing taxi tickets read
         self.notices = 0  # landlord notices read
 
@@ -201,21 +206,31 @@ class _LoopEngine:
         and land the arrivals they imply on the next taxi tickets.  Returns
         the houses hit this round and how many arrivals each received.
         Both reads are of ranges built here, past what was read before, so
-        only their total size is checked."""
+        only their total size is checked, and they are read in pieces of at
+        most _SCAN_SLICE tickets, so their per-ticket temporaries stay
+        bounded."""
         S, n, src = self.I.shape[0], self.n, self.src
         streams = np.arange(S)
         flights = M - self.M
         _check_read_size(flights)
-        dests = src._airplane_range(streams, self.M + 1, flights)
+        possible = np.append(self.I - self.taxi_read, flights)  # unread arrivals, and one per flight at most
+        _check_read_size(possible)
+        # Reserved before the first piece, so an odometer too large for memory fails at once.
+        houses = np.empty(int(possible.sum()), dtype=self.house_dtype)
+        landed = np.zeros(S + 1, dtype=np.int64)
+        for piece in _pieces(streams, self.M + 1, flights):
+            landed += np.bincount(src._airplane_range(*piece) - GRAVEYARD, minlength=S + 1)  # GRAVEYARD lands in bin 0
         self.M = M
-        self.I = self.I + np.bincount(dests - GRAVEYARD, minlength=S + 1)[1:]  # GRAVEYARD lands in bin 0
-        arrivals = self.I - self.taxi_read
-        _check_read_size(arrivals)
-        houses = src._taxi_range(streams, self.taxi_read + 1, arrivals)
-        houses += np.repeat(streams * n - 1, arrivals)  # flat house index
+        self.I = self.I + landed[1:]
+        count = 0
+        for s, first, lengths in _pieces(streams, self.taxi_read + 1, self.I - self.taxi_read):
+            piece = src._taxi_range(s, first, lengths)
+            piece += np.repeat(s * n - 1, lengths)  # flat house index
+            houses[count : count + piece.size] = piece
+            count += piece.size
         self.taxi_read = self.I.copy()
         self.tickets = int(M.sum() + self.I.sum() - self.floor_nu.sum())
-        return np.unique(houses, return_counts=True)
+        return np.unique(houses[:count], return_counts=True)
 
     def _scan(self, touched: np.ndarray, new_hits: np.ndarray) -> None:
         """Resume the landlord scan of every newly hit house until it has seen
@@ -227,44 +242,49 @@ class _LoopEngine:
     def _scan_slice(self, touched: np.ndarray, new_hits: np.ndarray) -> None:
         S = self.I.size
         x, i = np.divmod(touched, self.n)
-        revealed = self.revealed[touched]
-        before = self.terminal[touched]
+        word = self.word[touched]
+        before = word & 1  # the terminal notice, SLEEP on an unvisited house
         # Jumps still owed before the terminal notice.  A house hit before holds
         # a terminal notice, which now becomes an ordinary one; an unvisited
-        # house (terminal 0) lets its initial sleeper wake but owes a jump for
-        # every other particle.
+        # house lets its initial sleeper wake but owes a jump for every other
+        # particle.
         need = new_hits - before
-        new = (revealed == 0).nonzero()[0]
+        new = (word == 0).nonzero()[0]
         new_x = x[new]
         sleeper = i[new] < self.floor_sigma[new_x]
         need[new] += sleeper - 1
         self.A += np.bincount(new_x, minlength=S)
         self.Q -= np.bincount(new_x[sleeper], minlength=S)
+        del new, new_x, sleeper  # not held through the reads
         read = self.src._landlord_reader(x, i + 1)
         pos = np.arange(touched.size)
-        first = revealed + 1  # next unread notice
-        after = before.copy()
+        first = (word >> 1) + 1  # next unread notice
         while pos.size:
             # A house owing k JUMPs reads at least k + 1 more notices, and only
             # the last of them can be terminal: read those k + 1 in one block.
             width = need + 1
+            # No house has read more notices than the engine, so only then can one pass the limit.
+            if self.notices + width.sum() > _MAX_NOTICES and (past := (first + need > _MAX_NOTICES).nonzero()[0]).size:
+                k = pos[past[0]]
+                raise InputSizeError(
+                    f"house {i[k] + 1} would read more than {_MAX_NOTICES} landlord notices "
+                    f"{_failed_at(self.src, int(x[k]), self.src.params.num_villages)}"
+                )
             draws = read(pos, first, width)
             self.notices += draws.size
             self._check_cap()
             stops = width.cumsum()
             need -= np.add.reduceat(draws, stops - width, dtype=np.int64)
             last = draws[stops - 1]
-            # Record each house's last notice read.  A house whose last notice
-            # is terminal (it owed no other jump: need + last == 0) is done,
-            # and its record stays.
-            first += width - 1
-            revealed[pos] = first
-            after[pos] = last
+            # Record each house's notice count and last notice.  A house whose
+            # last notice is terminal (it owed no other jump: need + last == 0)
+            # is done, and its record stays.
+            first += width - 1  # notices read, below the limit checked above, so int32 holds them
+            word[pos] = 2 * first + last
             more = (need + last).nonzero()[0]
             pos, first, need = pos[more], first[more] + 1, need[more]
-        self.revealed[touched] = revealed
-        self.terminal[touched] = after
-        self.J += np.bincount(x, weights=after.view(np.int8) - before.view(np.int8), minlength=S).astype(np.int64)
+        self.word[touched] = word
+        self.J += np.bincount(x, weights=(word & 1) - before, minlength=S).astype(np.int64)
 
     def _check_cap(self) -> None:
         if self.step_cap is not None and self.tickets + self.notices > self.step_cap:
@@ -283,6 +303,20 @@ def _outflux(floor_sigma, I, A, Q, J) -> np.ndarray:
     """Phi: every particle through a visited house leaves it but the last,
     which leaves on a terminal JUMP; unvisited houses send nothing."""
     return floor_sigma - Q + I - A + J
+
+
+def _pieces(streams: np.ndarray, first: np.ndarray, lengths: np.ndarray):
+    """The ranges first[k] .. first[k] + lengths[k] - 1 of streams[k], read
+    one after another, cut into consecutive pieces of at most _SCAN_SLICE
+    entries: yields each piece as ranges (streams, first, lengths)."""
+    stops = lengths.cumsum()
+    starts = stops - lengths
+    total = int(stops[-1]) if stops.size else 0
+    for a in range(0, total, _SCAN_SLICE):
+        b = min(a + _SCAN_SLICE, total)
+        k = slice(np.searchsorted(stops, a, "right"), np.searchsorted(starts, b))  # the ranges that meet [a, b)
+        lo, hi = np.maximum(starts[k], a), np.minimum(stops[k], b)
+        yield streams[k], first[k] + (lo - starts[k]), hi - lo
 
 
 def _check_odometer(M, size: int) -> np.ndarray:
@@ -358,27 +392,62 @@ def _resampled_outflux(params: ModelParams, engine: _LoopEngine, totals, aux_wor
     terminal notice replaced by a fresh JUMP with probability
     1/(1+lambda_x): per trial, village by village, n uniforms, one per
     house, equal to default_rng(aux_seed).random((V, n)) for the trial's
-    aux seed (see `_fresh_uniforms`)."""
-    fresh = _fresh_uniforms(aux_words, (params.num_villages, engine.n))
-    p_jump = (1.0 / (1.0 + params.sleep_rates))[:, None]
-    visited = engine.revealed.reshape(fresh.shape) > 0
-    J = np.count_nonzero((fresh < p_jump) & visited, axis=2).ravel()
+    aux seed (see `_fresh_uniforms`), counted window by window as they are
+    drawn."""
+    n, S = engine.n, engine.I.size
+    p_jump = np.tile(1.0 / (1.0 + params.sleep_rates), engine.src.trials)[:, None]
+    word = engine.word.reshape(S, n)
+    J = np.zeros(S, dtype=np.int64)
+    for s, a, fresh in _fresh_uniforms(aux_words, params.num_villages, n):
+        k, w = fresh.shape
+        J[s : s + k] += np.count_nonzero((fresh < p_jump[s : s + k]) & (word[s : s + k, a : a + w] > 1), axis=1)
     I, A, Q, _ = totals
     return _outflux(engine.floor_sigma, I, A, Q, J)
 
 
-def _fresh_uniforms(aux_words: np.ndarray, shape) -> np.ndarray:
-    """Row t is default_rng(aux seed t).random(shape), bit for bit, for the
-    seed words of `_aux_seeds`.  Every trial is seeded in one pass
-    (`_pcg64_states`), and one PCG64 set to each trial's state in turn
-    draws its row with numpy's own uniform fill."""
-    fresh = np.empty((len(aux_words), *shape))
+def _fresh_uniforms(aux_words: np.ndarray, V: int, n: int):
+    """The uniforms of every trial, trial t's being default_rng(aux seed
+    t).random((V, n)), bit for bit, for the seed words of `_aux_seeds`: row
+    x holds village x's, that is stream t*V + x's.  Yields them in windows
+    (s, a, values) of at most _SCAN_SLICE values, each in the buffer of the
+    last: values[k] holds the uniforms of houses a+1 .. a+w of stream s + k.
+    A window holds whole trials when one trial fits, else whole streams of
+    one trial, else a part of one stream.  Every trial is seeded in one pass
+    (`_pcg64_states`), and one PCG64, set to each trial's state before its
+    first window, draws its windows with numpy's own uniform fill:
+    consecutive fills give the bits of one."""
+    T = len(aux_words)
     bits = np.random.PCG64(0)
     draw = np.random.Generator(bits).random
-    for state, row in zip(_pcg64_states(aux_words), fresh):
+    states = _pcg64_states(aux_words)
+    if V * n <= _SCAN_SLICE:
+        per = _SCAN_SLICE // (V * n)
+        buf = np.empty((min(per, T), V * n))
+        for t in range(0, T, per):
+            trials = buf[: min(per, T - t)]
+            for state, row in zip(states[t : t + per], trials):
+                bits.state = state
+                draw(out=row)
+            yield t * V, 0, trials.reshape(-1, n)
+        return
+    rows, cols = max(1, _SCAN_SLICE // n), min(n, _SCAN_SLICE)
+    buf = np.empty(rows * cols)
+    for t, state in enumerate(states):
         bits.state = state
-        draw(out=row)
-    return fresh
+        for x in range(0, V, rows):
+            for a in range(0, n, cols):
+                window = buf[: min(rows, V - x) * min(cols, n - a)].reshape(min(rows, V - x), -1)
+                draw(out=window)
+                yield t * V + x, a, window
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of values[k] (uint32 rows) with the k-th of the
+    successive hash constants `consts`, which holds one more constant than
+    there are rows: the constant after the last hash."""
+    mixed = values ^ consts[:-1, None]
+    mixed *= consts[1:, None]
+    return mixed ^ (mixed >> 16)
 
 
 def _pcg64_states(aux_words: np.ndarray) -> list[dict]:
@@ -387,29 +456,20 @@ def _pcg64_states(aux_words: np.ndarray) -> list[dict]:
     into a four-word pool, mixes the pool, and draws eight words from it:
     the PCG64 seed (initstate, initseq).  Here that runs for every row at
     once on uint32 arrays, whose products wrap mod 2^32 as SeedSequence's
-    do, and with the hash constant a scalar sequence shared by every row.
-    PCG64 then steps its LCG twice from state 0, adding initstate between
-    the steps; that last part is Python-int arithmetic mod 2^128 per row.
-    numpy's own SeedSequence, built per trial, is no cheaper than the
-    default_rng this replaces, so the hash is repeated here on arrays."""
-    const = _SEED_INIT_A
-
-    def hashmix(value, mult):
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _MASK32
-        value = value * const
-        return value ^ (value >> 16)
-
-    pool = [hashmix(word, _SEED_MULT_A) for word in aux_words.T]
+    do, with the hash constants, which no seed changes, computed once
+    (`_HASH_A`, `_HASH_B`); each mixing step hashes one pool word into the
+    three others in one array op.  PCG64 then steps its LCG twice from
+    state 0, adding initstate between the steps; that last part is
+    Python-int arithmetic mod 2^128 per row.  numpy's own SeedSequence,
+    built per trial, is no cheaper than the default_rng this replaces, so
+    the hash is repeated here on arrays."""
+    pool = _hashmix(aux_words.T, _HASH_A[:5])
     for i in range(4):
-        for j in range(4):
-            if i != j:
-                mixed = pool[j] * _SEED_MIX_L - hashmix(pool[i], _SEED_MULT_A) * _SEED_MIX_R
-                pool[j] = mixed ^ (mixed >> 16)
-    const = _SEED_INIT_B
-    out = [hashmix(pool[k % 4], _SEED_MULT_B) for k in range(8)]
-    seed = np.stack(out[1::2], axis=1).astype(np.uint64) << 32 | np.stack(out[0::2], axis=1)
+        others = [j for j in range(4) if j != i]
+        mixed = pool[others] * _SEED_MIX_L - _hashmix(pool[i : i + 1], _HASH_A[4 + 3 * i : 8 + 3 * i]) * _SEED_MIX_R
+        pool[others] = mixed ^ (mixed >> 16)
+    out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B)
+    seed = out[1::2].T.astype(np.uint64) << 32 | out[0::2].T
     states = []
     for w0, w1, w2, w3 in seed.tolist():
         inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128

@@ -253,6 +253,32 @@ def test_lln_rejects_repeated_n(capsys, model_file, tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_lln_takes_a_seed_list_that_starts_negative(capsys, model_file, tmp_path, monkeypatch):
+    """`--seeds -3,7` is the seed list, not an unknown option: it gives the
+    stdout and CSV bytes of `--seeds=-3,7`."""
+    monkeypatch.setenv("VARW_THREADS", "1")
+    runs = []
+    out_dir = tmp_path / "o"
+    for seeds in (["--seeds", "-3,7"], ["--seeds=-3,7"]):
+        code, out, err = run_cli(capsys, "lln", "--model", model_file, "--n", "30", *seeds, "--out", str(out_dir))
+        assert code == 0, err
+        runs.append((out, [(out_dir / name).read_bytes() for name in ("lln_rows.csv", "lln_summary.csv")]))
+    assert runs[0] == runs[1]
+    assert runs[0][0].startswith("seeds: -3,7\n")
+    code, out, _ = run_cli(capsys, "simulate", "--model", model_file, "--n", "20", "--seed", "-3")
+    assert code == 0 and "seed: -3\n" in out
+
+
+def test_house_past_the_notice_limit_exit_code(capsys, model_file, monkeypatch):
+    """A house whose landlord notices would pass what the engine's int32
+    word counts exits 2 with one line, not a traceback."""
+    monkeypatch.setattr(varw.simulator, "_MAX_NOTICES", 2)
+    code, out, err = run_cli(capsys, "single-loop", "--model", model_file, "--n", "10", "--seed", "5", "--M", "40,30")
+    assert code == 2
+    assert err.count("\n") == 1
+    assert err.startswith("runtime guard: house ") and "would read more than 2 landlord notices (n=10, seed=5)" in err
+
+
 @needs_fork
 def test_lln_lost_worker_exit_code(capsys, model_file, tmp_path, monkeypatch):
     """A forked worker killed by a signal exits 4 with one line naming it,

@@ -620,33 +620,55 @@ def test_ragged_seed_lists_raise_validation_error(ragged):
 
 
 EDGE_AUX_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**127 + 3, 2**128 - 1]
-UNIFORM_SHAPES = [(1, 1), (1, 7), (3, 50)]
+UNIFORM_SHAPES = [(1, 1), (1, 7), (4, 5), (3, 50)]
 
 
+def _joined_uniforms(words, shape, piece):
+    """_fresh_uniforms' windows of at most `piece` values, joined, as a
+    (trials, *shape) array; each house is drawn in exactly one window."""
+    V, n = shape
+    joined = np.full((len(words) * V, n), np.nan)
+    with mock.patch.object(simulator_mod, "_SCAN_SLICE", piece):
+        for s, a, values in simulator_mod._fresh_uniforms(words, V, n):
+            k, w = values.shape
+            assert values.size <= piece and np.isnan(joined[s : s + k, a : a + w]).all()
+            joined[s : s + k, a : a + w] = values
+    return joined.reshape(len(words), V, n)
+
+
+UNIFORM_PIECES = [1, 7, 12, 50, simulator_mod._SCAN_SLICE]
+
+
+@pytest.mark.parametrize("piece", UNIFORM_PIECES)
 @pytest.mark.parametrize("shape", UNIFORM_SHAPES, ids=str)
-def test_fresh_uniforms_equal_one_default_rng_per_trial(shape):
+def test_fresh_uniforms_equal_one_default_rng_per_trial(shape, piece):
     want = reference_fresh_uniforms(EDGE_AUX_SEEDS, shape)
     words = simulator_mod._aux_seeds(EDGE_AUX_SEEDS, len(EDGE_AUX_SEEDS))
-    assert np.array_equal(simulator_mod._fresh_uniforms(words, shape), want)
+    assert np.array_equal(_joined_uniforms(words, shape, piece), want)
     # derive_seeds returns uint64; narrower integer arrays are taken value by value too.
     for dtype, k in [(np.uint64, 6), (np.int64, 4), (np.int32, 2), (np.uint16, 2), (np.uint8, 2)]:
         words = simulator_mod._aux_seeds(np.array(EDGE_AUX_SEEDS[:k], dtype=dtype), k)
-        assert np.array_equal(simulator_mod._fresh_uniforms(words, shape), want[:k])
+        assert np.array_equal(_joined_uniforms(words, shape, piece), want[:k])
     with pytest.raises(ValidationError, match=rf"^aux seeds must be below 2\^128, got {2**128}$"):
         simulator_mod._aux_seeds([1, 2**128], 2)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=6), st.sampled_from(UNIFORM_SHAPES))
-def test_fresh_uniforms_equal_default_rng_on_any_seed_below_2_128(aux, shape):
+@given(
+    st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=6),
+    st.sampled_from(UNIFORM_SHAPES),
+    st.sampled_from(UNIFORM_PIECES),
+)
+def test_fresh_uniforms_equal_default_rng_on_any_seed_below_2_128(aux, shape, piece):
     words = simulator_mod._aux_seeds(aux, len(aux))
-    assert np.array_equal(simulator_mod._fresh_uniforms(words, shape), reference_fresh_uniforms(aux, shape))
+    assert np.array_equal(_joined_uniforms(words, shape, piece), reference_fresh_uniforms(aux, shape))
 
 
 def test_single_loop_tilde_keeps_few_bytes_per_house():
-    """The resampled draws add one float64 uniform per house (8 bytes) to
-    the evaluation; tracemalloc read 19.04 B/house here with one
-    default_rng per trial."""
+    """The resampled draws are drawn and counted in windows of at most
+    _SCAN_SLICE uniforms, so they add almost nothing per house to the
+    evaluation.  tracemalloc read 19.04 B/house here with one float64
+    uniform per house, and 4.11 with the windows."""
     params = one_village_params(q=0.5, lam=1.0, sigma=0.3, nu=1e-6)  # two immigrants
     single_loop_tilde(params, 10, StackSource(params, 10, 7), [1], 5)  # imports numpy.random outside the trace
     n = 2 * 10**6
@@ -657,14 +679,14 @@ def test_single_loop_tilde_keeps_few_bytes_per_house():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / n <= 19.1
+    assert peak / n <= 4.3
 
 
 def test_single_loop_keeps_few_bytes_per_house():
-    """Per house the engine keeps its notice count (8 bytes), terminal notice
-    and initial sleeper (1 byte each), and a visited mask while it totals.
+    """Per house the engine keeps one int32 word, 2 * notices + terminal.
     tracemalloc read 26.0 B/house here with the former per-house hit counts
-    (int64, plus a bincount over all houses each round) and 12.0 without."""
+    (int64, plus a bincount over all houses each round), 9.0 with an int64
+    notice count and a uint8 terminal notice, and 4.0 with the word."""
     params = one_village_params(q=0.5, lam=1.0, sigma=0.3, nu=1e-6)  # two immigrants
     n = 2 * 10**6
     src = StackSource(params, n, 7)
@@ -675,14 +697,15 @@ def test_single_loop_keeps_few_bytes_per_house():
     finally:
         tracemalloc.stop()
     assert loop.I.tolist() == [2]
-    assert peak / n < 16
+    assert peak / n <= 4.5
 
 
 def test_stabilize_keeps_few_bytes_per_house():
-    """Past the rounds, stabilize keeps one bool per house for its stable
-    configuration, so round 1's route stays the peak.  tracemalloc read
-    35.0 B/house here when the configuration was built from int64
-    particle counts and a sleeping mask."""
+    """Round 1's route is the peak: one int32 house index per arrival, read
+    in bounded pieces, and the int32 engine word.  tracemalloc read 35.0
+    B/house here when the configuration was built from int64 particle
+    counts and a sleeping mask, 23.6 with int64 house indices read in one
+    piece, and 14.4 now."""
     params = two_village_params()
     n = 2 * 10**5
     src = StackSource(params, n, 7)
@@ -693,15 +716,33 @@ def test_stabilize_keeps_few_bytes_per_house():
     finally:
         tracemalloc.stop()
     assert sim.occupied.shape == (2, n)
-    assert peak / (2 * n) <= 25
+    assert peak / (2 * n) <= 16
+
+
+def test_single_loop_at_the_stabilizing_odometer_keeps_few_bytes_per_house():
+    """One round routes every arrival of the run: tracemalloc read 35.1
+    B/house here with int64 house indices read in one piece, and 20.3 with
+    int32 ones read in pieces into one reserved array."""
+    params = two_village_params()
+    n = 2 * 10**5
+    src = StackSource(params, n, 7)
+    M = stabilize(params, n, src).M_star
+    tracemalloc.start()
+    try:
+        loop = single_loop(params, n, src, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loop.Phi, M)
+    assert peak / (2 * n) <= 22
 
 
 def test_single_loop_scans_many_houses_in_bounded_slices():
     """One round hits far more houses than one scan slice holds, and the
     landlord scan's per-notice temporaries grow with the slice, not with the
-    hit houses.  tracemalloc read 27.0 B/house here, where the route's
-    temporaries are the peak; 51.0 with slices of 2^16 houses, and 70.5
-    with one slice for all."""
+    hit houses.  tracemalloc read 27.0 B/house here with the route's int64
+    temporaries as the peak, 51.0 with slices of 2^16 houses, 70.5 with one
+    slice for all, and 16.9 with the int32 route read in pieces."""
     params = one_village_params(q=0.5, lam=1.0, sigma=0.3, nu=0.5)
     n = 1 << 18
     assert n >= 16 * simulator_mod._SCAN_SLICE
@@ -713,7 +754,92 @@ def test_single_loop_scans_many_houses_in_bounded_slices():
     finally:
         tracemalloc.stop()
     assert loop.I.tolist() == [n // 2] and loop.A[0] > n // 4
-    assert peak / n <= 28
+    assert peak / n <= 19
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(1, 100), st.integers(0, 30)), max_size=12),
+    st.sampled_from([1, 3, 7, 16, simulator_mod._SCAN_SLICE]),
+)
+def test_pieces_read_exactly_the_unsplit_ranges(ranges, piece):
+    """Ranges read piece by piece, zero lengths and ranges longer than one
+    piece included, give exactly the unsplit read, in pieces of at most
+    _SCAN_SLICE entries."""
+    params = two_village_params()
+    src = StackSource(params, 50, [5, -5])
+    streams, first, lengths = (np.array(col, dtype=np.int64).reshape(-1) for col in zip(*ranges or [(0, 1, 0)]))
+    with mock.patch.object(simulator_mod, "_SCAN_SLICE", piece):
+        pieces = list(simulator_mod._pieces(streams, first, lengths))
+    sizes = [int(p[2].sum()) for p in pieces]
+    assert all(0 < size <= piece for size in sizes) and sum(sizes) == lengths.sum()
+    for read in (src._airplane_range, src._taxi_range):
+        want = read(streams, first, lengths)
+        got = [read(*p) for p in pieces]
+        assert np.array_equal(np.concatenate(got) if got else want[:0], want)
+
+
+def _house_notices(params, n, src, M) -> np.ndarray:
+    """Landlord notices each house reads in one evaluation at M."""
+    engine = simulator_mod._LoopEngine(params, n, src)
+    engine.advance(np.asarray(M, dtype=np.int64))
+    return engine.word >> 1
+
+
+def test_house_past_the_notice_limit_raises_before_its_read(monkeypatch):
+    """A house's int32 word counts at most _MAX_NOTICES notices.  With the
+    limit patched down to the most notices any house reads, the evaluation
+    runs; one below, it raises InputSizeError naming the run and the
+    village, and no notice past the limit is read."""
+    params = two_village_params()
+    n, M = 10, [40, 30]
+    src = StackSource(params, n, 5)
+    most = int(_house_notices(params, n, src, M).max())
+    assert most >= 3
+    want = single_loop(params, n, src, M)
+    monkeypatch.setattr(simulator_mod, "_MAX_NOTICES", most)
+    assert np.array_equal(single_loop(params, n, src, M).Phi, want.Phi)
+
+    read_to = []
+    real_reader = StackSource._landlord_reader
+
+    def recording_reader(self, villages, houses):
+        read = real_reader(self, villages, houses)
+
+        def recorded(pos, first, width):
+            read_to.extend((first + width - 1).tolist())
+            return read(pos, first, width)
+
+        return recorded
+
+    monkeypatch.setattr(StackSource, "_landlord_reader", recording_reader)
+    monkeypatch.setattr(simulator_mod, "_MAX_NOTICES", most - 1)
+    message = rf"^house \d+ would read more than {most - 1} landlord notices \(n=10, seed=5\) in village [01]$"
+    with pytest.raises(InputSizeError, match=message):
+        single_loop(params, n, src, M)
+    assert max(read_to) <= most - 1
+    with pytest.raises(InputSizeError, match=r"\(n=10, trial 1, seed=5\) in village [01]$"):
+        single_loop_trials(params, n, [4, 5], M)
+
+
+def test_int64_house_indices_give_the_same_runs(monkeypatch):
+    """Past 2^31 houses in all streams the route keeps int64 house indices;
+    forced at small n, they change nothing."""
+    params = two_village_params()
+    n, seeds = 300, [3, -4]
+    want = stabilize(params, n, StackSource(params, n, seeds))
+    want_tilde = single_loop_tilde(params, n, StackSource(params, n, seeds), want.M_star, [1, 2])
+    init = simulator_mod._LoopEngine.__init__
+
+    def wide(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        assert self.house_dtype == np.int32
+        self.house_dtype = np.int64
+
+    monkeypatch.setattr(simulator_mod._LoopEngine, "__init__", wide)
+    _assert_same_run(stabilize(params, n, StackSource(params, n, seeds)), want)
+    got_tilde = single_loop_tilde(params, n, StackSource(params, n, seeds), want.M_star, [1, 2])
+    assert np.array_equal(got_tilde, want_tilde)
 
 
 @settings(max_examples=40, deadline=None)
