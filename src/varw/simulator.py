@@ -28,10 +28,20 @@ import numpy as np
 from .errors import AcceptanceCheckError, InputSizeError, StepCapError, ValidationError
 from .model import ModelParams, floor_counts
 from .model import validate_model  # noqa: F401  patched here by perfbench/traced.py
-from .stacks import _MAX_ENTRIES, GRAVEYARD, SLEEP, StackSource, _as_int, _check_count, _check_read_size, _ndim, _seed_words
+from .stacks import (
+    _MAX_ENTRIES,
+    _SCAN_SLICE,
+    GRAVEYARD,
+    SLEEP,
+    StackSource,
+    _as_int,
+    _check_count,
+    _check_read_size,
+    _ndim,
+    _seed_words,
+)
 
 DEFAULT_STEP_CAP = 10**9
-_SCAN_SLICE = 1 << 14  # houses per block of landlord reads, and entries per piece of a ticket read
 _MAX_NOTICES = (1 << 30) - 1  # landlord notices a house's int32 word counts
 _TRIAL_HOUSES = 1 << 17  # houses per chunk of trials in single_loop_trials and run_lln
 _MASK32 = (1 << 32) - 1
@@ -219,7 +229,9 @@ class _LoopEngine:
         houses = np.empty(int(possible.sum()), dtype=self.house_dtype)
         landed = np.zeros(S + 1, dtype=np.int64)
         for piece in _pieces(streams, self.M + 1, flights):
-            landed += np.bincount(src._airplane_range(*piece) - GRAVEYARD, minlength=S + 1)  # GRAVEYARD lands in bin 0
+            dest = src._airplane_range(*piece)
+            dest -= GRAVEYARD  # GRAVEYARD lands in bin 0
+            landed += np.bincount(dest, minlength=S + 1)
         self.M = M
         self.I = self.I + landed[1:]
         count = 0
@@ -230,7 +242,7 @@ class _LoopEngine:
             count += piece.size
         self.taxi_read = self.I.copy()
         self.tickets = int(M.sum() + self.I.sum() - self.floor_nu.sum())
-        return np.unique(houses[:count], return_counts=True)
+        return _hit_counts(houses[:count])
 
     def _scan(self, touched: np.ndarray, new_hits: np.ndarray) -> None:
         """Resume the landlord scan of every newly hit house until it has seen
@@ -240,8 +252,9 @@ class _LoopEngine:
             self._scan_slice(touched[lo : lo + _SCAN_SLICE], new_hits[lo : lo + _SCAN_SLICE])
 
     def _scan_slice(self, touched: np.ndarray, new_hits: np.ndarray) -> None:
-        S = self.I.size
-        x, i = np.divmod(touched, self.n)
+        S, n = self.I.size, self.n
+        touched = touched.astype(np.intp, copy=False)  # numpy gathers and scatters fastest with native indices
+        x, i = np.divmod(touched, n)
         word = self.word[touched]
         before = word & 1  # the terminal notice, SLEEP on an unvisited house
         # Jumps still owed before the terminal notice.  A house hit before holds
@@ -254,9 +267,9 @@ class _LoopEngine:
         sleeper = i[new] < self.floor_sigma[new_x]
         need[new] += sleeper - 1
         self.A += np.bincount(new_x, minlength=S)
-        self.Q -= np.bincount(new_x[sleeper], minlength=S)
-        del new, new_x, sleeper  # not held through the reads
+        self.Q -= np.bincount(new_x, weights=sleeper, minlength=S).astype(np.int64)
         read = self.src._landlord_reader(x, i + 1)
+        del new, new_x, sleeper, i  # not held through the reads
         pos = np.arange(touched.size)
         first = (word >> 1) + 1  # next unread notice
         while pos.size:
@@ -267,21 +280,26 @@ class _LoopEngine:
             if self.notices + width.sum() > _MAX_NOTICES and (past := (first + need > _MAX_NOTICES).nonzero()[0]).size:
                 k = pos[past[0]]
                 raise InputSizeError(
-                    f"house {i[k] + 1} would read more than {_MAX_NOTICES} landlord notices "
+                    f"house {touched[k] % n + 1} would read more than {_MAX_NOTICES} landlord notices "
                     f"{_failed_at(self.src, int(x[k]), self.src.params.num_villages)}"
                 )
             draws = read(pos, first, width)
             self.notices += draws.size
             self._check_cap()
-            stops = width.cumsum()
-            need -= np.add.reduceat(draws, stops - width, dtype=np.int64)
-            last = draws[stops - 1]
+            first += need  # notices read, below the limit checked above, so int32 holds them
+            # JUMPs per house: differences of the running JUMP count at the block
+            # ends, exact mod 2^32 since no house reads 2^32 notices in one block.
+            ends = np.cumsum(width, out=width)
+            ends -= 1
+            jumps = draws.cumsum(dtype=np.uint32)[ends]
+            jumps[1:] -= jumps[:-1]
+            need -= jumps
+            last = draws[ends]
             # Record each house's notice count and last notice.  A house whose
             # last notice is terminal (it owed no other jump: need + last == 0)
             # is done, and its record stays.
-            first += width - 1  # notices read, below the limit checked above, so int32 holds them
             word[pos] = 2 * first + last
-            more = (need + last).nonzero()[0]
+            more = (need + last != 0).nonzero()[0]
             pos, first, need = pos[more], first[more] + 1, need[more]
         self.word[touched] = word
         self.J += np.bincount(x, weights=(word & 1) - before, minlength=S).astype(np.int64)
@@ -303,6 +321,21 @@ def _outflux(floor_sigma, I, A, Q, J) -> np.ndarray:
     """Phi: every particle through a visited house leaves it but the last,
     which leaves on a terminal JUMP; unvisited houses send nothing."""
     return floor_sigma - Q + I - A + J
+
+
+def _hit_counts(houses: np.ndarray):
+    """np.unique(houses, return_counts=True), but sorting `houses` in place
+    where np.unique sorts a copy: the distinct values and how often each
+    occurs (int64)."""
+    houses.sort()
+    first = np.empty(houses.size, dtype=bool)  # the first entry of each run of equal values
+    first[:1] = True
+    np.not_equal(houses[1:], houses[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    counts = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1:] = houses.size - starts[-1:]
+    return houses[starts], counts
 
 
 def _pieces(streams: np.ndarray, first: np.ndarray, lengths: np.ndarray):

@@ -50,6 +50,8 @@ _U64_27 = np.uint64(27)
 _U64_30 = np.uint64(30)
 _U64_31 = np.uint64(31)
 _NEVER = np.uint64(_MASK64)  # a cut no 53-bit uniform reaches
+_SCAN_SLICE = 1 << 14  # notices per piece of a landlord read; the engine's houses per scan slice and tickets per piece
+_GOLDEN_STEPS = np.arange(_SCAN_SLICE, dtype=np.uint64) * _U64_GOLDEN  # e * golden, mod 2^64, for the e of one piece
 _MAX_ENTRIES = 1 << 60  # no array of this many 8-byte entries fits in a 64-bit address space
 
 
@@ -73,9 +75,14 @@ def _counter_words(keys: np.ndarray, first, width: np.ndarray) -> np.ndarray:
     block k, at index first[k] + e - start[k], has the word
     mix(keys[k] + index * golden)."""
     stops = width.cumsum()
-    z = np.arange(stops[-1] if stops.size else 0, dtype=np.uint64)
-    z *= _U64_GOLDEN
-    z += (keys + (first - (stops - width)).view(np.uint64) * _U64_GOLDEN).repeat(width)
+    return _block_words(keys, first - (stops - width), width)
+
+
+def _block_words(keys: np.ndarray, origin: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """_counter_words of blocks given by their origins: entry e of the read,
+    in block k, has the word mix(keys[k] + (origin[k] + e) * golden)."""
+    z = (keys + origin.view(np.uint64) * _U64_GOLDEN).repeat(width)
+    z += _GOLDEN_STEPS[: z.size] if z.size <= _SCAN_SLICE else np.arange(z.size, dtype=np.uint64) * _U64_GOLDEN
     return _mix64_np(z)
 
 
@@ -342,15 +349,39 @@ class StackSource:
         Each house's stream key is computed once, here.  The returned
         `read(pos, first, width)` gives, block after block, the width[k]
         notices first[k], first[k] + 1, ... of the house at list position
-        pos[k] (uint8), for int64 arrays pos, first and width >= 0.
+        pos[k] (uint8), for int64 arrays pos, first and width >= 0.  It
+        builds them in pieces of at most _SCAN_SLICE notices, cut inside a
+        house where one straddles a cut, so its temporaries stay bounded
+        whatever the block; and when every house of the list has the same
+        sleep threshold, it compares each notice with that one value.
         """
         x = np.asarray(villages, dtype=np.intp)
-        h = np.asarray(houses, dtype=np.uint64)
-        keys = _mix64_np(self._land_key[x] ^ (h * _U64_K_HOUSE + _U64_ONE))
-        jump_from = self._jump_from[x]
+        keys = _mix64_np(self._land_key[x] ^ (houses.astype(np.uint64) * _U64_K_HOUSE + _U64_ONE))
+        jump_from = self._jump_from
+        if (jump_from != jump_from[0]).any():
+            jump_from = jump_from[x]
+        if jump_from.size > 1 and (jump_from == jump_from[0]).all():
+            jump_from = jump_from[:1]  # one threshold for every notice
+
+        def notices(pos, origin, width, out):
+            thresholds = jump_from if jump_from.size == 1 else jump_from[pos].repeat(width)
+            _notices(_block_words(keys[pos], origin, width), thresholds, out)
 
         def read(pos: np.ndarray, first: np.ndarray, width: np.ndarray) -> np.ndarray:
-            return _notices(_counter_words(keys[pos], first, width), jump_from[pos].repeat(width))
+            stops = width.cumsum()
+            origin = first - (stops - width)  # per house, the stack index entry 0 of the read would have
+            out = np.empty(int(stops[-1]) if stops.size else 0, dtype=np.uint8)
+            if out.size <= _SCAN_SLICE:
+                notices(pos, origin, width, out)
+                return out
+            for a in range(0, out.size, _SCAN_SLICE):
+                b = min(a + _SCAN_SLICE, out.size)
+                k0, k1 = np.searchsorted(stops, a, "right"), np.searchsorted(stops, b) + 1  # the houses that meet [a, b)
+                w = width[k0:k1].copy()
+                w[0] -= a - (stops[k0] - width[k0])  # notices of house k0 in the pieces before
+                w[-1] -= stops[k1 - 1] - b  # notices of the last house left for the pieces after
+                notices(pos[k0:k1], origin[k0:k1] + a, w, out[a:b])
+            return out
 
         return read
 
@@ -372,8 +403,9 @@ class StackSource:
         return self._landlord_reader(x, houses)(np.arange(houses.size), first, np.ones(houses.size, dtype=np.int64))
 
 
-def _notices(z: np.ndarray, jump_from) -> np.ndarray:
+def _notices(z: np.ndarray, jump_from, out: np.ndarray | None = None) -> np.ndarray:
     """Notices of mixed counter words z: JUMP (1) when z >> 11 >= jump_from,
-    else SLEEP (0).  Shifts z in place."""
+    else SLEEP (0), as uint8, written into `out` when given.  Shifts z in
+    place."""
     z >>= _U64_11
-    return (z >= jump_from).view(np.uint8)
+    return np.greater_equal(z, jump_from, out=None if out is None else out.view(bool)).view(np.uint8)

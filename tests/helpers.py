@@ -81,9 +81,7 @@ def kill_forked_workers(monkeypatch, seed) -> None:
 
 def assert_reaped(pids) -> None:
     """Each of pids has ended and been reaped, so that waitpid no longer
-    knows it.  (waitpid(-1) cannot tell: the acceptance battery's spawn pool
-    leaves multiprocessing's resource tracker running as a child of the
-    test process.)"""
+    knows it."""
     for pid in pids:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)

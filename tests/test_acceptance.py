@@ -7,7 +7,7 @@ PASS/FAIL lines and timings.  Every battery is seeded and deterministic.
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
+from multiprocessing import get_context, resource_tracker
 from time import perf_counter
 
 import numpy as np
@@ -98,6 +98,9 @@ def battery():
             )
         for run, alt in zip(runs, alts):
             run["alt"] = alt
+    # The spawn pool started multiprocessing's resource tracker, a child of
+    # this process that would otherwise outlive the battery.
+    resource_tracker._resource_tracker._stop()
     return {"runs": runs, "fifo_seconds": fifo_seconds}
 
 
@@ -128,6 +131,13 @@ def test_criterion_02_abelian_order_invariance(battery):
         f"rounds and all {len(SCHEDULES)} toppling schedules identical on "
         f"{len(battery['runs'])} shared-stack runs ({bad} mismatches)",
     )
+
+
+def test_battery_leaves_no_child_process(battery):
+    """The battery's workers and the resource tracker their pool started
+    have all ended and been reaped, so waitpid knows no child at all."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_criterion_03_exact_mass_balance(battery):

@@ -19,7 +19,7 @@ from varw import (
     derive_seeds,
     single_loop_trials,
 )
-from varw.stacks import _Cutpoints, _notices, _seed_words, _stream_keys
+from varw.stacks import _SCAN_SLICE, _Cutpoints, _notices, _seed_words, _stream_keys
 
 
 def test_airplane_zero_row_always_graveyard():
@@ -278,6 +278,42 @@ def test_array_index_landlord_batch_matches_scalar_on_both_sources():
     assert src.landlord_batch(1, houses, 2).tolist() == [twin.landlord(1, int(i), 2) for i in houses]
     with pytest.raises(ValidationError):
         src.landlord_batch(1, houses, j - 1)
+
+
+@st.composite
+def straddling_blocks(draw):
+    """Blocks (pos, first, width) of a reader over 6 houses whose total width
+    straddles a multiple of _SCAN_SLICE, zero widths included, and sometimes
+    one house wider than a whole piece."""
+    widths = draw(st.lists(st.integers(0, 40), min_size=1, max_size=30))
+    if draw(st.booleans()):
+        widths.insert(draw(st.integers(0, len(widths))), draw(st.integers(_SCAN_SLICE + 1, 2 * _SCAN_SLICE + 3)))
+    cut = draw(st.sampled_from([_SCAN_SLICE, 2 * _SCAN_SLICE, 3 * _SCAN_SLICE]))
+    # A filler block puts the total at the cut, one short of it or one past it,
+    # unless the other blocks already pass it.
+    filler = cut + draw(st.integers(-1, 1)) - sum(widths)
+    widths.insert(draw(st.integers(0, len(widths))), max(filler, draw(st.integers(0, 40))))
+    pos = draw(st.lists(st.integers(0, 5), min_size=len(widths), max_size=len(widths)))
+    first = draw(st.lists(st.integers(1, 10**6), min_size=len(widths), max_size=len(widths)))
+    return tuple(np.array(col, dtype=np.int64) for col in (pos, first, widths))
+
+
+@pytest.mark.parametrize("rates", [(1.0, 1.0), (0.5, 2.0)], ids=["one-rate", "two-rates"])
+@settings(max_examples=12, deadline=None)
+@given(straddling_blocks())
+def test_piecewise_notice_reads_equal_the_unsplit_notices(rates, blocks):
+    """The reader builds its notices in pieces of at most _SCAN_SLICE, cut
+    inside a house where one straddles a cut; joined, they are the notices
+    read one by one, on a source whose houses share one sleep threshold and
+    on one whose two villages have their own."""
+    params = ModelParams(kernel=two_village_params().kernel, sleep_rates=list(rates), init_sleepers=[0.0, 0.0], init_actives=[0.0, 0.0])
+    src = StackSource(params, 40, 11)
+    twin = ScalarStacks(src)
+    villages, houses = np.array([0, 1, 0, 1, 1, 0]), np.array([1, 1, 40, 7, 40, 13])
+    pos, first, width = blocks
+    want = [twin.landlord(int(villages[k]), int(houses[k]), int(a + d)) for k, a, w in zip(pos, first, width) for d in range(w)]
+    got = src._landlord_reader(villages, houses)(pos, first, width)
+    assert got.dtype == np.uint8 and got.tolist() == want
 
 
 @st.composite
