@@ -38,6 +38,7 @@ from .stacks import (
     _check_count,
     _check_read_size,
     _ndim,
+    _pieces,
     _seed_words,
 )
 
@@ -110,7 +111,7 @@ def stabilize(params: ModelParams, n: int, src, step_cap: int = DEFAULT_STEP_CAP
     M = np.zeros(src.num_streams, dtype=np.int64)
     while True:
         engine.advance(M)
-        Phi = _outflux(engine.floor_sigma, *engine.totals())
+        Phi = _outflux(engine.floor_sigma, engine.I, engine.A, engine.Q, engine.J)
         if np.array_equal(Phi, M):
             break
         below = np.flatnonzero(Phi < M)
@@ -172,10 +173,10 @@ class _LoopEngine:
     landlord notices read (a house is visited exactly when it has read one,
     its terminal notice, so exactly when word > 1) and the last of them.
     Per stream it keeps the airplane tickets read (`M`), the taxi tickets
-    read, and the running counts of `totals`, updated from the houses each
-    round touches.  Every read is the next unread entry of its stack, so
-    advancing through M_1 <= M_2 <= ... reads the same prefixes as one
-    evaluation at the last odometer.
+    read, and the running counts I, A, Q and J of `SingleLoopResult`,
+    updated from the houses each round touches.  Every read is the next
+    unread entry of its stack, so advancing through M_1 <= M_2 <= ... reads
+    the same prefixes as one evaluation at the last odometer.
 
     Every entry point builds one, so it is where the caller's model and n
     are checked against the source's.
@@ -216,9 +217,8 @@ class _LoopEngine:
         and land the arrivals they imply on the next taxi tickets.  Returns
         the houses hit this round and how many arrivals each received.
         Both reads are of ranges built here, past what was read before, so
-        only their total size is checked, and they are read in pieces of at
-        most _SCAN_SLICE tickets, so their per-ticket temporaries stay
-        bounded."""
+        only their total size is checked, and they are read in pieces
+        (`_pieces`), so their per-ticket temporaries stay bounded."""
         S, n, src = self.I.shape[0], self.n, self.src
         streams = np.arange(S)
         flights = M - self.M
@@ -228,16 +228,16 @@ class _LoopEngine:
         # Reserved before the first piece, so an odometer too large for memory fails at once.
         houses = np.empty(int(possible.sum()), dtype=self.house_dtype)
         landed = np.zeros(S + 1, dtype=np.int64)
-        for piece in _pieces(streams, self.M + 1, flights):
-            dest = src._airplane_range(*piece)
+        for k, origin, width in _pieces(self.M + 1, flights):
+            dest = src._airplane_range(streams[k], origin, width)
             dest -= GRAVEYARD  # GRAVEYARD lands in bin 0
             landed += np.bincount(dest, minlength=S + 1)
         self.M = M
         self.I = self.I + landed[1:]
         count = 0
-        for s, first, lengths in _pieces(streams, self.taxi_read + 1, self.I - self.taxi_read):
-            piece = src._taxi_range(s, first, lengths)
-            piece += np.repeat(s * n - 1, lengths)  # flat house index
+        for k, origin, width in _pieces(self.taxi_read + 1, self.I - self.taxi_read):
+            piece = src._taxi_range(streams[k], origin, width)
+            piece += np.repeat(streams[k] * n - 1, width)  # flat house index
             houses[count : count + piece.size] = piece
             count += piece.size
         self.taxi_read = self.I.copy()
@@ -311,11 +311,6 @@ class _LoopEngine:
                 "input is runaway or the kernel is effectively stochastic"
             )
 
-    def totals(self):
-        """(I, A, Q, J) per stream: arrivals, visited houses, initial
-        sleepers never hit, and terminal JUMP notices."""
-        return self.I.copy(), self.A.copy(), self.Q.copy(), self.J.copy()
-
 
 def _outflux(floor_sigma, I, A, Q, J) -> np.ndarray:
     """Phi: every particle through a visited house leaves it but the last,
@@ -336,20 +331,6 @@ def _hit_counts(houses: np.ndarray):
     np.subtract(starts[1:], starts[:-1], out=counts[:-1])
     counts[-1:] = houses.size - starts[-1:]
     return houses[starts], counts
-
-
-def _pieces(streams: np.ndarray, first: np.ndarray, lengths: np.ndarray):
-    """The ranges first[k] .. first[k] + lengths[k] - 1 of streams[k], read
-    one after another, cut into consecutive pieces of at most _SCAN_SLICE
-    entries: yields each piece as ranges (streams, first, lengths)."""
-    stops = lengths.cumsum()
-    starts = stops - lengths
-    total = int(stops[-1]) if stops.size else 0
-    for a in range(0, total, _SCAN_SLICE):
-        b = min(a + _SCAN_SLICE, total)
-        k = slice(np.searchsorted(stops, a, "right"), np.searchsorted(starts, b))  # the ranges that meet [a, b)
-        lo, hi = np.maximum(starts[k], a), np.minimum(stops[k], b)
-        yield streams[k], first[k] + (lo - starts[k]), hi - lo
 
 
 def _check_odometer(M, size: int) -> np.ndarray:
@@ -414,64 +395,58 @@ def _evaluate(params: ModelParams, n: int, src, M: np.ndarray, aux_seeds=None) -
     M, with Phi_tilde when given the aux seeds of its trials."""
     engine = _LoopEngine(params, n, src)
     engine.advance(M)
-    totals = I, A, Q, J = engine.totals()
-    Phi_tilde = None if aux_seeds is None else _resampled_outflux(params, engine, totals, aux_seeds)
+    Phi_tilde = None if aux_seeds is None else _resampled_outflux(params, engine, aux_seeds)
+    I, A, Q, J = engine.I, engine.A, engine.Q, engine.J
     Phi = _outflux(engine.floor_sigma, I, A, Q, J)
     return SingleLoopResult(Phi=Phi, S=-M + engine.floor_sigma + I, I=I, A=A, Q=Q, J=J, Phi_tilde=Phi_tilde)
 
 
-def _resampled_outflux(params: ModelParams, engine: _LoopEngine, totals, aux_words) -> np.ndarray:
+def _resampled_outflux(params: ModelParams, engine: _LoopEngine, aux_words) -> np.ndarray:
     """Outflux per stream of an advanced engine with every visited house's
     terminal notice replaced by a fresh JUMP with probability
     1/(1+lambda_x): per trial, village by village, n uniforms, one per
     house, equal to default_rng(aux_seed).random((V, n)) for the trial's
     aux seed (see `_fresh_uniforms`), counted window by window as they are
     drawn."""
-    n, S = engine.n, engine.I.size
-    p_jump = np.tile(1.0 / (1.0 + params.sleep_rates), engine.src.trials)[:, None]
-    word = engine.word.reshape(S, n)
-    J = np.zeros(S, dtype=np.int64)
-    for s, a, fresh in _fresh_uniforms(aux_words, params.num_villages, n):
-        k, w = fresh.shape
-        J[s : s + k] += np.count_nonzero((fresh < p_jump[s : s + k]) & (word[s : s + k, a : a + w] > 1), axis=1)
-    I, A, Q, _ = totals
-    return _outflux(engine.floor_sigma, I, A, Q, J)
+    n, J = engine.n, np.zeros_like(engine.J)
+    p_jump = np.tile(1.0 / (1.0 + params.sleep_rates), engine.src.trials)
+    for a, fresh in _fresh_uniforms(aux_words, params.num_villages, n):
+        streams = np.arange(a // n, (a + fresh.size - 1) // n + 1)
+        starts = np.maximum(streams * n, a) - a  # where each stream's houses start in the window
+        hits = fresh < p_jump[streams].repeat(np.diff(starts, append=fresh.size))
+        hits &= engine.word[a : a + fresh.size] > 1
+        J[streams] += np.add.reduceat(hits, starts, dtype=np.int64)
+    return _outflux(engine.floor_sigma, engine.I, engine.A, engine.Q, J)
 
 
 def _fresh_uniforms(aux_words: np.ndarray, V: int, n: int):
     """The uniforms of every trial, trial t's being default_rng(aux seed
-    t).random((V, n)), bit for bit, for the seed words of `_aux_seeds`: row
-    x holds village x's, that is stream t*V + x's.  Yields them in windows
-    (s, a, values) of at most _SCAN_SLICE values, each in the buffer of the
-    last: values[k] holds the uniforms of houses a+1 .. a+w of stream s + k.
-    A window holds whole trials when one trial fits, else whole streams of
-    one trial, else a part of one stream.  Every trial is seeded in one pass
-    (`_pcg64_states`), and one PCG64, set to each trial's state before its
-    first window, draws its windows with numpy's own uniform fill:
-    consecutive fills give the bits of one."""
-    T = len(aux_words)
+    t).random((V, n)), bit for bit, for the seed words of `_aux_seeds`, one
+    after another: value s*n + i - 1 is house i of stream s = t*V + x, the
+    engine's flat house order.  Yields them in windows (a, values) of at
+    most _SCAN_SLICE values, each in the buffer of the last: values[e] is
+    value a + e.  Every trial is seeded in one pass (`_pcg64_states`), and
+    one PCG64 draws every window with numpy's own uniform fill: it goes on
+    with a trial begun in the window before, and is set to each new trial's
+    state where that trial starts; consecutive fills give the bits of one."""
+    m, total = V * n, len(aux_words) * V * n  # values per trial, and in all
     bits = np.random.PCG64(0)
     draw = np.random.Generator(bits).random
     states = _pcg64_states(aux_words)
-    if V * n <= _SCAN_SLICE:
-        per = _SCAN_SLICE // (V * n)
-        buf = np.empty((min(per, T), V * n))
-        for t in range(0, T, per):
-            trials = buf[: min(per, T - t)]
-            for state, row in zip(states[t : t + per], trials):
-                bits.state = state
-                draw(out=row)
-            yield t * V, 0, trials.reshape(-1, n)
-        return
-    rows, cols = max(1, _SCAN_SLICE // n), min(n, _SCAN_SLICE)
-    buf = np.empty(rows * cols)
-    for t, state in enumerate(states):
-        bits.state = state
-        for x in range(0, V, rows):
-            for a in range(0, n, cols):
-                window = buf[: min(rows, V - x) * min(cols, n - a)].reshape(min(rows, V - x), -1)
-                draw(out=window)
-                yield t * V + x, a, window
+    buf = np.empty(min(total, _SCAN_SLICE))
+    for a in range(0, total, _SCAN_SLICE):
+        window = buf[: min(total - a, _SCAN_SLICE)]
+        head = -a % m  # values left of the trial begun before the window
+        draw(out=window[:head])
+        t, rest = (a + head) // m, window[head:]
+        whole = rest.size // m
+        for state, row in zip(states[t : t + whole], rest[: whole * m].reshape(whole, m)):
+            bits.state = state
+            draw(out=row)
+        if rest.size > whole * m:  # a trial that goes on in the next window
+            bits.state = states[t + whole]
+            draw(out=rest[whole * m :])
+        yield a, window
 
 
 def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:

@@ -50,7 +50,7 @@ _U64_27 = np.uint64(27)
 _U64_30 = np.uint64(30)
 _U64_31 = np.uint64(31)
 _NEVER = np.uint64(_MASK64)  # a cut no 53-bit uniform reaches
-_SCAN_SLICE = 1 << 14  # notices per piece of a landlord read; the engine's houses per scan slice and tickets per piece
+_SCAN_SLICE = 1 << 14  # entries per piece of every stack read (_pieces); the engine's houses per scan slice and uniforms per window
 _GOLDEN_STEPS = np.arange(_SCAN_SLICE, dtype=np.uint64) * _U64_GOLDEN  # e * golden, mod 2^64, for the e of one piece
 _MAX_ENTRIES = 1 << 60  # no array of this many 8-byte entries fits in a 64-bit address space
 
@@ -69,21 +69,41 @@ def _mix64_np(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _counter_words(keys: np.ndarray, first, width: np.ndarray) -> np.ndarray:
-    """Mixed counter words of width[k] consecutive stack indices from first[k]
-    of the stream with key keys[k], block after block (uint64): entry e of
-    block k, at index first[k] + e - start[k], has the word
-    mix(keys[k] + index * golden)."""
-    stops = width.cumsum()
-    return _block_words(keys, first - (stops - width), width)
-
-
-def _block_words(keys: np.ndarray, origin: np.ndarray, width: np.ndarray) -> np.ndarray:
-    """_counter_words of blocks given by their origins: entry e of the read,
-    in block k, has the word mix(keys[k] + (origin[k] + e) * golden)."""
+def _counter_words(keys: np.ndarray, origin: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Mixed counter words of one piece of a read, range after range
+    (uint64): entry e of the piece, in range k of the stream with key
+    keys[k], has stack index origin[k] + e and the word
+    mix(keys[k] + (origin[k] + e) * golden)."""
     z = (keys + origin.view(np.uint64) * _U64_GOLDEN).repeat(width)
-    z += _GOLDEN_STEPS[: z.size] if z.size <= _SCAN_SLICE else np.arange(z.size, dtype=np.uint64) * _U64_GOLDEN
+    z += _GOLDEN_STEPS[: z.size]
     return _mix64_np(z)
+
+
+def _pieces(first: np.ndarray, lengths: np.ndarray):
+    """Cut the ranges first[k] .. first[k] + lengths[k] - 1 (int64), read
+    one after another, into consecutive pieces of at most _SCAN_SLICE
+    entries, at least one, so that every stack read, cut here, keeps its
+    per-entry temporaries bounded.  Yields each piece as (k, origin, width):
+    the slice k of the ranges that meet it, and per range its entries in
+    the piece, entry e of range k having stack index origin[k] + e."""
+    stops = lengths.cumsum()
+    origins = first - stops + lengths  # per range, first - the entries before it
+    total = int(stops[-1]) if stops.size else 0
+    if total <= _SCAN_SLICE:
+        yield slice(None), origins, lengths
+        return
+    for a in range(0, total, _SCAN_SLICE):
+        b = min(a + _SCAN_SLICE, total)
+        k0, k1 = np.searchsorted(stops, a, "right"), np.searchsorted(stops, b) + 1  # the ranges that meet [a, b)
+        width = lengths[k0:k1].copy()
+        width[0] -= a - (stops[k0] - lengths[k0])  # entries of range k0 in the pieces before
+        width[-1] -= stops[k1 - 1] - b  # entries of the last range left for the pieces after
+        yield slice(k0, k1), origins[k0:k1] + a, width
+
+
+def _joined(parts: list) -> np.ndarray:
+    """The pieces of one read as one array: a lone piece as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _stream_keys(seeds: np.ndarray, V: int) -> np.ndarray:
@@ -287,26 +307,28 @@ class StackSource:
 
     # -- airplane tickets ------------------------------------------------------
 
-    def airplane(self, x: int, j: int) -> int:
-        """Destination of the j-th jump ticket of village x (or GRAVEYARD)."""
-        return int(self.airplane_range(x, j, j + 1)[0])
-
     def airplane_range(self, x, j_start, j_stop) -> np.ndarray:
         """Tickets zeta_{j_start,x}..zeta_{j_stop-1,x} as an int64 array.
 
         With equal-length arrays of villages x, starts and stops, the ranges
         of all villages, one village after another.
         """
-        return self._airplane_range(*_check_ranges(x, j_start, j_stop, self.num_streams))
+        return self._read(self._airplane_range, x, j_start, j_stop)
 
-    def _airplane_range(self, streams: np.ndarray, j_start: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """airplane_range over int64 vectors of streams, starts >= 1 and
-        lengths >= 0, unchecked: the engine's read of ranges it built."""
-        z = _counter_words(self._air_key[streams], j_start, lengths)
+    def _read(self, piece_read, x, j_start, j_stop) -> np.ndarray:
+        """A checked range read, piece by piece (`_pieces`)."""
+        streams, first, lengths = _check_ranges(x, j_start, j_stop, self.num_streams)
+        return _joined([piece_read(streams[k], origin, w) for k, origin, w in _pieces(first, lengths)])
+
+    def _airplane_range(self, streams: np.ndarray, origin: np.ndarray, width: np.ndarray) -> np.ndarray:
+        """The tickets of one piece of a read (`_pieces`), unchecked: the
+        engine's read of ranges it built.  Entry e of the piece, in range k,
+        is ticket origin[k] + e of stream streams[k]."""
+        z = _counter_words(self._air_key[streams], origin, width)
         village = streams % self._V
-        dest = self._cutpoints(np.repeat(village, lengths), z)
+        dest = self._cutpoints(np.repeat(village, width), z)
         # trial offsets t*V, on the tickets that did not go to GRAVEYARD
-        np.add(dest, np.repeat(streams - village, lengths), out=dest, where=dest != GRAVEYARD)
+        np.add(dest, np.repeat(streams - village, width), out=dest, where=dest != GRAVEYARD)
         return dest
 
     def airplane_prefix(self, x: int, count: int) -> np.ndarray:
@@ -315,18 +337,14 @@ class StackSource:
 
     # -- taxi tickets ----------------------------------------------------------
 
-    def taxi(self, x: int, j: int) -> int:
-        """House chosen by the j-th taxi ticket of village x, in {1..n}."""
-        return int(self.taxi_range(x, j, j + 1)[0])
-
     def taxi_range(self, x, j_start, j_stop) -> np.ndarray:
         """Tickets gamma_{j_start,x}..gamma_{j_stop-1,x} as an int64 array,
         with the array form of airplane_range."""
-        return self._taxi_range(*_check_ranges(x, j_start, j_stop, self.num_streams))
+        return self._read(self._taxi_range, x, j_start, j_stop)
 
-    def _taxi_range(self, streams: np.ndarray, j_start: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """taxi_range over unchecked int64 vectors, as _airplane_range."""
-        z = _counter_words(self._taxi_key[streams], j_start, lengths)
+    def _taxi_range(self, streams: np.ndarray, origin: np.ndarray, width: np.ndarray) -> np.ndarray:
+        """The taxi tickets of one piece of a read, as _airplane_range."""
+        z = _counter_words(self._taxi_key[streams], origin, width)
         z %= np.uint64(self.n)
         houses = z.view(np.int64)
         houses += 1
@@ -349,11 +367,9 @@ class StackSource:
         Each house's stream key is computed once, here.  The returned
         `read(pos, first, width)` gives, block after block, the width[k]
         notices first[k], first[k] + 1, ... of the house at list position
-        pos[k] (uint8), for int64 arrays pos, first and width >= 0.  It
-        builds them in pieces of at most _SCAN_SLICE notices, cut inside a
-        house where one straddles a cut, so its temporaries stay bounded
-        whatever the block; and when every house of the list has the same
-        sleep threshold, it compares each notice with that one value.
+        pos[k] (uint8), for int64 arrays pos, first and width >= 0, read in
+        pieces (`_pieces`); when every house of the list has the same sleep
+        threshold, it compares each notice with that one value.
         """
         x = np.asarray(villages, dtype=np.intp)
         keys = _mix64_np(self._land_key[x] ^ (houses.astype(np.uint64) * _U64_K_HOUSE + _U64_ONE))
@@ -363,25 +379,12 @@ class StackSource:
         if jump_from.size > 1 and (jump_from == jump_from[0]).all():
             jump_from = jump_from[:1]  # one threshold for every notice
 
-        def notices(pos, origin, width, out):
+        def notices(pos, origin, width):
             thresholds = jump_from if jump_from.size == 1 else jump_from[pos].repeat(width)
-            _notices(_block_words(keys[pos], origin, width), thresholds, out)
+            return _notices(_counter_words(keys[pos], origin, width), thresholds)
 
         def read(pos: np.ndarray, first: np.ndarray, width: np.ndarray) -> np.ndarray:
-            stops = width.cumsum()
-            origin = first - (stops - width)  # per house, the stack index entry 0 of the read would have
-            out = np.empty(int(stops[-1]) if stops.size else 0, dtype=np.uint8)
-            if out.size <= _SCAN_SLICE:
-                notices(pos, origin, width, out)
-                return out
-            for a in range(0, out.size, _SCAN_SLICE):
-                b = min(a + _SCAN_SLICE, out.size)
-                k0, k1 = np.searchsorted(stops, a, "right"), np.searchsorted(stops, b) + 1  # the houses that meet [a, b)
-                w = width[k0:k1].copy()
-                w[0] -= a - (stops[k0] - width[k0])  # notices of house k0 in the pieces before
-                w[-1] -= stops[k1 - 1] - b  # notices of the last house left for the pieces after
-                notices(pos[k0:k1], origin[k0:k1] + a, w, out[a:b])
-            return out
+            return _joined([notices(pos[k], origin, w) for k, origin, w in _pieces(first, width)])
 
         return read
 
@@ -403,9 +406,8 @@ class StackSource:
         return self._landlord_reader(x, houses)(np.arange(houses.size), first, np.ones(houses.size, dtype=np.int64))
 
 
-def _notices(z: np.ndarray, jump_from, out: np.ndarray | None = None) -> np.ndarray:
+def _notices(z: np.ndarray, jump_from) -> np.ndarray:
     """Notices of mixed counter words z: JUMP (1) when z >> 11 >= jump_from,
-    else SLEEP (0), as uint8, written into `out` when given.  Shifts z in
-    place."""
+    else SLEEP (0), as uint8.  Shifts z in place."""
     z >>= _U64_11
-    return np.greater_equal(z, jump_from, out=None if out is None else out.view(bool)).view(np.uint8)
+    return np.greater_equal(z, jump_from).view(np.uint8)

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import os
 import signal
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import varw.experiments as exp_mod
+import varw.simulator as simulator_mod
+import varw.stacks as stacks_mod
 from varw import ModelParams, compute_spectral, validate_model
 
 # A failure injected by monkeypatching reaches a worker only if it is forked.
@@ -32,6 +36,14 @@ def one_village_params(q=0.5, lam=1.0, sigma=0.0, nu=1.0) -> ModelParams:
         init_sleepers=[float(sigma)],
         init_actives=[float(nu)],
     )
+
+
+@contextmanager
+def scan_slice(piece: int):
+    """Every bounded read in pieces of at most `piece` entries: the stack
+    reads, the landlord scan's house slices and the resampled uniforms."""
+    with mock.patch.object(stacks_mod, "_SCAN_SLICE", piece), mock.patch.object(simulator_mod, "_SCAN_SLICE", piece):
+        yield
 
 
 def record_forks(monkeypatch) -> list[int]:

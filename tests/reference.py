@@ -333,10 +333,11 @@ class InjectedStackSource:
 
     It has the reads the round engine and the oracle make: the scalar
     `airplane`, `taxi` and `landlord`, the checked range reads, and the
-    engine's unchecked `_airplane_range`, `_taxi_range` and
-    `_landlord_reader`.  Any query past an injected prefix raises
-    StackExhaustedError, unless a fallback `StackSource` is given, whose
-    `ScalarStacks` twin then serves it.
+    engine's unchecked `_airplane_range` and `_taxi_range`, which read one
+    piece given by origins as `StackSource`'s do, and `_landlord_reader`.
+    Any query past an injected prefix raises StackExhaustedError, unless a
+    fallback `StackSource` is given, whose `ScalarStacks` twin then serves
+    it.
     """
 
     master_seed = None  # hand-written stacks come from no seed
@@ -406,17 +407,23 @@ class InjectedStackSource:
         ranges = zip(x.tolist(), j_start.tolist(), lengths.tolist())
         return np.array([scalar(v, j) for v, a, k in ranges for j in range(a, a + k)], dtype=np.int64)
 
+    @staticmethod
+    def _first_indices(origin, width) -> np.ndarray:
+        """The first stack index of each range of a piece the engine reads:
+        its entry e, in range k, has index origin[k] + e."""
+        return origin + (width.cumsum() - width)
+
     def airplane_range(self, x, j_start, j_stop) -> np.ndarray:
-        return self._airplane_range(*_check_ranges(x, j_start, j_stop, self.num_streams))
+        return self._read_ranges(self.airplane, *_check_ranges(x, j_start, j_stop, self.num_streams))
 
     def taxi_range(self, x, j_start, j_stop) -> np.ndarray:
-        return self._taxi_range(*_check_ranges(x, j_start, j_stop, self.num_streams))
+        return self._read_ranges(self.taxi, *_check_ranges(x, j_start, j_stop, self.num_streams))
 
-    def _airplane_range(self, x, j_start, lengths) -> np.ndarray:
-        return self._read_ranges(self.airplane, x, j_start, lengths)
+    def _airplane_range(self, x, origin, width) -> np.ndarray:
+        return self._read_ranges(self.airplane, x, self._first_indices(origin, width), width)
 
-    def _taxi_range(self, x, j_start, lengths) -> np.ndarray:
-        return self._read_ranges(self.taxi, x, j_start, lengths)
+    def _taxi_range(self, x, origin, width) -> np.ndarray:
+        return self._read_ranges(self.taxi, x, self._first_indices(origin, width), width)
 
     def _landlord_reader(self, villages: np.ndarray, houses: np.ndarray):
         xs = np.asarray(villages).tolist()
@@ -438,6 +445,35 @@ def expected_outflux_given_influx(params: ModelParams, x: int, n: int, u: int) -
     sc = float(floor_counts(params.init_sleepers, n)[x])
     visited_frac = 1.0 - (1.0 - 1.0 / n) ** u
     return n * (sc / n - lam / (1.0 + lam)) * visited_frac + u
+
+
+def reference_single_loop_tilde(params, n: int, src: StackSource, M, aux_seeds) -> np.ndarray:
+    """Phi_tilde of `single_loop_tilde` on every stream of `src`, from
+    scalar reads and one default_rng per trial.  Stream s receives its
+    floor(nu n) immigrants and every airplane ticket 1..M[s'] of any stream
+    s' that lands on it, I[s] in all; its visited houses are the distinct
+    taxi tickets 1..I[s].  Each visited house sends on all its particles but
+    one, and that one too when the house's fresh uniform is below
+    1/(1+lambda_x); unvisited houses send nothing."""
+    twin = ScalarStacks(src)
+    V, S = params.num_villages, src.num_streams
+    floor_sigma = floor_counts(params.init_sleepers, n).tolist() * src.trials
+    I = floor_counts(params.init_actives, n).tolist() * src.trials
+    for s, m in enumerate(np.asarray(M).tolist()):
+        for j in range(1, m + 1):
+            dest = twin.airplane(s, j)
+            if dest != GRAVEYARD:
+                I[dest] += 1
+    fresh = reference_fresh_uniforms(aux_seeds, (V, n)).reshape(S, n).tolist()
+    p_jump = [1.0 / (1.0 + lam) for lam in params.sleep_rates.tolist()]
+    Phi = []
+    for s in range(S):
+        visited = {twin.taxi(s, j) for j in range(1, I[s] + 1)}
+        J = sum(fresh[s][i - 1] < p_jump[s % V] for i in visited)
+        # particles of visited houses: the arrivals and the initial sleepers woken
+        woken = sum(i <= floor_sigma[s] for i in visited)
+        Phi.append(I[s] + woken - len(visited) + J)
+    return np.array(Phi, dtype=np.int64)
 
 
 def reference_fresh_uniforms(aux_seeds, shape) -> np.ndarray:

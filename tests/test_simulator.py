@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import one_village_params, random_subcritical_params, two_village_params
+from helpers import one_village_params, random_subcritical_params, scan_slice, two_village_params
 from reference import (
     SCHEDULES,
     InjectedStackSource,
@@ -17,6 +17,7 @@ from reference import (
     expected_outflux_given_influx,
     reference_fresh_uniforms,
     reference_init_config,
+    reference_single_loop_tilde,
     reference_stabilize,
 )
 
@@ -415,11 +416,13 @@ def test_odometer_past_max_entries_raises_before_routing(M):
 
 
 def test_oracle_reads_a_stack_source_only_through_its_scalar_twin():
-    """The oracle stays an independent check: on a StackSource it makes no
-    call into the package's one-entry views."""
+    """The oracle stays an independent check: on a StackSource it reads no
+    entry through the package's reads."""
     params = two_village_params()
     want = stabilize(params, 40, StackSource(params, 40, 3))
-    with mock.patch.multiple(StackSource, airplane=mock.DEFAULT, taxi=mock.DEFAULT, landlord=mock.DEFAULT) as views:
+    reads = ("landlord", "landlord_batch", "airplane_range", "taxi_range", "airplane_prefix", "taxi_prefix",
+             "_airplane_range", "_taxi_range", "_landlord_reader")
+    with mock.patch.multiple(StackSource, **dict.fromkeys(reads, mock.DEFAULT)) as views:
         for schedule in SCHEDULES:
             _assert_same_run(reference_stabilize(params, 40, StackSource(params, 40, 3), schedule), want)
     assert not any(view.called for view in views.values())
@@ -452,14 +455,15 @@ def test_step_cap_is_exact_for_every_policy():
             reference_stabilize(params, n, StackSource(params, n, 4), schedule, step_cap=total - 1)
 
 
-def test_rounds_stabilizer_with_small_scan_slices(monkeypatch):
+def test_rounds_stabilizer_with_small_scan_slices():
+    """Scan slices of 7 houses, and tickets and notices read in pieces of 7."""
     params = two_village_params()
     n = 300
     ref = reference_stabilize(params, n, StackSource(params, n, 6), "fifo-house-queue")
-    monkeypatch.setattr(simulator_mod, "_SCAN_SLICE", 7)
     src = StackSource(params, n, 6)
-    _assert_same_run(stabilize(params, n, src), ref)
-    loop = single_loop(params, n, src, ref.M_star)
+    with scan_slice(7):
+        _assert_same_run(stabilize(params, n, src), ref)
+        loop = single_loop(params, n, src, ref.M_star)
     assert np.array_equal(loop.Phi, ref.M_star)
     assert np.array_equal(loop.S, ref.S_star)
 
@@ -585,6 +589,25 @@ def test_multi_seed_single_loop_tilde_equals_per_seed_calls(case, data):
         assert np.array_equal(got[t * V : (t + 1) * V], want)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.data())
+def test_single_loop_tilde_equals_the_scalar_oracle(model_seed, n, data):
+    """Phi_tilde on a multi-seed source, read in pieces of any size, equals
+    the scalar oracle's, which shares no code with the evaluator: it routes
+    the tickets one at a time and draws each trial's uniforms from its own
+    default_rng."""
+    params = random_subcritical_params(np.random.default_rng(model_seed))
+    T = data.draw(st.integers(1, 5))
+    seeds = data.draw(st.lists(st.integers(-(2**64), 2**65), min_size=T, max_size=T))
+    aux = data.draw(st.lists(st.integers(0, 2**128 - 1), min_size=T, max_size=T))
+    M = np.array(data.draw(st.lists(st.integers(0, 3 * n), min_size=T * params.num_villages, max_size=T * params.num_villages)))
+    src = StackSource(params, n, seeds)
+    want = reference_single_loop_tilde(params, n, src, M, aux)
+    for piece in (1, 7, 50, 1 << 14):
+        with scan_slice(piece):
+            assert np.array_equal(single_loop_tilde(params, n, src, M, aux), want)
+
+
 def test_single_loop_tilde_takes_one_aux_seed_per_trial():
     params = two_village_params()
     one, two = StackSource(params, 30, 4), StackSource(params, 30, [4, -5])
@@ -625,15 +648,16 @@ UNIFORM_SHAPES = [(1, 1), (1, 7), (4, 5), (3, 50)]
 
 def _joined_uniforms(words, shape, piece):
     """_fresh_uniforms' windows of at most `piece` values, joined, as a
-    (trials, *shape) array; each house is drawn in exactly one window."""
+    (trials, *shape) array; the windows follow one another, and each is
+    full but the last."""
     V, n = shape
-    joined = np.full((len(words) * V, n), np.nan)
+    windows = []
     with mock.patch.object(simulator_mod, "_SCAN_SLICE", piece):
-        for s, a, values in simulator_mod._fresh_uniforms(words, V, n):
-            k, w = values.shape
-            assert values.size <= piece and np.isnan(joined[s : s + k, a : a + w]).all()
-            joined[s : s + k, a : a + w] = values
-    return joined.reshape(len(words), V, n)
+        for a, values in simulator_mod._fresh_uniforms(words, V, n):
+            assert a == sum(w.size for w in windows) and values.ndim == 1 and values.size <= piece
+            windows.append(values.copy())  # the next window reuses the buffer
+    assert all(w.size == piece for w in windows[:-1])
+    return np.concatenate(windows).reshape(len(words), V, n)
 
 
 UNIFORM_PIECES = [1, 7, 12, 50, simulator_mod._SCAN_SLICE]
@@ -758,28 +782,6 @@ def test_single_loop_scans_many_houses_in_bounded_slices():
         tracemalloc.stop()
     assert loop.I.tolist() == [n // 2] and loop.A[0] > n // 4
     assert peak / n <= 16.2
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.tuples(st.integers(0, 3), st.integers(1, 100), st.integers(0, 30)), max_size=12),
-    st.sampled_from([1, 3, 7, 16, simulator_mod._SCAN_SLICE]),
-)
-def test_pieces_read_exactly_the_unsplit_ranges(ranges, piece):
-    """Ranges read piece by piece, zero lengths and ranges longer than one
-    piece included, give exactly the unsplit read, in pieces of at most
-    _SCAN_SLICE entries."""
-    params = two_village_params()
-    src = StackSource(params, 50, [5, -5])
-    streams, first, lengths = (np.array(col, dtype=np.int64).reshape(-1) for col in zip(*ranges or [(0, 1, 0)]))
-    with mock.patch.object(simulator_mod, "_SCAN_SLICE", piece):
-        pieces = list(simulator_mod._pieces(streams, first, lengths))
-    sizes = [int(p[2].sum()) for p in pieces]
-    assert all(0 < size <= piece for size in sizes) and sum(sizes) == lengths.sum()
-    for read in (src._airplane_range, src._taxi_range):
-        want = read(streams, first, lengths)
-        got = [read(*p) for p in pieces]
-        assert np.array_equal(np.concatenate(got) if got else want[:0], want)
 
 
 @settings(max_examples=80, deadline=None)

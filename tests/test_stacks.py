@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,11 +22,12 @@ from varw import (
     single_loop_trials,
 )
 from varw.stacks import _SCAN_SLICE, _Cutpoints, _notices, _seed_words, _stream_keys
+import varw.stacks as stacks_mod
 
 
 def test_airplane_zero_row_always_graveyard():
     src = StackSource(one_village_params(q=0.0), 10, 1)
-    assert src.airplane(0, 1) == GRAVEYARD
+    assert src.airplane_range(0, 1, 2).tolist() == [GRAVEYARD]
     assert (src.airplane_range(0, 1, 200) == GRAVEYARD).all()
 
 
@@ -36,7 +39,7 @@ def test_airplane_deterministic_row():
         init_actives=[0.0, 0.0],
     )
     src = StackSource(params, 10, 5)
-    assert src.airplane(0, 1) == 1
+    assert src.airplane_range(0, 1, 2).tolist() == [1]
     assert (src.airplane_range(0, 1, 200) == 1).all()
 
 
@@ -49,13 +52,13 @@ def test_airplane_graveyard_frequency():
 
 def test_taxi_single_house():
     src = StackSource(one_village_params(), 1, 3)
-    assert src.taxi(0, 1) == 1
+    assert src.taxi_range(0, 1, 2).tolist() == [1]
     assert (src.taxi_range(0, 1, 100) == 1).all()
 
 
 def test_taxi_memoization():
     src = StackSource(one_village_params(), 7, 3)
-    assert src.taxi(0, 5) == src.taxi(0, 5)
+    assert src.taxi_range(0, 5, 6)[0] == src.taxi_range(0, 5, 6)[0]
 
 
 def test_taxi_uniformity():
@@ -100,7 +103,7 @@ def test_query_order_independence():
     assert np.array_equal(fwd, bwd)
     fwd_t = a.taxi_prefix(1, 50)
     for j in (50, 3, 17):
-        assert b.taxi(1, j) == fwd_t[j - 1]
+        assert b.taxi_range(1, j, j + 1)[0] == fwd_t[j - 1]
     assert np.array_equal(a.taxi_prefix(1, 50), b.taxi_prefix(1, 50))
 
 
@@ -132,7 +135,7 @@ def test_prefix_matches_scalar_access():
     twin = ScalarStacks(src)
     pre = src.airplane_prefix(0, 64)
     assert [twin.airplane(0, j) for j in range(1, 65)] == pre.tolist()
-    assert src.airplane(0, 64) == pre[-1]
+    assert src.airplane_range(0, 64, 65)[0] == pre[-1]
 
 
 def test_cross_stack_independence_chi_square():
@@ -156,20 +159,20 @@ def test_source_rejects_bad_arguments():
         StackSource(params, 0, 1)
     src = StackSource(params, 5, 1)
     with pytest.raises(ValidationError):
-        src.airplane(1, 1)
+        src.airplane_range(1, 1, 2)
     with pytest.raises(ValidationError):
-        src.taxi(0, 0)
+        src.taxi_range(0, 0, 1)
     with pytest.raises(ValidationError):
         src.landlord(0, 6, 1)
 
 
 BELOW_2_63 = r"stack reads take integers below 2\^63"
 BAD_READS = [
-    ("airplane", (0, 1.5), ValidationError, BELOW_2_63),
-    ("airplane", (0, 2**63), ValidationError, BELOW_2_63),
-    ("airplane", (0.5, 1), ValidationError, BELOW_2_63),
-    ("taxi", (0, 1.5), ValidationError, BELOW_2_63),
-    ("taxi", (0, 2**63), ValidationError, BELOW_2_63),
+    ("airplane_range", (0, 1.5, 2.5), ValidationError, BELOW_2_63),
+    ("airplane_range", (0, 2**63, 2**63 + 1), ValidationError, BELOW_2_63),
+    ("airplane_range", (0.5, 1, 2), ValidationError, BELOW_2_63),
+    ("taxi_range", (0, 1.5, 2.5), ValidationError, BELOW_2_63),
+    ("taxi_range", (0, 2**63, 2**63 + 1), ValidationError, BELOW_2_63),
     ("landlord", (0, 1, 1.5), ValidationError, BELOW_2_63),
     ("landlord", (0, 1, 2**63), ValidationError, BELOW_2_63),
     ("landlord", (0, 1.5, 1), ValidationError, BELOW_2_63),
@@ -225,7 +228,7 @@ def test_inject_fallback_delegates():
     fallback = StackSource(params, 4, 55)
     src = InjectedStackSource(params, 4, taxi={0: [3]}, fallback=fallback)
     assert src.taxi(0, 1) == 3
-    assert src.taxi(0, 2) == fallback.taxi(0, 2)
+    assert src.taxi(0, 2) == ScalarStacks(fallback).taxi(0, 2) == fallback.taxi_range(0, 2, 3)[0]
 
 
 def test_inject_validates_values():
@@ -258,6 +261,47 @@ def test_range_accessors_match_prefixes_on_both_sources():
         inj.taxi_range(0, 39, 42)
     with pytest.raises(ValidationError):
         src.airplane_range(1, 0, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(1, 100), st.integers(0, 30)), max_size=12),
+    st.sampled_from([1, 3, 7, 16, _SCAN_SLICE]),
+)
+def test_pieces_read_exactly_the_unsplit_ranges(ranges, piece):
+    """_pieces cuts ranges, zero lengths and ranges longer than one piece
+    included, into consecutive pieces of _SCAN_SLICE entries, the last
+    shorter, and at least one.  Read piece by piece, and through the checked
+    range reads, which read that way, they give the ranges' entries read
+    one at a time."""
+    src = StackSource(two_village_params(), 50, [5, -5])
+    twin = ScalarStacks(src)
+    streams, first, lengths = (np.array(col, dtype=np.int64).reshape(-1) for col in zip(*ranges or [(0, 1, 0)]))
+    total = int(lengths.sum())
+    with mock.patch.object(stacks_mod, "_SCAN_SLICE", piece):
+        pieces = list(stacks_mod._pieces(first, lengths))
+        joined = src.airplane_range(streams, first, first + lengths), src.taxi_range(streams, first, first + lengths)
+    assert [int(w.sum()) for _, _, w in pieces] == [min(piece, total - a) for a in range(0, max(total, 1), piece)]
+    for scalar, read, got in zip((twin.airplane, twin.taxi), (src._airplane_range, src._taxi_range), joined):
+        want = [scalar(int(s), int(a + e)) for s, a, k in zip(streams, first, lengths) for e in range(k)]
+        assert np.concatenate([read(streams[k], origin, w) for k, origin, w in pieces]).tolist() == want
+        assert got.dtype == np.int64 and got.tolist() == want
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, _SCAN_SLICE + 9])
+def test_range_reads_around_one_piece_equal_the_scalar_reads(extra):
+    """Checked range reads of _SCAN_SLICE + extra entries, in ranges that
+    straddle the cuts, at stack indices past 2^31 too: every entry is the
+    scalar twin's, whether the read fits in one piece or not."""
+    src = StackSource(two_village_params(), 50, [3, -8])
+    twin = ScalarStacks(src)
+    streams = np.array([0, 3, 1, 2, 0])
+    first = np.array([1, 7, 2**31, 5, 9])
+    lengths = np.array([_SCAN_SLICE // 2, 2, _SCAN_SLICE // 2 - 5 + extra, 0, 3])
+    for scalar, read in ((twin.airplane, src.airplane_range), (twin.taxi, src.taxi_range)):
+        want = [scalar(int(s), int(a + e)) for s, a, k in zip(streams, first, lengths) for e in range(k)]
+        assert len(want) == _SCAN_SLICE + extra
+        assert read(streams, first, first + lengths).tolist() == want
 
 
 def test_array_index_landlord_batch_matches_scalar_on_both_sources():
@@ -352,7 +396,6 @@ def test_scalar_reads_match_range_and_reader_reads(case, js):
         for j in js:
             assert twin.airplane(x, j) == air[x][j - 1] == src.airplane_range(x, j, j + 1)[0]
             assert twin.taxi(x, j) == taxi[x][j - 1] == src.taxi_range(x, j, j + 1)[0]
-        assert src.airplane(x, js[0]) == air[x][js[0] - 1] and src.taxi(x, js[0]) == taxi[x][js[0] - 1]
     villages = np.arange(V).repeat(2)
     houses = np.tile([1, n], V)
     read = src._landlord_reader(villages, houses)
@@ -449,14 +492,14 @@ def test_trial_source_streams_match_single_trial_sources():
             want = np.where(air == GRAVEYARD, GRAVEYARD, air + t * V)
             assert np.array_equal(batch.airplane_prefix(s, 60), want)
             assert [twin.airplane(s, j) for j in (1, 17, 60)] == [int(want[j - 1]) for j in (1, 17, 60)]
-            assert batch.airplane(s, 17) == want[16]
+            assert batch.airplane_range(s, 17, 18)[0] == want[16]
             assert np.array_equal(batch.taxi_prefix(s, 60), one.taxi_prefix(x, 60))
-            assert batch.taxi(s, 9) == twin.taxi(s, 9) == one.taxi(x, 9)
+            assert batch.taxi_range(s, 9, 10)[0] == twin.taxi(s, 9) == one.taxi_range(x, 9, 10)[0]
             assert batch.landlord(s, 3, 4) == twin.landlord(s, 3, 4) == one.landlord(x, 3, 4)
             houses = np.arange(1, n + 1)
             assert np.array_equal(batch.landlord_batch(s, houses, 2), one.landlord_batch(x, houses, 2))
     with pytest.raises(ValidationError):
-        batch.airplane(8, 1)
+        batch.airplane_range(8, 1, 2)
     with pytest.raises(ValidationError):
         StackSource(params, n, [])
     with pytest.raises(ValidationError):
@@ -554,8 +597,8 @@ def test_golden_tickets_through_scalar_and_range_reads(family):
         for seed in GOLDEN_SEEDS:
             want = golden[model_or_n, seed]
             src = StackSource(params, n, seed)
-            for scalar in (getattr(ScalarStacks(src), family), getattr(src, family)):
-                assert [[scalar(x, j) for j in GOLDEN_INDICES] for x in range(V)] == want
+            scalar = getattr(ScalarStacks(src), family)
+            assert [[scalar(x, j) for j in GOLDEN_INDICES] for x in range(V)] == want
             got = getattr(src, f"{family}_range")(*_golden_ranges(V))
             assert got.reshape(V, -1).tolist() == want
         # One multi-seed source: trial t reads seed t's tickets, destinations offset by t*V.
