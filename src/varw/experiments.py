@@ -340,6 +340,8 @@ def _check_trials(
 def concentration_bounds(params: ModelParams, n: int, M: np.ndarray, a: float):
     """The two tail bounds for the single-loop deviation events at level a."""
     V = params.num_villages
+    if a * n > 1e150:  # each exponent is then below -1e140, as sum|M| < V * 2^60, and t_s**2 may overflow
+        return 0.0, 0.0
     m1 = float(np.sum(np.abs(M)))
     nu1 = float(np.sum(params.init_actives))
     t_s = max(a * n - 2.0, 0.0)
@@ -369,6 +371,8 @@ def run_concentration(config: ConcentrationConfig, out_path=None) -> Concentrati
     n = _check_count(config.n, "n")
     if not config.a > 0:
         raise ValidationError(f"a must be positive, got {config.a!r}")
+    if not np.isfinite(float(config.a) * n):
+        raise ValidationError(f"a and a*n must be finite, got a={config.a!r} at n={n}")
     trials = _check_count(config.trials, "trials")
     M = _check_odometer(config.M, params.num_villages)
     m_scaled = M / n

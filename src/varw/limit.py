@@ -88,8 +88,8 @@ def solve_fixed_point(
     contraction with factor mu.
     """
     validate_model(params)
-    if not tol > 0:
-        raise ValidationError(f"tol must be positive, got {tol!r}")
+    if not (tol > 0 and np.isfinite(tol)):
+        raise ValidationError(f"tol must be positive and finite, got {tol!r}")
     mu = spectral.mu
     threshold = tol * (1.0 - mu)
     m = np.zeros(params.num_villages, dtype=np.float64)

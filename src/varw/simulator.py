@@ -32,6 +32,7 @@ from .stacks import (
     _MAX_ENTRIES,
     _SCAN_SLICE,
     GRAVEYARD,
+    JUMP,
     SLEEP,
     StackSource,
     _as_int,
@@ -111,7 +112,7 @@ def stabilize(params: ModelParams, n: int, src, step_cap: int = DEFAULT_STEP_CAP
     M = np.zeros(src.num_streams, dtype=np.int64)
     while True:
         engine.advance(M)
-        Phi = _outflux(engine.floor_sigma, engine.I, engine.A, engine.Q, engine.J)
+        Phi = _outflux(engine.floor_sigma, engine.I, engine.Z)
         if np.array_equal(Phi, M):
             break
         below = np.flatnonzero(Phi < M)
@@ -124,10 +125,7 @@ def stabilize(params: ModelParams, n: int, src, step_cap: int = DEFAULT_STEP_CAP
         M = Phi
 
     word = engine.word.reshape(src.num_streams, engine.n)
-    # A visited house holds a lone sleeper iff its terminal notice is SLEEP,
-    # and an unvisited one iff it held an initial sleeper.
     occupied = (word & 1) == SLEEP
-    occupied &= (word > 1) | (np.arange(engine.n) < engine.floor_sigma[:, None])
     S_star, inflow = _lone_sleepers(occupied), engine.I.copy()
     balance = engine.floor_sigma + inflow - M
     bad = np.flatnonzero(S_star != balance)
@@ -144,8 +142,8 @@ def stabilize(params: ModelParams, n: int, src, step_cap: int = DEFAULT_STEP_CAP
 
 def _lone_sleepers(occupied: np.ndarray) -> np.ndarray:
     """S* per stream, counted house by house.  The mass-balance check needs
-    this count: at the fixed point, Q + A - J equals floor(sigma n) + I - M
-    identically, so only a per-house count cross-checks the running totals."""
+    this count: at the fixed point, the engine's running count Z equals
+    floor(sigma n) + I - M identically, so only a per-house count checks Z."""
     return np.count_nonzero(occupied, axis=1)
 
 
@@ -167,16 +165,17 @@ class _LoopEngine:
 
     The engine runs every stream of its source: village x of trial t is
     stream s = t*V + x, and a one-trial source has one stream per village.
-    House (s, i) is flat index s*n + i - 1, and it holds an initial sleeper
-    exactly when i <= floor_sigma[s].  Per house the engine keeps what the
-    next round reads in one int32 `word`, 2 * notices + terminal: the
-    landlord notices read (a house is visited exactly when it has read one,
-    its terminal notice, so exactly when word > 1) and the last of them.
+    House (s, i) is flat index s*n + i - 1.  Per house the engine keeps what
+    the next round reads in one int32 `word`, 2 * notices + occupancy bit:
+    the landlord notices read (a house is visited exactly when it has read
+    one, its terminal notice, so exactly when word > 1), and a bit that is
+    SLEEP exactly when the house holds a lone sleeper: its initial sleeper
+    (i <= floor_sigma[s]) until it is visited, its terminal notice after.
     Per stream it keeps the airplane tickets read (`M`), the taxi tickets
-    read, and the running counts I, A, Q and J of `SingleLoopResult`,
-    updated from the houses each round touches.  Every read is the next
-    unread entry of its stack, so advancing through M_1 <= M_2 <= ... reads
-    the same prefixes as one evaluation at the last odometer.
+    read, the running counts I, A and Q of `SingleLoopResult`, and the lone
+    sleepers Z, updated from the houses each round touches.  Every read is
+    the next unread entry of its stack, so advancing through M_1 <= M_2 <=
+    ... reads the same prefixes as one evaluation at the last odometer.
 
     Every entry point builds one, so it is where the caller's model and n
     are checked against the source's.
@@ -197,10 +196,10 @@ class _LoopEngine:
         self.M = np.zeros(S, dtype=np.int64)
         self.I = self.floor_nu.copy()
         self.A = np.zeros(S, dtype=np.int64)
-        self.Q = self.floor_sigma.copy()
-        self.J = np.zeros(S, dtype=np.int64)
+        self.Q, self.Z = self.floor_sigma.copy(), self.floor_sigma.copy()  # Z: lone sleepers
         self.taxi_read = np.zeros(S, dtype=np.int64)
-        self.word = np.zeros(S * n, dtype=np.int32)
+        bits = np.tile(np.array([SLEEP, JUMP], dtype=np.int32), S)  # initial sleepers first
+        self.word = bits.repeat(np.column_stack((self.floor_sigma, n - self.floor_sigma)).ravel())
         self.house_dtype = np.int32 if S * n < 1 << 31 else np.int64  # flat house indices
         self.tickets = 0  # airplane tickets plus post-landing taxi tickets read
         self.notices = 0  # landlord notices read
@@ -254,22 +253,15 @@ class _LoopEngine:
     def _scan_slice(self, touched: np.ndarray, new_hits: np.ndarray) -> None:
         S, n = self.I.size, self.n
         touched = touched.astype(np.intp, copy=False)  # numpy gathers and scatters fastest with native indices
-        x, i = np.divmod(touched, n)
+        x = touched // n
+        read = self.src._landlord_reader(x, touched - x * n + 1)
         word = self.word[touched]
-        before = word & 1  # the terminal notice, SLEEP on an unvisited house
-        # Jumps still owed before the terminal notice.  A house hit before holds
-        # a terminal notice, which now becomes an ordinary one; an unvisited
-        # house lets its initial sleeper wake but owes a jump for every other
-        # particle.
+        before = word & 1  # SLEEP on a house that holds a lone sleeper
+        # Jumps still owed before the terminal notice, one per particle but the
+        # last; a lone sleeper, which the arrivals wake, is one particle more.
         need = new_hits - before
-        new = (word == 0).nonzero()[0]
-        new_x = x[new]
-        sleeper = i[new] < self.floor_sigma[new_x]
-        need[new] += sleeper - 1
-        self.A += np.bincount(new_x, minlength=S)
-        self.Q -= np.bincount(new_x, weights=sleeper, minlength=S).astype(np.int64)
-        read = self.src._landlord_reader(x, i + 1)
-        del new, new_x, sleeper, i  # not held through the reads
+        self.A += np.bincount(x, weights=word < 2, minlength=S).astype(np.int64)
+        self.Q -= np.bincount(x, weights=word == SLEEP, minlength=S).astype(np.int64)
         pos = np.arange(touched.size)
         first = (word >> 1) + 1  # next unread notice
         while pos.size:
@@ -302,7 +294,7 @@ class _LoopEngine:
             more = (need + last != 0).nonzero()[0]
             pos, first, need = pos[more], first[more] + 1, need[more]
         self.word[touched] = word
-        self.J += np.bincount(x, weights=(word & 1) - before, minlength=S).astype(np.int64)
+        self.Z += np.bincount(x, weights=before - (word & 1), minlength=S).astype(np.int64)
 
     def _check_cap(self) -> None:
         if self.step_cap is not None and self.tickets + self.notices > self.step_cap:
@@ -312,10 +304,10 @@ class _LoopEngine:
             )
 
 
-def _outflux(floor_sigma, I, A, Q, J) -> np.ndarray:
-    """Phi: every particle through a visited house leaves it but the last,
-    which leaves on a terminal JUMP; unvisited houses send nothing."""
-    return floor_sigma - Q + I - A + J
+def _outflux(floor_sigma, I, Z) -> np.ndarray:
+    """Phi by mass balance: every particle a stream holds, its initial
+    sleepers and its arrivals, leaves but its Z lone sleepers."""
+    return floor_sigma + I - Z
 
 
 def _hit_counts(houses: np.ndarray):
@@ -396,9 +388,9 @@ def _evaluate(params: ModelParams, n: int, src, M: np.ndarray, aux_seeds=None) -
     engine = _LoopEngine(params, n, src)
     engine.advance(M)
     Phi_tilde = None if aux_seeds is None else _resampled_outflux(params, engine, aux_seeds)
-    I, A, Q, J = engine.I, engine.A, engine.Q, engine.J
-    Phi = _outflux(engine.floor_sigma, I, A, Q, J)
-    return SingleLoopResult(Phi=Phi, S=-M + engine.floor_sigma + I, I=I, A=A, Q=Q, J=J, Phi_tilde=Phi_tilde)
+    I, A, Q, Z = engine.I, engine.A, engine.Q, engine.Z
+    Phi = _outflux(engine.floor_sigma, I, Z)
+    return SingleLoopResult(Phi=Phi, S=-M + engine.floor_sigma + I, I=I, A=A, Q=Q, J=A + Q - Z, Phi_tilde=Phi_tilde)
 
 
 def _resampled_outflux(params: ModelParams, engine: _LoopEngine, aux_words) -> np.ndarray:
@@ -407,16 +399,17 @@ def _resampled_outflux(params: ModelParams, engine: _LoopEngine, aux_words) -> n
     1/(1+lambda_x): per trial, village by village, n uniforms, one per
     house, equal to default_rng(aux_seed).random((V, n)) for the trial's
     aux seed (see `_fresh_uniforms`), counted window by window as they are
-    drawn."""
-    n, J = engine.n, np.zeros_like(engine.J)
+    drawn.  The lone sleepers left are the Q unvisited initial sleepers and
+    the visited houses whose fresh notice is SLEEP."""
+    n, Z = engine.n, engine.Q.copy()
     p_jump = np.tile(1.0 / (1.0 + params.sleep_rates), engine.src.trials)
     for a, fresh in _fresh_uniforms(aux_words, params.num_villages, n):
         streams = np.arange(a // n, (a + fresh.size - 1) // n + 1)
         starts = np.maximum(streams * n, a) - a  # where each stream's houses start in the window
-        hits = fresh < p_jump[streams].repeat(np.diff(starts, append=fresh.size))
-        hits &= engine.word[a : a + fresh.size] > 1
-        J[streams] += np.add.reduceat(hits, starts, dtype=np.int64)
-    return _outflux(engine.floor_sigma, engine.I, engine.A, engine.Q, J)
+        asleep = fresh >= p_jump[streams].repeat(np.diff(starts, append=fresh.size))
+        asleep &= engine.word[a : a + fresh.size] > 1
+        Z[streams] += np.add.reduceat(asleep, starts, dtype=np.int64)
+    return _outflux(engine.floor_sigma, engine.I, Z)
 
 
 def _fresh_uniforms(aux_words: np.ndarray, V: int, n: int):

@@ -15,6 +15,9 @@ stable.  By the abelian property every schedule consumes the
 same stack prefixes and gives the same result as `varw.stabilize`; the
 tests check that on shared stacks.
 
+`reference_single_loop` and `reference_single_loop_tilde` evaluate the
+single-loop map from scalar reads, one house at a time.
+
 `InjectedStackSource` serves hand-written stack prefixes through the reads
 the round engine makes, so hand-traced runs and strict prefix checks go
 through `varw.stabilize` and `varw.single_loop` unchanged.
@@ -32,7 +35,7 @@ import numpy as np
 
 from varw import GRAVEYARD, JUMP, SLEEP, ModelParams, StackSource, StepCapError, ValidationError, VarwError
 from varw.model import floor_counts
-from varw.simulator import DEFAULT_STEP_CAP, ConsumedCounters, SimResult
+from varw.simulator import DEFAULT_STEP_CAP, ConsumedCounters, SimResult, SingleLoopResult
 from varw.stacks import (
     _GOLDEN,
     _K_HOUSE,
@@ -447,28 +450,73 @@ def expected_outflux_given_influx(params: ModelParams, x: int, n: int, u: int) -
     return n * (sc / n - lam / (1.0 + lam)) * visited_frac + u
 
 
-def reference_single_loop_tilde(params, n: int, src: StackSource, M, aux_seeds) -> np.ndarray:
-    """Phi_tilde of `single_loop_tilde` on every stream of `src`, from
-    scalar reads and one default_rng per trial.  Stream s receives its
-    floor(nu n) immigrants and every airplane ticket 1..M[s'] of any stream
-    s' that lands on it, I[s] in all; its visited houses are the distinct
-    taxi tickets 1..I[s].  Each visited house sends on all its particles but
-    one, and that one too when the house's fresh uniform is below
-    1/(1+lambda_x); unvisited houses send nothing."""
+def _scalar_arrivals(params, n: int, src: StackSource, M):
+    """The single-loop inbound phase, one scalar read at a time: stream s
+    receives its floor(nu n) immigrants and every airplane ticket 1..M[s']
+    of any stream s' that lands on it, I[s] in all, and taxi ticket j of s
+    lands arrival j on its house.  Returns the `ScalarStacks` twin, I, and
+    per stream a dict from each visited house to its arrivals."""
     twin = ScalarStacks(src)
-    V, S = params.num_villages, src.num_streams
-    floor_sigma = floor_counts(params.init_sleepers, n).tolist() * src.trials
     I = floor_counts(params.init_actives, n).tolist() * src.trials
     for s, m in enumerate(np.asarray(M).tolist()):
         for j in range(1, m + 1):
             dest = twin.airplane(s, j)
             if dest != GRAVEYARD:
                 I[dest] += 1
+    hits = []
+    for s in range(src.num_streams):
+        hits.append({})
+        for j in range(1, I[s] + 1):
+            i = twin.taxi(s, j)
+            hits[s][i] = hits[s].get(i, 0) + 1
+    return twin, I, hits
+
+
+def reference_single_loop(params, n: int, src: StackSource, M) -> SingleLoopResult:
+    """I, A, Q, J, Phi and S of `single_loop` on every stream of `src`, from
+    scalar reads.  Each visited house holds its arrivals and its initial
+    sleeper, if it has one, and reads its landlord notices one at a time
+    until all its particles but one have jumped; the next notice is its
+    terminal one, and that last particle jumps too when it is JUMP.  A
+    counts the visited houses, Q the initial sleepers of the unvisited
+    ones, J the terminal JUMPs, and Phi every jump."""
+    twin, I, hits = _scalar_arrivals(params, n, src, M)
+    floor_sigma = floor_counts(params.init_sleepers, n).tolist() * src.trials
+    A, Q, J, Phi = [], [], [], []
+    for s in range(src.num_streams):
+        jumps = terminal_jumps = 0
+        for i, arrivals in hits[s].items():
+            particles = arrivals + (i <= floor_sigma[s])
+            j = left = 0
+            while left < particles - 1:
+                j += 1
+                left += twin.landlord(s, i, j) == JUMP
+            last = twin.landlord(s, i, j + 1) == JUMP
+            jumps += left + last
+            terminal_jumps += last
+        A.append(len(hits[s]))
+        Q.append(floor_sigma[s] - sum(i <= floor_sigma[s] for i in hits[s]))
+        J.append(terminal_jumps)
+        Phi.append(jumps)
+    S = np.array(floor_sigma) + np.array(I) - np.asarray(M)
+    fields = dict(Phi=Phi, S=S, I=I, A=A, Q=Q, J=J)
+    return SingleLoopResult(**{k: np.array(v, dtype=np.int64) for k, v in fields.items()})
+
+
+def reference_single_loop_tilde(params, n: int, src: StackSource, M, aux_seeds) -> np.ndarray:
+    """Phi_tilde of `single_loop_tilde` on every stream of `src`, from
+    scalar reads and one default_rng per trial.  The visited houses are
+    those of `_scalar_arrivals`.  Each visited house sends on all its
+    particles but one, and that one too when the house's fresh uniform is
+    below 1/(1+lambda_x); unvisited houses send nothing."""
+    V, S = params.num_villages, src.num_streams
+    _, I, hits = _scalar_arrivals(params, n, src, M)
+    floor_sigma = floor_counts(params.init_sleepers, n).tolist() * src.trials
     fresh = reference_fresh_uniforms(aux_seeds, (V, n)).reshape(S, n).tolist()
     p_jump = [1.0 / (1.0 + lam) for lam in params.sleep_rates.tolist()]
     Phi = []
     for s in range(S):
-        visited = {twin.taxi(s, j) for j in range(1, I[s] + 1)}
+        visited = hits[s].keys()
         J = sum(fresh[s][i - 1] < p_jump[s % V] for i in visited)
         # particles of visited houses: the arrivals and the initial sleepers woken
         woken = sum(i <= floor_sigma[s] for i in visited)

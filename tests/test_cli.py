@@ -321,6 +321,27 @@ def test_concentration_subcommand(capsys, model_file, tmp_path):
     assert (tmp_path / "c" / "concentration_a0.5.txt").exists()
 
 
+@pytest.mark.parametrize("a", ["1e308", "inf"])
+def test_concentration_level_past_the_float_range_exit_code(capsys, model_file, tmp_path, a):
+    code, out, err = run_cli(
+        capsys, "concentration", "--model", model_file, "--n", "20", "--M", "5,5",
+        "--a", a, "--trials", "5", "--out", str(tmp_path / "c"),
+    )
+    assert code == 1
+    assert out == "seed: 12345\n"
+    assert err.count("\n") == 1 and err.startswith("error: a and a*n must be finite")
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("argv", [("solve",), ("lln", "--n", "10", "--seeds", "1")], ids=["solve", "lln"])
+def test_infinite_tol_exit_code(capsys, model_file, tmp_path, argv):
+    out_dir = ("--out", str(tmp_path / "o")) if argv[0] == "lln" else ()
+    code, _, err = run_cli(capsys, argv[0], "--model", model_file, *argv[1:], "--tol", "inf", *out_dir)
+    assert code == 1
+    assert err == "error: tol must be positive and finite, got inf\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_kappa_subcommand(capsys, tmp_path):
     path = tmp_path / "one.json"
     path.write_text(

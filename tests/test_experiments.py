@@ -167,6 +167,32 @@ def test_concentration_argument_validation():
         run_concentration(ConcentrationConfig(params=params, n=10, M=np.array([1]), a=0.1, trials=0))
 
 
+@pytest.mark.parametrize("a", [1e308, float("inf")])
+def test_concentration_refuses_a_level_past_the_float_range(a):
+    """At n = 20, a*n is not finite, and the bounds would read NaN."""
+    params = one_village_params(q=0.5, lam=1.0, sigma=0.2, nu=0.5)
+    with pytest.raises(ValidationError, match="a and a\\*n must be finite"):
+        run_concentration(ConcentrationConfig(params=params, n=20, M=np.array([5]), a=a, trials=5))
+
+
+def test_concentration_bounds_vanish_at_a_huge_finite_level():
+    """Past a*n = 1e150 both bounds are 0, as the formulas give just below
+    that level, where they still evaluate, and no squared deviation
+    overflows."""
+    params = one_village_params(q=0.5, lam=1.0, sigma=0.2, nu=0.5)
+    M = np.array([2**60 - 1])
+    assert concentration_bounds(params, 20, M, 0.99e150 / 20) == (0.0, 0.0)
+    assert concentration_bounds(params, 20, M, 1e200) == (0.0, 0.0)
+    report = run_concentration(ConcentrationConfig(params=params, n=20, M=np.array([5]), a=1e200, trials=5))
+    assert (report.bound_s, report.bound_phi, report.violated) == (0.0, 0.0, False)
+
+
+def test_lln_refuses_a_tol_that_is_not_finite():
+    params = one_village_params(q=0.5, lam=1.0, sigma=0.2, nu=0.5)
+    with pytest.raises(ValidationError, match="tol must be positive and finite"):
+        run_lln(LLNConfig(params=params, n_values=[10], seeds=[1], tol=float("inf")))
+
+
 def test_kappa_zero_rate_gives_p_one():
     params = one_village_params(q=0.5, lam=0.0, sigma=0.0, nu=0.5)
     report = run_kappa_equivalence(params, 50, [20], trials=300, seed=4)

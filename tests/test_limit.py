@@ -142,6 +142,13 @@ def test_solve_rejects_nonpositive_tol(default_params, default_spectral):
         solve_fixed_point(default_params, default_spectral, tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [float("inf"), float("nan")])
+def test_solve_rejects_a_tol_that_is_not_finite(default_params, default_spectral, tol):
+    """An infinite tol would stop after one iteration and certify nothing."""
+    with pytest.raises(ValidationError, match="tol must be positive and finite"):
+        solve_fixed_point(default_params, default_spectral, tol=tol)
+
+
 def test_certified_error_bounds_true_residual(default_params, default_spectral):
     sol = solve_fixed_point(default_params, default_spectral, tol=1e-10)
     resid = eta_norm(default_spectral, phi(default_params, sol.m_star) - sol.m_star)

@@ -17,6 +17,7 @@ from reference import (
     expected_outflux_given_influx,
     reference_fresh_uniforms,
     reference_init_config,
+    reference_single_loop,
     reference_single_loop_tilde,
     reference_stabilize,
 )
@@ -587,6 +588,25 @@ def test_multi_seed_single_loop_tilde_equals_per_seed_calls(case, data):
     for t, seed in enumerate(seeds):
         want = single_loop_tilde(params, n, StackSource(params, n, seed), M, aux[t])
         assert np.array_equal(got[t * V : (t + 1) * V], want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.data())
+def test_single_loop_equals_the_scalar_oracle(model_seed, n, data):
+    """I, A, Q, J, Phi and S on a multi-seed source, read in pieces of any
+    size, equal the scalar oracle's, which routes the tickets one at a time
+    and reads each visited house's notices one at a time."""
+    params = random_subcritical_params(np.random.default_rng(model_seed))
+    T = data.draw(st.integers(1, 5))
+    seeds = data.draw(st.lists(st.integers(-(2**64), 2**65), min_size=T, max_size=T))
+    M = np.array(data.draw(st.lists(st.integers(0, 3 * n), min_size=T * params.num_villages, max_size=T * params.num_villages)))
+    src = StackSource(params, n, seeds)
+    want = reference_single_loop(params, n, src, M)
+    for piece in (1, 7, 50, 1 << 14):
+        with scan_slice(piece):
+            got = single_loop(params, n, src, M)
+        for field in ("I", "A", "Q", "J", "Phi", "S"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
 @settings(max_examples=60, deadline=None)
