@@ -1,12 +1,8 @@
 """Command-line front end for the village random walk toolkit.
 
-Exit codes: 0 success, 1 validation/usage error, 2 runtime guard tripped
-(step or iteration cap, an integer option beyond 64 bits, or an input too
-large for memory), 3 exact-invariant failure inside an experiment (including
-a batched trial that differs from its single_loop re-evaluation), 4 a
-worker process of `lln` that ended without a result (killed by a signal,
-for example by the out-of-memory killer) or could not be started (its
-pipe or fork failed).
+Exit codes: 0 success, 1 a usage error, 2 an input too large for memory;
+every package error ends with the exit code and label its class carries
+(see varw.errors).
 Every subcommand is deterministic given its arguments and input files;
 seeds are always printed, defaulted or not.  `simulate` has no toppling
 order option: every order gives the same stabilizing odometer, and the one
@@ -23,14 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments
-from .errors import (
-    AcceptanceCheckError,
-    InputSizeError,
-    IterationCapError,
-    StepCapError,
-    ValidationError,
-    WorkerLostError,
-)
+from .errors import AcceptanceCheckError, InputSizeError, ValidationError, VarwError
 from .limit import solve_fixed_point
 from .model import compute_spectral, load_model, validate_model
 from .simulator import single_loop, stabilize
@@ -131,20 +120,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _odometer(text: str) -> np.ndarray:
+    """The --M option: comma-separated integers, each within 64 bits."""
+    return np.array(_int_vector(text, _int64("--M")), dtype=np.int64)
+
+
 def _print_vector_table(header: str, columns: list[np.ndarray]) -> None:
-    print(header)
-    for x in range(len(columns[0])):
-        print(",".join(_fmt(col[x]) for col in columns))
+    """One row per village: its index, then its entry of each column."""
+    print(f"village,{header}")
+    for x, row in enumerate(zip(*columns)):
+        print(",".join([str(x), *map(experiments._format, row)]))
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (np.floating, float)):
-        return repr(float(value))
-    return str(int(value))
-
-
-def _cmd_validate(args) -> int:
-    params = load_model(args.model)  # raises on a structurally invalid model
+def _cmd_validate(args, params) -> int:
     if args.strict:
         validate_model(params)
     print(f"valid model: {params.num_villages} villages")
@@ -153,39 +141,30 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_spectral(args) -> int:
-    params = load_model(args.model)
+def _cmd_spectral(args, params) -> int:
     spectral = compute_spectral(params)
     print(f"mu: {spectral.mu!r}")
     print(f"eta_min: {spectral.eta_min!r}")
-    _print_vector_table("village,eta", [np.arange(params.num_villages), spectral.eta])
+    _print_vector_table("eta", [spectral.eta])
     return 0
 
 
-def _cmd_solve(args) -> int:
-    params = load_model(args.model)
+def _cmd_solve(args, params) -> int:
     spectral = compute_spectral(params)
     sol = solve_fixed_point(params, spectral, tol=args.tol)
     print(f"mu: {spectral.mu!r}")
     print(f"certified_eta_error: {sol.certified_eta_error!r}")
     print(f"iterations: {sol.iterations}")
-    _print_vector_table(
-        "village,m_star,s_star",
-        [np.arange(params.num_villages), sol.m_star, sol.s_star],
-    )
+    _print_vector_table("m_star,s_star", [sol.m_star, sol.s_star])
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    params = load_model(args.model)
+def _cmd_simulate(args, params) -> int:
     src = StackSource(params, args.n, args.seed)
     sim = stabilize(params, args.n, src)
     print(f"n: {args.n}")
     print(f"seed: {args.seed}")
-    _print_vector_table(
-        "village,M_star,S_star,inflow",
-        [np.arange(params.num_villages), sim.M_star, sim.S_star, sim.inflow],
-    )
+    _print_vector_table("M_star,S_star,inflow", [sim.M_star, sim.S_star, sim.inflow])
     print("mass_balance_check: ok")
     loop = single_loop(params, args.n, src, sim.M_star)
     fixed_ok = np.array_equal(loop.Phi, sim.M_star) and np.array_equal(loop.S, sim.S_star)
@@ -195,23 +174,18 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_single_loop(args) -> int:
-    params = load_model(args.model)
-    M = np.array(_int_vector(args.M, _int64("--M")), dtype=np.int64)
+def _cmd_single_loop(args, params) -> int:
+    M = _odometer(args.M)
     src = StackSource(params, args.n, args.seed)
     res = single_loop(params, args.n, src, M)
     print(f"n: {args.n}")
     print(f"seed: {args.seed}")
     print(f"M: {','.join(str(v) for v in M.tolist())}")
-    _print_vector_table(
-        "village,Phi,S,I,A,Q,J",
-        [np.arange(params.num_villages), res.Phi, res.S, res.I, res.A, res.Q, res.J],
-    )
+    _print_vector_table("Phi,S,I,A,Q,J", [res.Phi, res.S, res.I, res.A, res.Q, res.J])
     return 0
 
 
-def _cmd_lln(args) -> int:
-    params = load_model(args.model)
+def _cmd_lln(args, params) -> int:
     if args.seeds is not None:
         seeds = _int_vector(args.seeds)
     else:
@@ -233,9 +207,8 @@ def _cmd_lln(args) -> int:
     return 0
 
 
-def _cmd_concentration(args) -> int:
-    params = load_model(args.model)
-    M = np.array(_int_vector(args.M, _int64("--M")), dtype=np.int64)
+def _cmd_concentration(args, params) -> int:
+    M = _odometer(args.M)
     print(f"seed: {args.seed}")
     config = experiments.ConcentrationConfig(
         params=params, n=args.n, M=M, a=args.a, trials=args.trials, seed=args.seed
@@ -251,9 +224,8 @@ def _cmd_concentration(args) -> int:
     return 0
 
 
-def _cmd_kappa_test(args) -> int:
-    params = load_model(args.model)
-    M = np.array(_int_vector(args.M, _int64("--M")), dtype=np.int64)
+def _cmd_kappa_test(args, params) -> int:
+    M = _odometer(args.M)
     print(f"seed: {args.seed}")
     out = Path(args.out) / "kappa_test.txt"
     report = experiments.run_kappa_equivalence(
@@ -280,25 +252,17 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        params = load_model(args.model)  # raises on a structurally invalid model
+        return _COMMANDS[args.command](args, params)
     except _CliArgumentError as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return 1
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (StepCapError, IterationCapError, InputSizeError) as exc:
-        print(f"runtime guard: {exc}", file=sys.stderr)
-        return 2
     except MemoryError as exc:
         print(f"runtime guard: input too large for memory: {exc}", file=sys.stderr)
         return 2
-    except AcceptanceCheckError as exc:
-        print(f"invariant failure: {exc}", file=sys.stderr)
-        return 3
-    except WorkerLostError as exc:
-        print(f"worker lost: {exc}", file=sys.stderr)
-        return 4
+    except VarwError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,13 +1,18 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: validation problems exit 1, runtime
-guards (iteration/step caps, oversized inputs) exit 2, tripped experiment
-invariants exit 3, a worker process lost without a result exits 4.
+Each class carries the exit code the CLI ends with and the label that
+starts its one stderr line: 1 `error` for malformed input, 2 `runtime
+guard` for a step or iteration cap or an integer too large for 64 bits or
+for a 64-bit address space, 3 `invariant failure` for an exact invariant
+tripped inside an experiment, and 4 `worker lost` for an `lln` worker
+process that ended without a result or could not be started.
 """
 
 
 class VarwError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code, label = 1, "error"
 
 
 class ValidationError(VarwError):
@@ -17,18 +22,28 @@ class ValidationError(VarwError):
 class IterationCapError(VarwError):
     """Fixed-point or eigenvalue iteration exceeded its hard cap."""
 
+    exit_code, label = 2, "runtime guard"
+
 
 class StepCapError(VarwError):
     """Stabilization executed more instructions than the runtime guard allows."""
+
+    exit_code, label = 2, "runtime guard"
 
 
 class InputSizeError(VarwError):
     """An input integer too large for the 64-bit arrays it is stored in."""
 
+    exit_code, label = 2, "runtime guard"
+
 
 class AcceptanceCheckError(VarwError):
     """An exact invariant (mass balance, fixed point, bound) failed during a sweep."""
 
+    exit_code, label = 3, "invariant failure"
+
 
 class WorkerLostError(VarwError):
     """A worker process ended without a result, for example killed by a signal."""
+
+    exit_code, label = 4, "worker lost"

@@ -141,15 +141,15 @@ def _run_share(tasks) -> list:
 def _run_forked(tasks, workers: int) -> list:
     """_lln_task over tasks on `workers` processes, the results in task order.
 
-    The caller forks workers - 1 children: child w runs the tasks k with
-    k % workers == w and pickles its share's results into a pipe of its own,
-    while the caller runs the tasks with k % workers == 0.  The first failing
-    task in task order raises, as on one worker; a child that ends without a
-    result fails its first task with WorkerLostError.  A worker whose pipe
-    or fork fails (too many open files, or a process or memory limit)
-    raises WorkerLostError naming it and the OS error.  Every child is
-    reaped before this returns or raises, and killed first if the caller
-    fails.
+    The caller forks workers - 1 children, none on one worker: child w runs
+    the tasks k with k % workers == w and pickles its share's results into a
+    pipe of its own, while the caller runs the tasks with k % workers == 0.
+    The first failing task in task order raises, on any number of workers; a
+    child that ends without a result fails its first task with
+    WorkerLostError.  A worker whose pipe or fork fails (too many open
+    files, or a process or memory limit) raises WorkerLostError naming it
+    and the OS error.  Every child is reaped before this returns or raises,
+    and killed first if the caller fails.
     """
     children = {}  # worker -> (pid, read end of its pipe)
     try:
@@ -205,6 +205,7 @@ def _run_forked(tasks, workers: int) -> list:
 
 
 def _format(value) -> str:
+    """A CSV or table cell: a float (numpy's too) by its repr, else by str."""
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
@@ -249,11 +250,7 @@ def run_lln(config: LLNConfig, out_dir=None) -> LLNReport:
     share = -(-len(seeds) // workers)  # seeds per worker
     chunking = [(n, min(_trials_per_chunk(V, n), share)) for n in n_values]
     tasks = [(params, n, seeds[lo : lo + per]) for n, per in chunking for lo in range(0, len(seeds), per)]
-    workers = min(workers, len(tasks))
-    if workers > 1 and _FORKS:
-        results = _run_forked(tasks, workers)
-    else:
-        results = [_lln_task(t) for t in tasks]
+    results = _run_forked(tasks, min(workers, len(tasks)) if _FORKS else 1)
 
     rows: list[dict] = []
     per_n_errors: dict[int, dict[str, list[float]]] = {

@@ -24,6 +24,7 @@ from .model import ModelParams, SpectralData, critical_profile, eta_norm, valida
 DEFAULT_TOL = 1e-10
 MAX_ITERATIONS = 10**7
 _MONOTONE_SLACK = 1e-13  # float rounding allowance on the nondecreasing-iterates check
+_EPS = 2.0**-52  # float64 machine epsilon, a literal so that import does no numpy work
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +86,8 @@ def solve_fixed_point(
     Stops once successive iterates are within tol*(1-mu) in the eta norm;
     the residual bound then guarantees the returned iterate is within tol of
     the exact fixed point.  Requires a subcritical instance, where phi is a
-    contraction with factor mu.
+    contraction with factor mu, and a tol that float64 resolves: a tol with
+    tol*(1-mu) below 8*eps times an iterate's eta norm raises ValidationError.
     """
     validate_model(params)
     if not (tol > 0 and np.isfinite(tol)):
@@ -99,6 +101,13 @@ def solve_fixed_point(
             raise AcceptanceCheckError(
                 f"continuum iterates from zero must be componentwise nondecreasing; "
                 f"iteration {iteration} decreased"
+            )
+        # phi is evaluated in float64, so no step certifies less than its rounding error.
+        floor = 8 * _EPS * eta_norm(spectral, m_next)
+        if threshold < floor:
+            raise ValidationError(
+                f"tol={tol!r} is below the float64 resolution of the fixed point: the certificate "
+                f"needs tol*(1-mu) >= 8*eps*|m|_eta = {floor!r}"
             )
         step = eta_norm(spectral, m_next - m)
         m = m_next

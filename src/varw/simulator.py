@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AcceptanceCheckError, InputSizeError, StepCapError, ValidationError
-from .model import ModelParams, floor_counts
+from .model import ModelParams, critical_profile, floor_counts
 from .model import validate_model  # noqa: F401  patched here by perfbench/traced.py
 from .stacks import (
     _MAX_ENTRIES,
@@ -186,6 +186,13 @@ class _LoopEngine:
             raise ValidationError("the stack source was built for a different model")
         if src.n != n:
             raise ValidationError(f"the stack source has n={src.n}, but n={n!r} was given")
+        # No notice of such a village is JUMP, so a house holding two particles would scan forever.
+        if (never := np.flatnonzero(critical_profile(params) == 1.0)).size:
+            x = int(never[0])
+            raise ValidationError(
+                f"village {x} has lambda={float(params.sleep_rates[x])!r}, where lambda/(1+lambda) "
+                "rounds to 1.0, so none of its landlord notices can be JUMP"
+            )
         n = self.n = src.n
         self.src = src
         self.step_cap = step_cap

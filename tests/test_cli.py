@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +343,39 @@ def test_infinite_tol_exit_code(capsys, model_file, tmp_path, argv):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("tol", ["1e-300", "1e-17"])
+def test_solve_refuses_a_tol_below_float_resolution(capsys, model_file, tol):
+    """At 1e-300 the float64 step reaches 0.0, which would certify a bound
+    that float64 cannot resolve."""
+    code, out, err = run_cli(capsys, "solve", "--model", model_file, "--tol", tol)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: tol={float(tol)!r} is below the float64 resolution")
+
+
+def test_solve_certifies_a_tol_above_float_resolution(capsys, model_file):
+    code, out, _ = run_cli(capsys, "solve", "--model", model_file, "--tol", "1e-14")
+    assert code == 0
+    assert "certified_eta_error: 1e-14\n" in out
+
+
+@pytest.mark.parametrize("argv", [("simulate",), ("single-loop", "--M", "0")], ids=["simulate", "single-loop"])
+def test_a_village_whose_notices_are_never_jump_exit_code(capsys, tmp_path, argv):
+    """Without the refusal, lambda = 1e300 leaves the landlord scan reading
+    SLEEPs for about 5e8 blocks."""
+    path = tmp_path / "never_jump.json"
+    path.write_text(json.dumps({"kernel": [[0.5]], "lambda": [1e300], "sigma": [0.0], "nu": [1.0]}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv[0], "--model", str(path), "--n", "3", "--seed", "1", *argv[1:])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: village 0 has lambda=1e+300, where lambda/(1+lambda) rounds to 1.0, "
+        "so none of its landlord notices can be JUMP\n"
+    )
+
+
 def test_kappa_subcommand(capsys, tmp_path):
     path = tmp_path / "one.json"
     path.write_text(
@@ -399,7 +433,7 @@ def test_batched_trial_mismatch_exit_code(capsys, model_file, tmp_path, monkeypa
     assert "n=40, seed=2, trial 0, village 1: Phi=" in err
 
 
-# The exit code the module docstring of varw.cli documents for each error class.
+# The exit code the module docstring of varw.errors documents for each error class.
 EXIT_CODES = {
     ValidationError: 1,
     IterationCapError: 2,
@@ -426,6 +460,18 @@ def test_every_error_class_has_its_exit_code(capsys, model_file, monkeypatch, er
     assert code == EXIT_CODES[error]
     assert out == ""
     assert err.count("\n") == 1 and err.endswith(": boom\n")  # one line, no traceback
+
+
+def test_a_bare_varw_error_exits_1(capsys, model_file, monkeypatch):
+    """The base class carries exit code 1 and the label `error` too."""
+    import varw.cli as cli_mod
+
+    def bomb(*args, **kwargs):
+        raise varw.VarwError("boom")
+
+    monkeypatch.setattr(cli_mod, "compute_spectral", bomb)
+    code, out, err = run_cli(capsys, "spectral", "--model", model_file)
+    assert (code, out, err) == (1, "", "error: boom\n")
 
 
 @pytest.mark.parametrize(

@@ -193,6 +193,12 @@ def test_lln_refuses_a_tol_that_is_not_finite():
         run_lln(LLNConfig(params=params, n_values=[10], seeds=[1], tol=float("inf")))
 
 
+def test_lln_refuses_a_tol_below_float_resolution():
+    params = one_village_params(q=0.5, lam=1.0, sigma=0.2, nu=0.5)
+    with pytest.raises(ValidationError, match=r"^tol=1e-17 is below the float64 resolution"):
+        run_lln(LLNConfig(params=params, n_values=[10], seeds=[1], tol=1e-17))
+
+
 def test_kappa_zero_rate_gives_p_one():
     params = one_village_params(q=0.5, lam=0.0, sigma=0.0, nu=0.5)
     report = run_kappa_equivalence(params, 50, [20], trials=300, seed=4)

@@ -550,6 +550,40 @@ def test_source_must_match_the_callers_model_and_n(call):
         call(params, 10, StackSource(other_sigma, 10, 1))
 
 
+@pytest.mark.parametrize("lam", [1e300, 2.0**53])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda params, n: stabilize(params, n, StackSource(params, n, 1)),
+        lambda params, n: single_loop(params, n, StackSource(params, n, 1), [0, 0]),
+        lambda params, n: single_loop_trials(params, n, [1, 2], [0, 0]),
+    ],
+    ids=["stabilize", "single_loop", "single_loop_trials"],
+)
+def test_a_village_whose_notices_are_never_jump_is_refused(call, lam):
+    """lambda/(1+lambda) rounds to 1.0 from lambda = 2^53 on, so no notice of
+    village 1 is JUMP: the engine refuses it instead of scanning forever."""
+    params = ModelParams(
+        kernel=np.array([[0.0, 0.5], [0.4, 0.0]]),
+        sleep_rates=[1.0, lam],
+        init_sleepers=[0.0, 0.0],
+        init_actives=[1.0, 1.0],
+    )
+    refused = re.escape(f"village 1 has lambda={lam!r}, where lambda/(1+lambda) rounds to 1.0")
+    with pytest.raises(ValidationError, match=refused):
+        call(params, 3)
+
+
+def test_a_village_at_lambda_2_to_the_52_still_evaluates():
+    """The largest power of two whose notices can still be JUMP."""
+    params = one_village_params(lam=2.0**52, sigma=0.0, nu=0.0)
+    src = StackSource(params, 3, 1)
+    sim = stabilize(params, 3, src)
+    assert sim.M_star.tolist() == sim.S_star.tolist() == [0]
+    assert single_loop(params, 3, src, [0]).Phi.tolist() == [0]
+    assert single_loop_trials(params, 3, [1, 2], [0]).Phi.tolist() == [[0], [0]]
+
+
 @pytest.mark.parametrize(
     "call",
     [lambda params, n, src: single_loop_tilde(params, n, src, np.tile([4, 4], src.trials), 1)],
