@@ -191,6 +191,7 @@ def _cmd_lln(args, params) -> int:
     else:
         if args.num_seeds < 1:
             raise ValidationError(f"--num-seeds must be >= 1, got {args.num_seeds}")
+        experiments._check_fits_memory(args.num_seeds, 40, "--num-seeds")  # a Python int and its list slot each
         seeds = [args.seed + k for k in range(args.num_seeds)]
     print(f"seeds: {','.join(str(s) for s in seeds)}")
     config = experiments.LLNConfig(

@@ -2,10 +2,10 @@
 
 Each class carries the exit code the CLI ends with and the label that
 starts its one stderr line: 1 `error` for malformed input, 2 `runtime
-guard` for a step or iteration cap or an integer too large for 64 bits or
-for a 64-bit address space, 3 `invariant failure` for an exact invariant
-tripped inside an experiment, and 4 `worker lost` for an `lln` worker
-process that ended without a result or could not be started.
+guard` for a step or iteration cap or an integer too large for 64 bits,
+a 64-bit address space or physical memory, 3 `invariant failure` for an
+exact invariant tripped inside an experiment, and 4 `worker lost` for an
+`lln` worker process that ended without a result or could not be started.
 """
 
 
@@ -32,7 +32,8 @@ class StepCapError(VarwError):
 
 
 class InputSizeError(VarwError):
-    """An input integer too large for the 64-bit arrays it is stored in."""
+    """An input integer too large for the 64-bit arrays it is stored in, or
+    a count whose arrays would not fit in physical memory."""
 
     exit_code, label = 2, "runtime guard"
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AcceptanceCheckError, ValidationError, WorkerLostError
+from .errors import AcceptanceCheckError, InputSizeError, ValidationError, WorkerLostError
 from .limit import LimitSolution, phi, sleep_profile, solve_fixed_point
 from .model import ModelParams, SpectralData, compute_spectral, eta_norm, validate_model
 from .simulator import (
@@ -204,6 +204,16 @@ def _run_forked(tasks, workers: int) -> list:
     return results
 
 
+def _check_fits_memory(count: int, bytes_each: int, what: str) -> None:
+    """Refuse a count whose own arrays, about `bytes_each` bytes per item,
+    would exceed the machine's physical memory; called before they are built."""
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if count * bytes_each > physical:
+        raise InputSizeError(
+            f"{what} = {count} needs about {count * bytes_each} bytes, more than the {physical} bytes of physical memory"
+        )
+
+
 def _format(value) -> str:
     """A CSV or table cell: a float (numpy's too) by its repr, else by str."""
     return repr(float(value)) if isinstance(value, float) else str(value)
@@ -371,6 +381,7 @@ def run_concentration(config: ConcentrationConfig, out_path=None) -> Concentrati
     if not np.isfinite(float(config.a) * n):
         raise ValidationError(f"a and a*n must be finite, got a={config.a!r} at n={n}")
     trials = _check_count(config.trials, "trials")
+    _check_fits_memory(trials, 16, "trials")  # its seeds and their mix
     M = _check_odometer(config.M, params.num_villages)
     m_scaled = M / n
     s_limit = sleep_profile(params, m_scaled)
@@ -487,6 +498,7 @@ def run_kappa_equivalence(
     compared with a pooled two-sample chi-square.
     """
     trials = _check_count(trials, "trials")
+    _check_fits_memory(trials, 16, "trials")  # its seeds and their mix
     n = _check_count(n, "n")
     M = _check_odometer(M, params.num_villages)
     V = params.num_villages

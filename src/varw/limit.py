@@ -75,6 +75,14 @@ def phi(params: ModelParams, m) -> np.ndarray:
     return gap * (1.0 - np.exp(-b)) + b
 
 
+def _rounded_up(x: float) -> str:
+    """x > 0 rounded up to two significant digits, as text."""
+    from decimal import ROUND_CEILING, Decimal  # only a refused tol needs it
+
+    exact = Decimal(x)
+    return str(exact.quantize(Decimal(1).scaleb(exact.adjusted() - 1), rounding=ROUND_CEILING)).lower()
+
+
 def solve_fixed_point(
     params: ModelParams,
     spectral: SpectralData,
@@ -87,7 +95,8 @@ def solve_fixed_point(
     the residual bound then guarantees the returned iterate is within tol of
     the exact fixed point.  Requires a subcritical instance, where phi is a
     contraction with factor mu, and a tol that float64 resolves: a tol with
-    tol*(1-mu) below 8*eps times an iterate's eta norm raises ValidationError.
+    tol*(1-mu) below 8*eps times an iterate's eta norm raises ValidationError,
+    which names a tol that clears that floor at the fixed point.
     """
     validate_model(params)
     if not (tol > 0 and np.isfinite(tol)):
@@ -104,12 +113,14 @@ def solve_fixed_point(
             )
         # phi is evaluated in float64, so no step certifies less than its rounding error.
         floor = 8 * _EPS * eta_norm(spectral, m_next)
+        step = eta_norm(spectral, m_next - m)
         if threshold < floor:
+            # The iterates rise to the fixed point, within mu*step/(1-mu) of m_next, so its floor is below this.
+            passing = (floor + 8 * _EPS * mu * step / (1.0 - mu)) / (1.0 - mu)
             raise ValidationError(
                 f"tol={tol!r} is below the float64 resolution of the fixed point: the certificate "
-                f"needs tol*(1-mu) >= 8*eps*|m|_eta = {floor!r}"
+                f"needs tol*(1-mu) >= 8*eps*|m|_eta = {floor!r}; a tol of {_rounded_up(passing)} or more clears it"
             )
-        step = eta_norm(spectral, m_next - m)
         m = m_next
         if step <= threshold:
             return LimitSolution(

@@ -85,8 +85,8 @@ class SimResult:
 
 @dataclass(frozen=True, eq=False)
 class SingleLoopResult:
-    """Single-loop evaluation: outflux Phi, sleeper functional S, and the
-    inbound/active/quiet/jumped diagnostics they are assembled from.
+    """Single-loop evaluation: outflux Phi, sleeper functional S, arrivals
+    I, visited houses A, unvisited initial sleepers Q and terminal JUMPs J.
     `single_loop_trials` returns (trials, V) arrays, and with aux seeds adds
     Phi_tilde, the outflux with resampled terminal notices."""
 
@@ -172,8 +172,8 @@ class _LoopEngine:
     SLEEP exactly when the house holds a lone sleeper: its initial sleeper
     (i <= floor_sigma[s]) until it is visited, its terminal notice after.
     Per stream it keeps the airplane tickets read (`M`), the taxi tickets
-    read, the running counts I, A and Q of `SingleLoopResult`, and the lone
-    sleepers Z, updated from the houses each round touches.  Every read is
+    read, the arrivals I and the lone sleepers Z, updated from the houses
+    each round touches: all that Phi, by mass balance, needs.  Every read is
     the next unread entry of its stack, so advancing through M_1 <= M_2 <=
     ... reads the same prefixes as one evaluation at the last odometer.
 
@@ -202,8 +202,7 @@ class _LoopEngine:
         _check_count(S * n, "houses in all streams")
         self.M = np.zeros(S, dtype=np.int64)
         self.I = self.floor_nu.copy()
-        self.A = np.zeros(S, dtype=np.int64)
-        self.Q, self.Z = self.floor_sigma.copy(), self.floor_sigma.copy()  # Z: lone sleepers
+        self.Z = self.floor_sigma.copy()  # lone sleepers
         self.taxi_read = np.zeros(S, dtype=np.int64)
         bits = np.tile(np.array([SLEEP, JUMP], dtype=np.int32), S)  # initial sleepers first
         self.word = bits.repeat(np.column_stack((self.floor_sigma, n - self.floor_sigma)).ravel())
@@ -213,10 +212,14 @@ class _LoopEngine:
 
     def advance(self, M: np.ndarray) -> None:
         """Move the input odometer (one entry per stream) up to M,
-        componentwise >= the current one."""
+        componentwise >= the current one: route the new arrivals, then resume
+        the landlord scan of every newly hit house until it has seen one JUMP
+        per particle but the last, and read one terminal notice."""
         touched, new_hits = self.route(M)
         self._check_cap()
-        self._scan(touched, new_hits)
+        # Slices of houses keep the per-notice temporaries bounded at large n.
+        for lo in range(0, touched.size, _SCAN_SLICE):
+            self._scan_slice(touched[lo : lo + _SCAN_SLICE], new_hits[lo : lo + _SCAN_SLICE])
 
     def route(self, M: np.ndarray):
         """Inbound phase: read the airplane tickets past the current odometer
@@ -250,13 +253,6 @@ class _LoopEngine:
         self.tickets = int(M.sum() + self.I.sum() - self.floor_nu.sum())
         return _hit_counts(houses[:count])
 
-    def _scan(self, touched: np.ndarray, new_hits: np.ndarray) -> None:
-        """Resume the landlord scan of every newly hit house until it has seen
-        one JUMP per particle but the last, then read one terminal notice."""
-        # Slices of houses keep the per-notice temporaries bounded at large n.
-        for lo in range(0, touched.size, _SCAN_SLICE):
-            self._scan_slice(touched[lo : lo + _SCAN_SLICE], new_hits[lo : lo + _SCAN_SLICE])
-
     def _scan_slice(self, touched: np.ndarray, new_hits: np.ndarray) -> None:
         S, n = self.I.size, self.n
         touched = touched.astype(np.intp, copy=False)  # numpy gathers and scatters fastest with native indices
@@ -267,8 +263,6 @@ class _LoopEngine:
         # Jumps still owed before the terminal notice, one per particle but the
         # last; a lone sleeper, which the arrivals wake, is one particle more.
         need = new_hits - before
-        self.A += np.bincount(x, weights=word < 2, minlength=S).astype(np.int64)
-        self.Q -= np.bincount(x, weights=word == SLEEP, minlength=S).astype(np.int64)
         pos = np.arange(touched.size)
         first = (word >> 1) + 1  # next unread notice
         while pos.size:
@@ -366,9 +360,9 @@ def single_loop_tilde(params: ModelParams, n: int, src, M, aux_seed) -> np.ndarr
 
     The evaluation of single_loop, but each visited house's terminal notice
     is replaced by a fresh Bernoulli(1/(1+lambda_x)) draw, independent of
-    the landlord stacks (see `_resampled_outflux`).  `aux_seed` holds one
-    aux seed per trial of the source, each in 0..2^128-1; an integer is the
-    aux seed of a one-seed source.  Trial t's draws are those of
+    the landlord stacks (see `_fresh_uniforms`).  `aux_seed` holds one aux
+    seed per trial of the source, each in 0..2^128-1; an integer is the aux
+    seed of a one-seed source.  Trial t's draws are those of
     np.random.default_rng(aux_seed[t]), and every trial is seeded in one
     pass.  Returns the outflux vector only.
     """
@@ -391,32 +385,30 @@ def _aux_seeds(aux_seeds, trials: int) -> np.ndarray:
 
 def _evaluate(params: ModelParams, n: int, src, M: np.ndarray, aux_seeds=None) -> SingleLoopResult:
     """The single-loop map on every stream of `src` at the checked odometer
-    M, with Phi_tilde when given the aux seeds of its trials."""
+    M, with Phi_tilde when given its trials' aux seeds.  After the engine's
+    one round, one pass over its words, in windows of _SCAN_SLICE houses,
+    counts per stream the visited houses A (word > 1), the unvisited initial
+    sleepers Q (word == SLEEP) and, with aux seeds, the visited houses whose
+    fresh terminal notice is SLEEP: its uniform is >= 1/(1+lambda_x)."""
     engine = _LoopEngine(params, n, src)
     engine.advance(M)
-    Phi_tilde = None if aux_seeds is None else _resampled_outflux(params, engine, aux_seeds)
-    I, A, Q, Z = engine.I, engine.A, engine.Q, engine.Z
-    Phi = _outflux(engine.floor_sigma, I, Z)
-    return SingleLoopResult(Phi=Phi, S=-M + engine.floor_sigma + I, I=I, A=A, Q=Q, J=A + Q - Z, Phi_tilde=Phi_tilde)
-
-
-def _resampled_outflux(params: ModelParams, engine: _LoopEngine, aux_words) -> np.ndarray:
-    """Outflux per stream of an advanced engine with every visited house's
-    terminal notice replaced by a fresh JUMP with probability
-    1/(1+lambda_x): per trial, village by village, n uniforms, one per
-    house, equal to default_rng(aux_seed).random((V, n)) for the trial's
-    aux seed (see `_fresh_uniforms`), counted window by window as they are
-    drawn.  The lone sleepers left are the Q unvisited initial sleepers and
-    the visited houses whose fresh notice is SLEEP."""
-    n, Z = engine.n, engine.Q.copy()
-    p_jump = np.tile(1.0 / (1.0 + params.sleep_rates), engine.src.trials)
-    for a, fresh in _fresh_uniforms(aux_words, params.num_villages, n):
-        streams = np.arange(a // n, (a + fresh.size - 1) // n + 1)
+    word, counts = engine.word, np.zeros((3, engine.I.size), dtype=np.int64)
+    p_jump = np.tile(1.0 / (1.0 + params.sleep_rates), src.trials)
+    unsampled = ((a, None) for a in range(0, word.size, _SCAN_SLICE))
+    windows = unsampled if aux_seeds is None else _fresh_uniforms(aux_seeds, params.num_villages, n)
+    for a, fresh in windows:
+        window = word[a : a + _SCAN_SLICE]
+        streams = np.arange(a // n, (a + window.size - 1) // n + 1)
         starts = np.maximum(streams * n, a) - a  # where each stream's houses start in the window
-        asleep = fresh >= p_jump[streams].repeat(np.diff(starts, append=fresh.size))
-        asleep &= engine.word[a : a + fresh.size] > 1
-        Z[streams] += np.add.reduceat(asleep, starts, dtype=np.int64)
-    return _outflux(engine.floor_sigma, engine.I, Z)
+        rows = [window > 1, window == SLEEP]
+        if fresh is not None:
+            rows.append(rows[0] & (fresh >= p_jump[streams].repeat(np.diff(starts, append=window.size))))
+        for row, mask in zip(counts, rows):  # one by one, since reduceat casts its whole input
+            row[streams] += np.add.reduceat(mask, starts, dtype=np.int32)
+    (A, Q, asleep), I, Z, floor_sigma = counts, engine.I, engine.Z, engine.floor_sigma
+    Phi_tilde = None if aux_seeds is None else _outflux(floor_sigma, I, Q + asleep)
+    Phi, S = _outflux(floor_sigma, I, Z), -M + floor_sigma + I
+    return SingleLoopResult(Phi=Phi, S=S, I=I, A=A, Q=Q, J=A + Q - Z, Phi_tilde=Phi_tilde)
 
 
 def _fresh_uniforms(aux_words: np.ndarray, V: int, n: int):

@@ -188,6 +188,35 @@ def test_count_beyond_address_space_exit_code(capsys, model_file, tmp_path, monk
     assert "too large for a 64-bit address space" in err
 
 
+@pytest.mark.parametrize(
+    "argv, printed, what, each",
+    [
+        (("lln", "--n", "10", "--num-seeds"), "", "--num-seeds", 40),
+        (("concentration", "--n", "10", "--M", "1,1", "--a", "0.1", "--trials"), "seed: 12345\n", "trials", 16),
+        (("kappa-test", "--n", "10", "--M", "1,1", "--trials"), "seed: 12345\n", "trials", 16),
+    ],
+    ids=["lln-num-seeds", "concentration-trials", "kappa-test-trials"],
+)
+def test_count_beyond_physical_memory_exit_code(capsys, model_file, tmp_path, monkeypatch, argv, printed, what, each):
+    """A count whose own arrays, about 40 B per seed or 16 B per trial, pass
+    physical memory is refused before they are built: on a machine of 4 KiB
+    here, so that the refused counts stay small, and one fewer still runs."""
+    real, memory = os.sysconf, {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", lambda name: memory[name] if name in memory else real(name))
+    monkeypatch.setenv("VARW_THREADS", "1")
+    fits = 4096 // each
+    out_dir = ("--out", str(tmp_path / "o"))
+    code, out, err = run_cli(capsys, argv[0], "--model", model_file, *argv[1:], str(fits + 1), *out_dir)
+    assert code == 2
+    assert out == printed
+    assert err == (
+        f"runtime guard: {what} = {fits + 1} needs about {(fits + 1) * each} bytes, "
+        "more than the 4096 bytes of physical memory\n"
+    )
+    assert not (tmp_path / "o").exists()
+    assert run_cli(capsys, argv[0], "--model", model_file, *argv[1:], str(fits), *out_dir)[0] == 0
+
+
 def test_simulate_broken_identity_exit_code(capsys, model_file, monkeypatch):
     import varw.cli as cli_mod
     from varw.simulator import SingleLoopResult

@@ -5,12 +5,12 @@ Each draw breaks at most one thing, the model document or one option, so
 that every fault is reached on its own and about half the draws run to the
 end.  Broken models hold NaN, negative or huge entries, ragged rows, no
 villages or supercritical sigma; broken options are negative, at or past
-2^60 or 2^63, or not integers.  Valid sizes are small (n <= 200, M <= 1000,
-trials <= 100), so that no draw allocates more than a few MB.  Model
-entries come from fixed pools: a large but finite lambda is a legitimate
-model whose landlord scans take about lambda/2 block reads (a minute at
-lambda = 1e6), so the only huge lambdas drawn are those the simulator
-refuses.
+2^60 or 2^63, counts whose seeds would not fit in memory (2^40 and up), or
+not integers.  Valid sizes are small (n <= 200, M <= 1000, trials <= 100),
+so that no draw allocates more than a few MB.  Model entries come from
+fixed pools: a large but finite lambda is a legitimate model whose landlord
+scans take about lambda/2 block reads (a minute at lambda = 1e6), so the
+only huge lambdas drawn are those the simulator refuses.
 """
 
 import contextlib
@@ -36,6 +36,7 @@ NUS, BAD_NUS = [0.0, 0.3, 1.0, 2.0], [-1.0, NAN, 1e300]
 BAD_KERNEL_ENTRIES = [1.0, -0.5, NAN, 1e300]
 
 NEVER_JUMP = json.dumps({"kernel": [[0.5]], "lambda": [1e300], "sigma": [0.0], "nu": [1.0]})
+ONE_VILLAGE = json.dumps({"kernel": [[0.5]], "lambda": [1.0], "sigma": [0.1], "nu": [0.3]})
 
 # The options of each subcommand that a draw may break.
 OPTIONS = {
@@ -139,9 +140,7 @@ def invocations(draw):
             seeds = st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=3).map(_joined)
             argv.append("=".join(value("--seeds", seeds, st.sampled_from(["", "1,x", "1.5", "2,,3"]))))
         else:
-            # --num-seeds at or past 2^60, but below 2^63, is left out: the
-            # seed list is built in full, so it would fill memory instead of failing.
-            bad_count = st.one_of(st.integers(-3, 0), st.integers(2**63, 2**70), st.just("1.5")).map(str)
+            bad_count = st.one_of(st.integers(-3, 0), st.integers(2**40, 2**70), st.just("1.5")).map(str)
             argv += ["--seed", draw(integer)] + value("--num-seeds", st.integers(1, 4).map(str), bad_count)
     if command in ("simulate", "single-loop", "concentration", "kappa-test"):
         argv += value("--n", st.integers(1, 200).map(str))
@@ -149,7 +148,7 @@ def invocations(draw):
     if command in ("single-loop", "concentration", "kappa-test"):
         argv += value("--M", odometer, bad_odometer)
     if command in ("concentration", "kappa-test"):
-        argv += value("--trials", st.integers(1, 100).map(str))
+        argv += value("--trials", st.integers(1, 100).map(str), st.one_of(BAD_INTEGER, st.integers(2**40, 2**59).map(str)))
     if command == "concentration":
         argv += value(
             "--a",
@@ -167,6 +166,8 @@ def _alarm(signum, frame):
 @given(invocations())
 @example((NEVER_JUMP, ["simulate", "--n", "3", "--seed", "1"]))
 @example((NEVER_JUMP, ["single-loop", "--n", "3", "--seed", "1", "--M", "0"]))
+@example((ONE_VILLAGE, ["lln", "--n", "10", "--num-seeds", str(2**62)]))
+@example((ONE_VILLAGE, ["kappa-test", "--n", "10", "--M", "5", "--trials", str(2**59)]))
 def test_cli_ends_in_an_exit_code_never_a_traceback_or_a_hang(monkeypatch, invocation):
     doc, argv = invocation
     monkeypatch.setenv("VARW_THREADS", "1")  # nothing forks

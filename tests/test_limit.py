@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from helpers import one_village_params, random_subcritical_params, two_village_p
 
 from varw import (
     IterationCapError,
+    ModelParams,
     ValidationError,
     beta,
     compute_spectral,
@@ -147,6 +149,24 @@ def test_solve_rejects_a_tol_that_is_not_finite(default_params, default_spectral
     """An infinite tol would stop after one iteration and certify nothing."""
     with pytest.raises(ValidationError, match="tol must be positive and finite"):
         solve_fixed_point(default_params, default_spectral, tol=tol)
+
+
+def test_a_refused_tol_names_a_tol_that_certifies():
+    """Near mu = 1 the default tol is below float64 resolution; the refusal
+    names a tol, from a bound on the fixed point's floor, that certifies."""
+    base = two_village_params()
+    kernel = base.kernel / base.kernel.sum(axis=1, keepdims=True) * 0.999  # mu = 0.999
+    params = ModelParams(kernel, base.sleep_rates, base.init_sleepers, base.init_actives)
+    spectral = compute_spectral(params)
+    with pytest.raises(ValidationError, match=r"^tol=1e-10 is below the float64 resolution") as err:
+        solve_fixed_point(params, spectral)
+    named = re.search(r"a tol of (\S+) or more clears it$", str(err.value))
+    tol = float(named.group(1))
+    assert 1e-10 < tol < 1e-9
+    sol = solve_fixed_point(params, spectral, tol=tol)
+    assert sol.certified_eta_error == tol
+    resid = eta_norm(spectral, phi(params, sol.m_star) - sol.m_star)
+    assert resid <= tol * (1.0 - spectral.mu)
 
 
 def test_certified_error_bounds_true_residual(default_params, default_spectral):

@@ -662,6 +662,23 @@ def test_single_loop_tilde_equals_the_scalar_oracle(model_seed, n, data):
             assert np.array_equal(single_loop_tilde(params, n, src, M, aux), want)
 
 
+def test_single_loop_trials_equal_the_scalar_oracle_across_read_out_windows():
+    """At the production window size: 60 trials of two villages at n = 300
+    are 36,000 houses in one engine, so the windows of _SCAN_SLICE houses
+    that count A and Q and draw the fresh notices end inside streams.  A, Q,
+    J, Phi and Phi_tilde of every trial equal the scalar oracle's."""
+    params, n, T = two_village_params(), 300, 60
+    seeds, aux, M = list(range(1, T + 1)), [2**100 + t for t in range(T)], np.array([150, 100])
+    assert simulator_mod._trials_per_chunk(2, n) >= T and (2 * n * T) % simulator_mod._SCAN_SLICE
+    got = single_loop_trials(params, n, seeds, M, aux_seeds=aux)
+    src = StackSource(params, n, seeds)
+    want = reference_single_loop(params, n, src, np.tile(M, T))
+    for field in ("A", "Q", "J", "Phi"):
+        assert np.array_equal(getattr(got, field).ravel(), getattr(want, field)), field
+    assert np.array_equal(got.Phi_tilde.ravel(), reference_single_loop_tilde(params, n, src, np.tile(M, T), aux))
+    assert np.all(got.Q > 0) and np.any(got.Phi_tilde != got.Phi)
+
+
 def test_single_loop_tilde_takes_one_aux_seed_per_trial():
     params = two_village_params()
     one, two = StackSource(params, 30, 4), StackSource(params, 30, [4, -5])
