@@ -20,10 +20,10 @@ import numpy as np
 
 from . import experiments
 from .errors import AcceptanceCheckError, InputSizeError, ValidationError, VarwError
-from .limit import solve_fixed_point
+from .limit import DEFAULT_TOL, solve_fixed_point
 from .model import compute_spectral, load_model, validate_model
 from .simulator import single_loop, stabilize
-from .stacks import StackSource
+from .stacks import StackSource, _check_fits_memory
 
 DEFAULT_SEED = 12345
 
@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("spectral", "print the Perron eigenvalue and eigenvector of the kernel")
 
     p = add("solve", "solve the continuum fixed-point system with a certified error")
-    p.add_argument("--tol", type=float, default=1e-10, help="certified eta-norm error bound")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="certified eta-norm error bound")
 
     p = add("simulate", "stabilize the discrete system and check the loop identity")
     p.add_argument("--n", type=_int64("--n"), required=True, help="houses per village")
@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default=None, help="explicit comma-separated seed list")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="base seed when --seeds is absent")
     p.add_argument("--num-seeds", type=_int64("--num-seeds"), default=20, help="seeds drawn from the base seed")
-    p.add_argument("--tol", type=float, default=1e-10, help="limit solver tolerance")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="limit solver tolerance")
     p.add_argument("--out", default="varw_out", help="directory for the CSV outputs")
 
     p = add("concentration", "measure single-loop deviation tails against their bounds")
@@ -191,7 +191,7 @@ def _cmd_lln(args, params) -> int:
     else:
         if args.num_seeds < 1:
             raise ValidationError(f"--num-seeds must be >= 1, got {args.num_seeds}")
-        experiments._check_fits_memory(args.num_seeds, 40, "--num-seeds")  # a Python int and its list slot each
+        _check_fits_memory(args.num_seeds, 40, "--num-seeds")  # a Python int and its list slot each
         seeds = [args.seed + k for k in range(args.num_seeds)]
     print(f"seeds: {','.join(str(s) for s in seeds)}")
     config = experiments.LLNConfig(

@@ -6,9 +6,9 @@ are emitted in config order, and CSV/report files are byte-stable across
 invocations.  The LLN sweep stabilizes the seeds of each n in chunks, each
 as one multi-seed source, on VARW_THREADS workers: the calling process and,
 on Linux, processes it forks, each sending its results back through a pipe
-of its own.  The distribution experiments evaluate all their
-trials in batches (`single_loop_trials`) and re-evaluate the first and last
-trial through `single_loop` as a runtime check of the batched path.
+of its own.  The two distribution experiments share one checked batch of
+trials (`single_loop_trials`), which re-evaluates the first and last trial
+through `single_loop` as a runtime check of the batched path.
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AcceptanceCheckError, InputSizeError, ValidationError, WorkerLostError
-from .limit import LimitSolution, phi, sleep_profile, solve_fixed_point
+from .errors import AcceptanceCheckError, ValidationError, WorkerLostError
+from .limit import DEFAULT_TOL, LimitSolution, phi, sleep_profile, solve_fixed_point
 from .model import ModelParams, SpectralData, compute_spectral, eta_norm, validate_model
 from .simulator import (
-    SingleLoopResult,
     _check_odometer,
     _trials_per_chunk,
     single_loop,
@@ -34,7 +33,7 @@ from .simulator import (
     single_loop_trials,
     stabilize,
 )
-from .stacks import StackSource, _as_int, _check_count, derive_seeds
+from .stacks import StackSource, _as_int, _check_count, _check_fits_memory, derive_seeds
 
 LLN_ROWS_HEADER = "experiment,n,seed,village,m_n,s_n,m_limit,s_limit,err_m_inf,err_s_inf,err_m_eta"
 LLN_SUMMARY_HEADER = "n,metric,median,p90,runs"
@@ -63,7 +62,7 @@ class LLNConfig:
     params: ModelParams
     n_values: list[int]
     seeds: list[int]
-    tol: float = 1e-10
+    tol: float = DEFAULT_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,16 +203,6 @@ def _run_forked(tasks, workers: int) -> list:
     return results
 
 
-def _check_fits_memory(count: int, bytes_each: int, what: str) -> None:
-    """Refuse a count whose own arrays, about `bytes_each` bytes per item,
-    would exceed the machine's physical memory; called before they are built."""
-    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if count * bytes_each > physical:
-        raise InputSizeError(
-            f"{what} = {count} needs about {count * bytes_each} bytes, more than the {physical} bytes of physical memory"
-        )
-
-
 def _format(value) -> str:
     """A CSV or table cell: a float (numpy's too) by its repr, else by str."""
     return repr(float(value)) if isinstance(value, float) else str(value)
@@ -263,9 +252,6 @@ def run_lln(config: LLNConfig, out_dir=None) -> LLNReport:
     results = _run_forked(tasks, min(workers, len(tasks)) if _FORKS else 1)
 
     rows: list[dict] = []
-    per_n_errors: dict[int, dict[str, list[float]]] = {
-        n: {"err_m_inf": [], "err_s_inf": [], "err_m_eta": []} for n in n_values
-    }
     runs = ((n, *run) for (_, n, chunk), result in zip(tasks, results) for run in zip(chunk, *result))
     for n, seed, M_star, S_star, fp_ok in runs:
         if not fp_ok:
@@ -275,9 +261,6 @@ def run_lln(config: LLNConfig, out_dir=None) -> LLNReport:
         err_m_inf = float(np.max(np.abs(m_n - limit.m_star)))
         err_s_inf = float(np.max(np.abs(s_n - limit.s_star)))
         err_m_eta = eta_norm(spectral, m_n - limit.m_star)
-        per_n_errors[n]["err_m_inf"].append(err_m_inf)
-        per_n_errors[n]["err_s_inf"].append(err_s_inf)
-        per_n_errors[n]["err_m_eta"].append(err_m_eta)
         for x in range(V):
             rows.append(
                 {
@@ -295,10 +278,11 @@ def run_lln(config: LLNConfig, out_dir=None) -> LLNReport:
                 }
             )
 
+    # The run errors, one row per run (its village 0) in run order.
     summary: list[dict] = []
     for n in n_values:
         for metric in ("err_m_inf", "err_s_inf", "err_m_eta"):
-            vals = per_n_errors[n][metric]
+            vals = [row[metric] for row in rows[::V] if row["n"] == n]
             summary.append(
                 {
                     "n": n,
@@ -320,20 +304,25 @@ def run_lln(config: LLNConfig, out_dir=None) -> LLNReport:
     )
 
 
-def _check_trials(
-    experiment: str, params: ModelParams, n: int, M, seed: int, seeds, batch: SingleLoopResult,
-    aux_seeds=None,
-) -> None:
-    """Re-evaluate the first and last trial of a batched evaluation through
-    single_loop (and single_loop_tilde, with aux seeds) on their own stack
-    sources; raise AcceptanceCheckError on the first difference."""
-    for t in sorted({0, len(seeds) - 1}):
+def _checked_trials(experiment: str, params: ModelParams, n: int, M, trials, seed: int, resample: bool = False):
+    """Check trials and M, then evaluate the single-loop map at M over
+    `trials` trials on the stack seeds derived from `seed` (with `resample`,
+    also the resampled outflux on the derived aux seeds), and re-evaluate the
+    first and last trial through single_loop (and single_loop_tilde) on their
+    own stack sources.  Returns (trials, M, batch); raises
+    AcceptanceCheckError on the first field that differs."""
+    trials = _check_count(trials, "trials")
+    _check_fits_memory(trials, 16, "trials")  # its seeds and their mix
+    M = _check_odometer(M, params.num_villages)
+    seeds = derive_seeds(seed, 1, np.arange(trials))
+    aux_seeds = derive_seeds(seed, 2, np.arange(trials)) if resample else None
+    batch = single_loop_trials(params, n, seeds, M, aux_seeds)
+    for t in sorted({0, trials - 1}):
         src = StackSource(params, n, int(seeds[t]))
         ref = single_loop(params, n, src, M)
-        checks = [(name, getattr(ref, name)) for name in ("Phi", "S", "I", "A", "Q", "J")]
-        if aux_seeds is not None:
-            checks.append(("Phi_tilde", single_loop_tilde(params, n, src, M, int(aux_seeds[t]))))
-        for name, want in checks:
+        if resample:
+            ref = replace(ref, Phi_tilde=single_loop_tilde(params, n, src, M, int(aux_seeds[t])))
+        for name, want in ((k, v) for k, v in vars(ref).items() if v is not None):
             got = getattr(batch, name)[t]
             bad = np.flatnonzero(got != want)
             if bad.size:
@@ -342,6 +331,7 @@ def _check_trials(
                     f"{experiment}: batched trials differ from single_loop at n={n}, seed={seed}, "
                     f"trial {t}, village {x}: {name}={int(got[x])}, expected {int(want[x])}"
                 )
+    return trials, M, batch
 
 
 def concentration_bounds(params: ModelParams, n: int, M: np.ndarray, a: float):
@@ -380,17 +370,12 @@ def run_concentration(config: ConcentrationConfig, out_path=None) -> Concentrati
         raise ValidationError(f"a must be positive, got {config.a!r}")
     if not np.isfinite(float(config.a) * n):
         raise ValidationError(f"a and a*n must be finite, got a={config.a!r} at n={n}")
-    trials = _check_count(config.trials, "trials")
-    _check_fits_memory(trials, 16, "trials")  # its seeds and their mix
-    M = _check_odometer(config.M, params.num_villages)
+    trials, M, res = _checked_trials("concentration", params, n, config.M, config.trials, config.seed)
     m_scaled = M / n
     s_limit = sleep_profile(params, m_scaled)
     phi_limit = phi(params, m_scaled)
 
     a = float(config.a)
-    seeds = derive_seeds(config.seed, 1, np.arange(trials))
-    res = single_loop_trials(params, n, seeds, M)
-    _check_trials("concentration", params, n, M, config.seed, seeds, res)
     dev_s = np.max(np.abs(res.S / n - s_limit), axis=1)
     dev_phi = np.max(np.abs(res.Phi / n - phi_limit), axis=1)
     hits_s = int(np.count_nonzero(dev_s >= a))
@@ -405,6 +390,7 @@ def run_concentration(config: ConcentrationConfig, out_path=None) -> Concentrati
     slack_phi = 3.0 * float(np.sqrt(p_phi * (1.0 - p_phi) / trials))
     violated = freq_s > bound_s + slack_s or freq_phi > bound_phi + slack_phi
 
+    path = None if out_path is None else Path(out_path)
     report = ConcentrationReport(
         n=n,
         a=a,
@@ -416,10 +402,9 @@ def run_concentration(config: ConcentrationConfig, out_path=None) -> Concentrati
         slack_s=slack_s,
         slack_phi=slack_phi,
         violated=violated,
-        path=None,
+        path=path,
     )
-    if out_path is not None:
-        path = Path(out_path)
+    if path is not None:
         lines = [
             "experiment: concentration",
             f"n: {n}",
@@ -435,7 +420,6 @@ def run_concentration(config: ConcentrationConfig, out_path=None) -> Concentrati
             f"violated: {str(violated).lower()}",
         ]
         _write_lines(path, lines)
-        report = replace(report, path=path)
     return report
 
 
@@ -497,15 +481,9 @@ def run_kappa_equivalence(
     and its resampled variant, then the per-village marginal samples are
     compared with a pooled two-sample chi-square.
     """
-    trials = _check_count(trials, "trials")
-    _check_fits_memory(trials, 16, "trials")  # its seeds and their mix
     n = _check_count(n, "n")
-    M = _check_odometer(M, params.num_villages)
+    trials, M, res = _checked_trials("kappa-test", params, n, M, trials, seed, resample=True)
     V = params.num_villages
-    seeds = derive_seeds(seed, 1, np.arange(trials))
-    aux_seeds = derive_seeds(seed, 2, np.arange(trials))
-    res = single_loop_trials(params, n, seeds, M, aux_seeds)
-    _check_trials("kappa-test", params, n, M, seed, seeds, res, aux_seeds)
     phis, tildes = res.Phi, res.Phi_tilde
 
     p_values: list[float] = []
@@ -517,11 +495,9 @@ def run_kappa_equivalence(
         p_values.append(p)
         bins.append(k)
 
-    report = KappaReport(
-        n=n, trials=trials, p_values=p_values, statistics=statistics, bins=bins, path=None
-    )
-    if out_path is not None:
-        path = Path(out_path)
+    path = None if out_path is None else Path(out_path)
+    report = KappaReport(n=n, trials=trials, p_values=p_values, statistics=statistics, bins=bins, path=path)
+    if path is not None:
         lines = [
             "experiment: kappa-test",
             f"n: {n}",
@@ -533,5 +509,4 @@ def run_kappa_equivalence(
             lines.append(f"village_{x}_statistic: {statistics[x]!r}")
             lines.append(f"village_{x}_bins: {bins[x]}")
         _write_lines(path, lines)
-        report = replace(report, path=path)
     return report

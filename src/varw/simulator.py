@@ -37,6 +37,7 @@ from .stacks import (
     StackSource,
     _as_int,
     _check_count,
+    _check_fits_memory,
     _check_read_size,
     _ndim,
     _pieces,
@@ -178,7 +179,8 @@ class _LoopEngine:
     ... reads the same prefixes as one evaluation at the last odometer.
 
     Every entry point builds one, so it is where the caller's model and n
-    are checked against the source's.
+    are checked against the source's, and where a source whose houses, at
+    about 16 bytes each, would pass physical memory is refused.
     """
 
     def __init__(self, params: ModelParams, n: int, src, step_cap: int | None = None):
@@ -200,6 +202,7 @@ class _LoopEngine:
         self.floor_nu = np.tile(floor_counts(params.init_actives, n), src.trials)
         S = self.floor_sigma.size
         _check_count(S * n, "houses in all streams")
+        _check_fits_memory(S * n, 16, "houses in all streams")  # Tier-1 bounds stabilize at 13.3 B/house
         self.M = np.zeros(S, dtype=np.int64)
         self.I = self.floor_nu.copy()
         self.Z = self.floor_sigma.copy()  # lone sleepers

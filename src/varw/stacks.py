@@ -20,6 +20,7 @@ Stack identities and distributions:
 from __future__ import annotations
 
 import operator
+import os
 import weakref
 
 import numpy as np
@@ -172,6 +173,16 @@ def _check_count(value, what: str) -> int:
     return value
 
 
+def _check_fits_memory(count: int, bytes_each: int, what: str) -> None:
+    """Refuse a count whose own arrays, about `bytes_each` bytes per item,
+    would exceed the machine's physical memory; called before they are built."""
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if count * bytes_each > physical:
+        raise InputSizeError(
+            f"{what} = {count} needs about {count * bytes_each} bytes, more than the {physical} bytes of physical memory"
+        )
+
+
 def _int64_vector(values) -> np.ndarray:
     """An integer or integer array as an int64 array of at least one
     dimension; a float or an integer past int64 raises ValidationError."""
@@ -220,17 +231,17 @@ class _Cutpoints:
     spans the zero kernel entries after its first column), then a sentinel
     whose cut no k reaches: `cut` is the run's cut and `dest` its first
     column, the answer for every u below it (GRAVEYARD for the sentinel).
-    The answer is the first entry of its row with cut > k.  With
-    m = 2^bits >= V buckets, guide[x * m + b] is the first entry of row x
-    with a value > b / m; bucket b = z >> (64 - bits) = floor(u * m) starts
-    the search there, which never passes the answer, and each step passes
-    one whole run.
+    The answer is the first entry of its row with cut > k.  With m = 2^bits
+    buckets per row, m >= 4 x the most runs in a row, guide[x * m + b] is
+    the first entry of row x with a value > b / m; bucket b = z >> (64 - bits)
+    = floor(u * m) starts the search there, which never passes the answer,
+    and each step passes one whole run.  Any m gives the same answers, so m
+    only trades the table's size against the steps.
     """
 
     def __init__(self, kernel: np.ndarray):
         V = kernel.shape[0]
         W = V + 1
-        self.bits = bits = max(1, (V - 1).bit_length())
         cut = np.empty((V, W), dtype=np.uint64)
         cut[:, :V] = np.ceil(np.cumsum(kernel, axis=1) * 2.0**53)
         cut[:, V] = _NEVER
@@ -238,6 +249,8 @@ class _Cutpoints:
         np.greater(cut[:, 1:], cut[:, :V], out=first[:, 1:])
         flat = first.ravel().nonzero()[0]
         rows, cols = np.divmod(flat, W)
+        runs = int(np.bincount(rows).max()) - 1  # the most in a row, its sentinel aside
+        self.bits = bits = (runs - 1).bit_length() + 2
         self.cut = cut.ravel()[flat]
         self.dest = np.where(cols == V, GRAVEYARD, cols)
         # A value is <= b / m exactly when its cut is <= b * 2^shift, that is

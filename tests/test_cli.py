@@ -157,10 +157,15 @@ def test_simulate_step_cap_exit_code(capsys, model_file, monkeypatch):
     ],
 )
 def test_oversized_input_exit_code(capsys, model_file, argv):
-    # Each asks for petabytes, so the allocation fails at once.
+    # Each asks for petabytes: single-loop's arrivals fail numpy's allocation
+    # at once, and simulate's houses are refused before the engine allocates.
     code, _, err = run_cli(capsys, argv[0], "--model", model_file, *argv[1:])
     assert code == 2
-    assert "runtime guard: input too large for memory" in err
+    assert err.count("\n") == 1
+    if argv[0] == "single-loop":
+        assert err.startswith("runtime guard: input too large for memory")
+    else:
+        assert err.startswith("runtime guard: houses in all streams = 2000000000000000 needs about 32000000000000000 bytes")
 
 
 HUGE = str(2**62)  # fits in int64, but no array of that many entries fits in memory
@@ -200,9 +205,11 @@ def test_count_beyond_address_space_exit_code(capsys, model_file, tmp_path, monk
 def test_count_beyond_physical_memory_exit_code(capsys, model_file, tmp_path, monkeypatch, argv, printed, what, each):
     """A count whose own arrays, about 40 B per seed or 16 B per trial, pass
     physical memory is refused before they are built: on a machine of 4 KiB
-    here, so that the refused counts stay small, and one fewer still runs."""
+    here, so that the refused counts stay small, and one fewer still runs,
+    in chunks of at most 256 houses, which the machine holds at 16 B each."""
     real, memory = os.sysconf, {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(os, "sysconf", lambda name: memory[name] if name in memory else real(name))
+    monkeypatch.setattr(varw.simulator, "_TRIAL_HOUSES", 256)
     monkeypatch.setenv("VARW_THREADS", "1")
     fits = 4096 // each
     out_dir = ("--out", str(tmp_path / "o"))
@@ -215,6 +222,24 @@ def test_count_beyond_physical_memory_exit_code(capsys, model_file, tmp_path, mo
     )
     assert not (tmp_path / "o").exists()
     assert run_cli(capsys, argv[0], "--model", model_file, *argv[1:], str(fits), *out_dir)[0] == 0
+
+
+def test_n_beyond_physical_memory_exit_code(capsys, model_file, monkeypatch):
+    """An n whose houses, about 16 B each, pass physical memory is refused
+    before the engine allocates: on a machine of 4 KiB here, two villages of
+    128 houses fit and two of 129 do not."""
+    real, memory = os.sysconf, {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", lambda name: memory[name] if name in memory else real(name))
+    code, out, err = run_cli(capsys, "simulate", "--model", model_file, "--n", "129")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "runtime guard: houses in all streams = 258 needs about 4128 bytes, "
+        "more than the 4096 bytes of physical memory\n"
+    )
+    code, out, _ = run_cli(capsys, "simulate", "--model", model_file, "--n", "128")
+    assert code == 0
+    assert "fixed_point_check: ok" in out
 
 
 def test_simulate_broken_identity_exit_code(capsys, model_file, monkeypatch):

@@ -136,7 +136,8 @@ def invocations(draw):
             n_values = st.tuples(n_values, BAD_INTEGER).map(lambda n: [*n[0], n[1]])
         for n in draw(n_values):
             argv += ["--n", str(n)]
-        if draw(st.booleans()) or broken == "--seeds":
+        # An explicit seed list, unless --num-seeds is the option to break.
+        if broken != "--num-seeds" and (draw(st.booleans()) or broken == "--seeds"):
             seeds = st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=3).map(_joined)
             argv.append("=".join(value("--seeds", seeds, st.sampled_from(["", "1,x", "1.5", "2,,3"]))))
         else:

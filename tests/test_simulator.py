@@ -1,3 +1,4 @@
+import os
 import re
 import tracemalloc
 import warnings
@@ -398,6 +399,24 @@ def test_engine_reads_past_address_space_raise_input_size_error():
                           init_sleepers=params.init_sleepers, init_actives=np.full(2, 2.0**59))
     with pytest.raises(InputSizeError, match=rf"^a read of {2**60} stack entries is too large"):
         single_loop(crowded, 1, StackSource(crowded, 1, 1), [0, 0])
+
+
+def test_engine_refuses_houses_past_physical_memory(monkeypatch):
+    """Every entry point builds its engine only for houses that, at about
+    16 B each, fit in physical memory: 256 houses on the 4 KiB machine here,
+    one village of 256 or two trials of 128, and not one house more."""
+    real, memory = os.sysconf, {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", lambda name: memory[name] if name in memory else real(name))
+    params = one_village_params()
+    refused = r"^houses in all streams = 257 needs about 4112 bytes, more than the 4096 bytes of physical memory$"
+    assert stabilize(params, 256, StackSource(params, 256, 1)).M_star.size == 1
+    with pytest.raises(InputSizeError, match=refused):
+        stabilize(params, 257, StackSource(params, 257, 1))
+    with pytest.raises(InputSizeError, match=refused):
+        single_loop(params, 257, StackSource(params, 257, 1), [3])
+    assert single_loop_trials(params, 128, [1, 2], [3]).Phi.shape == (2, 1)
+    with pytest.raises(InputSizeError, match=r"^houses in all streams = 258 "):
+        single_loop_trials(params, 129, [1, 2], [3])
 
 
 @pytest.mark.parametrize("M", [[2**60, 0], [0, 2**63 - 1]], ids=["2^60", "int64-max"])

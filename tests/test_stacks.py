@@ -675,6 +675,32 @@ def test_cutpoint_lookup_matches_searchsorted_on_crafted_words(name):
     assert lookup.cut.size == sum(np.unique(row).size for row in cdf) + V
 
 
+def test_cutpoint_guide_is_sized_by_the_runs_per_row():
+    """On a dense ring+4 kernel of 2000 villages (at most 6 runs of equal
+    CDF values per row), the guide holds 2^bits >= 4 x the most runs
+    buckets per row, not V, and every destination, around each row's
+    breakpoints and bucket edges and at random words, is the bisect over the
+    row's CDF."""
+    rng = np.random.default_rng(1)
+    V = 2000
+    kernel = np.zeros((V, V))
+    for x in range(V):
+        targets = (x + np.append(1, 2 + rng.choice(V - 2, 4, replace=False))) % V
+        weights = rng.uniform(0.1, 1.0, targets.size)
+        kernel[x, targets] = rng.uniform(0.6, 0.95) * weights / weights.sum()
+    cdf = np.cumsum(kernel, axis=1)
+    runs = max(np.unique(row).size for row in cdf)
+    lookup = _Cutpoints(kernel)
+    assert 4 * runs <= 1 << lookup.bits < 8 * runs
+    assert lookup.guide.size == V << lookup.bits <= 8 * runs * V
+    random_words = rng.integers(0, 2**64, 64, dtype=np.uint64)
+    for x in range(V):
+        z = np.concatenate([_crafted_words(cdf[x], lookup.bits), random_words])
+        want = np.searchsorted(cdf[x], (z >> np.uint64(11)) * 2.0**-53, "right")
+        want[want == V] = GRAVEYARD
+        assert np.array_equal(lookup(np.full(z.size, x), z.copy()), want), x
+
+
 def test_sources_of_one_model_share_its_cutpoint_tables():
     params = two_village_params()
     tables = StackSource(params, 10, 1)._cutpoints
