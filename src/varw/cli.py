@@ -6,7 +6,10 @@ every package error ends with the exit code and label its class carries
 Every subcommand is deterministic given its arguments and input files;
 seeds are always printed, defaulted or not.  `simulate` has no toppling
 order option: every order gives the same stabilizing odometer, and the one
-stabilizer computes it in rounds.
+stabilizer computes it in rounds.  It then cross-checks that fixed point
+with a fresh `single_loop` on the run's stacks, as the experiments check
+theirs: a failure prints `fixed_point_check: FAIL` and exits 3, naming n,
+the seed, the village, the field and both values.
 """
 
 from __future__ import annotations
@@ -160,17 +163,19 @@ def _cmd_solve(args, params) -> int:
 
 
 def _cmd_simulate(args, params) -> int:
-    src = StackSource(params, args.n, args.seed)
-    sim = stabilize(params, args.n, src)
+    sim = stabilize(params, args.n, StackSource(params, args.n, args.seed))
     print(f"n: {args.n}")
     print(f"seed: {args.seed}")
     _print_vector_table("M_star,S_star,inflow", [sim.M_star, sim.S_star, sim.inflow])
     print("mass_balance_check: ok")
-    loop = single_loop(params, args.n, src, sim.M_star)
-    fixed_ok = np.array_equal(loop.Phi, sim.M_star) and np.array_equal(loop.S, sim.S_star)
-    print(f"fixed_point_check: {'ok' if fixed_ok else 'FAIL'}")
-    if not fixed_ok:
-        raise AcceptanceCheckError("single-loop fixed-point identity failed")
+    failure = f"simulate: single-loop fixed-point identity failed at n={args.n}, seed={args.seed}"
+    expected = {"Phi": sim.M_star, "S": sim.S_star}
+    try:
+        experiments._cross_check(failure, params, args.n, args.seed, sim.M_star, expected)
+    except AcceptanceCheckError:
+        print("fixed_point_check: FAIL")
+        raise
+    print("fixed_point_check: ok")
     return 0
 
 

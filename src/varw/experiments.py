@@ -7,8 +7,12 @@ invocations.  The LLN sweep stabilizes the seeds of each n in chunks, each
 as one multi-seed source, on VARW_THREADS workers: the calling process and,
 on Linux, processes it forks, each sending its results back through a pipe
 of its own.  The two distribution experiments share one checked batch of
-trials (`single_loop_trials`), which re-evaluates the first and last trial
-through `single_loop` as a runtime check of the batched path.
+trials (`single_loop_trials`).  Every run is checked the same way, by
+`_cross_check`: a fresh `single_loop` on the run's own stacks must
+reproduce it.  That is the fixed point (M*, S*) of each LLN run and of
+`varw simulate`, and the first and last trial of a batch.  A failure raises
+AcceptanceCheckError naming the experiment, n, the seed (with the trial
+and its stack seed, for a batch), the village, the field and both values.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import os
 import pickle
 import signal
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,10 +37,12 @@ from .simulator import (
     single_loop_trials,
     stabilize,
 )
-from .stacks import StackSource, _as_int, _check_count, _check_fits_memory, derive_seeds
+from .stacks import StackSource, _as_int, _check_count, _check_fits_memory, _physical_memory, derive_seeds
 
 LLN_ROWS_HEADER = "experiment,n,seed,village,m_n,s_n,m_limit,s_limit,err_m_inf,err_s_inf,err_m_eta"
 LLN_SUMMARY_HEADER = "n,metric,median,p90,runs"
+# The keys of the row and summary dicts, in column order.
+_ROW_KEYS, _SUMMARY_KEYS = LLN_ROWS_HEADER.split(","), LLN_SUMMARY_HEADER.split(",")
 
 # run_lln forks its workers on Linux only.  Elsewhere (macOS, where system
 # libraries are not fork-safe) the calling process runs every task.
@@ -110,18 +116,34 @@ class KappaReport:
     path: Path | None = None
 
 
+def _cross_check(failure: str, params: ModelParams, n: int, seed, M, expected: dict, aux_seed=None) -> None:
+    """Evaluate single_loop at M on a fresh StackSource(params, n, seed),
+    and single_loop_tilde too when given an aux seed, and raise
+    AcceptanceCheckError at the first field and village where it differs
+    from `expected`, per-village arrays by field name.  `failure` names
+    the check and the run: the experiment, n and the seed."""
+    src = StackSource(params, n, seed)
+    loop = vars(single_loop(params, n, src, M))
+    if aux_seed is not None:
+        loop = loop | {"Phi_tilde": single_loop_tilde(params, n, src, M, aux_seed)}
+    for name, want in expected.items():
+        bad = np.flatnonzero(loop[name] != want)
+        if bad.size:
+            x = int(bad[0])
+            raise AcceptanceCheckError(f"{failure}, village {x}: {name}={int(loop[name][x])}, expected {int(want[x])}")
+
+
 def _lln_task(args):
     """Stabilize a chunk of T seeds at one n on one multi-seed source, then
-    check each run's loop identity on a fresh source of its own seed.
-    Returns M* and S* as (T, V) arrays and one identity flag per seed."""
+    cross-check each run's fixed point on a fresh source of its own seed.
+    Returns M* and S* as (T, V) arrays."""
     params, n, seeds = args
     sim = stabilize(params, n, StackSource(params, n, seeds))
     M_star, S_star = (a.reshape(len(seeds), -1) for a in (sim.M_star, sim.S_star))
-    fixed_point_ok = []
     for seed, M, S in zip(seeds, M_star, S_star):
-        loop = single_loop(params, n, StackSource(params, n, seed), M)
-        fixed_point_ok.append(bool(np.array_equal(loop.Phi, M) and np.array_equal(loop.S, S)))
-    return M_star, S_star, fixed_point_ok
+        failure = f"lln: single-loop fixed-point identity failed at n={n}, seed={seed}"
+        _cross_check(failure, params, n, seed, M, {"Phi": M, "S": S})
+    return M_star, S_star
 
 
 def _run_share(tasks) -> list:
@@ -215,9 +237,16 @@ def _write_lines(path: Path, lines: list[str]) -> None:
 
 
 def _write_csv(path: Path, header: str, records: list[dict]) -> None:
-    """One line per record, its values in the order the header names them."""
-    keys = header.split(",")
-    _write_lines(path, [header, *(",".join(_format(r[k]) for k in keys) for r in records)])
+    """The header, then one line per record, a dict keyed in column order."""
+    _write_lines(path, [header, *(",".join(map(_format, r.values())) for r in records)])
+
+
+def _write_report(path: Path, experiment: str, n: int, M: np.ndarray, items: dict) -> None:
+    """A plain-text report: the experiment, n and M, then one `key: value`
+    line per item, a bool in lower case."""
+    head = {"experiment": experiment, "n": n, "M": ",".join(map(str, M.tolist()))}
+    lines = [f"{k}: {str(v).lower() if isinstance(v, bool) else _format(v)}" for k, v in (head | items).items()]
+    _write_lines(path, lines)
 
 
 def run_lln(config: LLNConfig, out_dir=None) -> LLNReport:
@@ -225,10 +254,12 @@ def run_lln(config: LLNConfig, out_dir=None) -> LLNReport:
 
     Solves the limit once, then for every (n, seed) pair runs a
     stabilization, records scaled odometer/sleeper profiles and their
-    distances to the limit, and verifies the exact single-loop fixed-point
-    identity.  A single identity failure fails the whole sweep.  The seeds
-    of each n go in chunks of the size `single_loop_trials` uses, but of at
-    most ceil(seeds / workers) seeds, so that every worker gets a chunk.
+    distances to the limit, and cross-checks the exact single-loop
+    fixed-point identity.  The seeds of each n go in chunks of the size
+    `single_loop_trials` uses, but of at most ceil(seeds / workers) seeds,
+    so that every worker gets a chunk.  No more workers start than physical
+    memory holds engines of the largest chunk, at 16 B per house, and the
+    first failing chunk in (n, seed) order fails the sweep with its error.
     """
     params = config.params
     # Solved first: solve_fixed_point makes the sweep's one subcriticality check.
@@ -249,49 +280,28 @@ def run_lln(config: LLNConfig, out_dir=None) -> LLNReport:
     share = -(-len(seeds) // workers)  # seeds per worker
     chunking = [(n, min(_trials_per_chunk(V, n), share)) for n in n_values]
     tasks = [(params, n, seeds[lo : lo + per]) for n, per in chunking for lo in range(0, len(seeds), per)]
-    results = _run_forked(tasks, min(workers, len(tasks)) if _FORKS else 1)
+    engines = _physical_memory() // (16 * max(len(chunk) * V * n for _, n, chunk in tasks))
+    results = _run_forked(tasks, max(1, min(workers, len(tasks), engines)) if _FORKS else 1)
 
     rows: list[dict] = []
     runs = ((n, *run) for (_, n, chunk), result in zip(tasks, results) for run in zip(chunk, *result))
-    for n, seed, M_star, S_star, fp_ok in runs:
-        if not fp_ok:
-            raise AcceptanceCheckError(f"single-loop fixed-point identity failed at n={n}, seed={seed}")
+    for n, seed, M_star, S_star in runs:
         m_n = M_star / n
         s_n = S_star / n
         err_m_inf = float(np.max(np.abs(m_n - limit.m_star)))
         err_s_inf = float(np.max(np.abs(s_n - limit.s_star)))
         err_m_eta = eta_norm(spectral, m_n - limit.m_star)
         for x in range(V):
-            rows.append(
-                {
-                    "experiment": "lln",
-                    "n": n,
-                    "seed": seed,
-                    "village": x,
-                    "m_n": float(m_n[x]),
-                    "s_n": float(s_n[x]),
-                    "m_limit": float(limit.m_star[x]),
-                    "s_limit": float(limit.s_star[x]),
-                    "err_m_inf": err_m_inf,
-                    "err_s_inf": err_s_inf,
-                    "err_m_eta": err_m_eta,
-                }
-            )
+            values = (float(m_n[x]), float(s_n[x]), float(limit.m_star[x]), float(limit.s_star[x]))
+            rows.append(dict(zip(_ROW_KEYS, ("lln", n, seed, x, *values, err_m_inf, err_s_inf, err_m_eta))))
 
     # The run errors, one row per run (its village 0) in run order.
     summary: list[dict] = []
     for n in n_values:
         for metric in ("err_m_inf", "err_s_inf", "err_m_eta"):
             vals = [row[metric] for row in rows[::V] if row["n"] == n]
-            summary.append(
-                {
-                    "n": n,
-                    "metric": metric,
-                    "median": float(np.median(vals)),
-                    "p90": float(np.percentile(vals, 90)),
-                    "runs": len(vals),
-                }
-            )
+            values = (n, metric, float(np.median(vals)), float(np.percentile(vals, 90)), len(vals))
+            summary.append(dict(zip(_SUMMARY_KEYS, values)))
 
     rows_path = summary_path = None
     if out_dir is not None:
@@ -309,8 +319,7 @@ def _checked_trials(experiment: str, params: ModelParams, n: int, M, trials, see
     `trials` trials on the stack seeds derived from `seed` (with `resample`,
     also the resampled outflux on the derived aux seeds), and re-evaluate the
     first and last trial through single_loop (and single_loop_tilde) on their
-    own stack sources.  Returns (trials, M, batch); raises
-    AcceptanceCheckError on the first field that differs."""
+    own stack sources with `_cross_check`.  Returns (trials, M, batch)."""
     trials = _check_count(trials, "trials")
     _check_fits_memory(trials, 16, "trials")  # its seeds and their mix
     M = _check_odometer(M, params.num_villages)
@@ -318,19 +327,10 @@ def _checked_trials(experiment: str, params: ModelParams, n: int, M, trials, see
     aux_seeds = derive_seeds(seed, 2, np.arange(trials)) if resample else None
     batch = single_loop_trials(params, n, seeds, M, aux_seeds)
     for t in sorted({0, trials - 1}):
-        src = StackSource(params, n, int(seeds[t]))
-        ref = single_loop(params, n, src, M)
-        if resample:
-            ref = replace(ref, Phi_tilde=single_loop_tilde(params, n, src, M, int(aux_seeds[t])))
-        for name, want in ((k, v) for k, v in vars(ref).items() if v is not None):
-            got = getattr(batch, name)[t]
-            bad = np.flatnonzero(got != want)
-            if bad.size:
-                x = int(bad[0])
-                raise AcceptanceCheckError(
-                    f"{experiment}: batched trials differ from single_loop at n={n}, seed={seed}, "
-                    f"trial {t}, village {x}: {name}={int(got[x])}, expected {int(want[x])}"
-                )
+        failure = f"{experiment}: single_loop on stack seed {seeds[t]} differs from the batched trials"
+        failure += f" at n={n}, seed={seed}, trial {t}"
+        row = {name: v[t] for name, v in vars(batch).items() if v is not None}
+        _cross_check(failure, params, n, int(seeds[t]), M, row, None if aux_seeds is None else int(aux_seeds[t]))
     return trials, M, batch
 
 
@@ -390,37 +390,14 @@ def run_concentration(config: ConcentrationConfig, out_path=None) -> Concentrati
     slack_phi = 3.0 * float(np.sqrt(p_phi * (1.0 - p_phi) / trials))
     violated = freq_s > bound_s + slack_s or freq_phi > bound_phi + slack_phi
 
-    path = None if out_path is None else Path(out_path)
-    report = ConcentrationReport(
-        n=n,
-        a=a,
-        trials=trials,
-        freq_s=freq_s,
-        bound_s=bound_s,
-        freq_phi=freq_phi,
-        bound_phi=bound_phi,
-        slack_s=slack_s,
-        slack_phi=slack_phi,
-        violated=violated,
-        path=path,
+    items = dict(
+        a=a, trials=trials, freq_s=freq_s, bound_s=bound_s, slack_s=slack_s,
+        freq_phi=freq_phi, bound_phi=bound_phi, slack_phi=slack_phi, violated=violated,
     )
+    path = None if out_path is None else Path(out_path)
     if path is not None:
-        lines = [
-            "experiment: concentration",
-            f"n: {n}",
-            f"M: {','.join(str(v) for v in M.tolist())}",
-            f"a: {a!r}",
-            f"trials: {trials}",
-            f"freq_s: {freq_s!r}",
-            f"bound_s: {bound_s!r}",
-            f"slack_s: {slack_s!r}",
-            f"freq_phi: {freq_phi!r}",
-            f"bound_phi: {bound_phi!r}",
-            f"slack_phi: {slack_phi!r}",
-            f"violated: {str(violated).lower()}",
-        ]
-        _write_lines(path, lines)
-    return report
+        _write_report(path, "concentration", n, M, items)
+    return ConcentrationReport(n=n, **items, path=path)
 
 
 def _pooled_chi_square(sample_a: np.ndarray, sample_b: np.ndarray, min_expected: float = 5.0):
@@ -483,30 +460,13 @@ def run_kappa_equivalence(
     """
     n = _check_count(n, "n")
     trials, M, res = _checked_trials("kappa-test", params, n, M, trials, seed, resample=True)
-    V = params.num_villages
-    phis, tildes = res.Phi, res.Phi_tilde
-
-    p_values: list[float] = []
-    statistics: list[float] = []
-    bins: list[int] = []
-    for x in range(V):
-        stat, _, p, k = _pooled_chi_square(phis[:, x], tildes[:, x])
-        statistics.append(stat)
-        p_values.append(p)
-        bins.append(k)
+    tests = [_pooled_chi_square(res.Phi[:, x], res.Phi_tilde[:, x]) for x in range(params.num_villages)]
+    statistics, _, p_values, bins = (list(column) for column in zip(*tests))
 
     path = None if out_path is None else Path(out_path)
-    report = KappaReport(n=n, trials=trials, p_values=p_values, statistics=statistics, bins=bins, path=path)
     if path is not None:
-        lines = [
-            "experiment: kappa-test",
-            f"n: {n}",
-            f"M: {','.join(str(v) for v in M.tolist())}",
-            f"trials: {trials}",
-        ]
-        for x in range(V):
-            lines.append(f"village_{x}_p_value: {p_values[x]!r}")
-            lines.append(f"village_{x}_statistic: {statistics[x]!r}")
-            lines.append(f"village_{x}_bins: {bins[x]}")
-        _write_lines(path, lines)
-    return report
+        items = {"trials": trials}
+        for x, (p, stat, k) in enumerate(zip(p_values, statistics, bins)):
+            items |= {f"village_{x}_p_value": p, f"village_{x}_statistic": stat, f"village_{x}_bins": k}
+        _write_report(path, "kappa-test", n, M, items)
+    return KappaReport(n=n, trials=trials, p_values=p_values, statistics=statistics, bins=bins, path=path)

@@ -173,10 +173,14 @@ def _check_count(value, what: str) -> int:
     return value
 
 
+def _physical_memory() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def _check_fits_memory(count: int, bytes_each: int, what: str) -> None:
     """Refuse a count whose own arrays, about `bytes_each` bytes per item,
     would exceed the machine's physical memory; called before they are built."""
-    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    physical = _physical_memory()
     if count * bytes_each > physical:
         raise InputSizeError(
             f"{what} = {count} needs about {count * bytes_each} bytes, more than the {physical} bytes of physical memory"

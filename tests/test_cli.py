@@ -243,14 +243,14 @@ def test_n_beyond_physical_memory_exit_code(capsys, model_file, monkeypatch):
 
 
 def test_simulate_broken_identity_exit_code(capsys, model_file, monkeypatch):
-    import varw.cli as cli_mod
+    import varw.experiments as exp_mod
     from varw.simulator import SingleLoopResult
 
     def wrong_loop(params, n, src, M):
         z = np.zeros(params.num_villages, dtype=np.int64)
         return SingleLoopResult(Phi=z - 1, S=z, I=z, A=z, Q=z, J=z)
 
-    monkeypatch.setattr(cli_mod, "single_loop", wrong_loop)
+    monkeypatch.setattr(exp_mod, "single_loop", wrong_loop)
     code, out, err = run_cli(capsys, "simulate", "--model", model_file, "--n", "50")
     assert code == 3
     assert "fixed_point_check: FAIL" in out

@@ -1,16 +1,18 @@
 """Random CLI invocations: every one ends in an exit code 0-4, at most one
 stderr line on a failure, never a traceback, and never a hang.
 
-Each draw breaks at most one thing, the model document or one option, so
-that every fault is reached on its own and about half the draws run to the
-end.  Broken models hold NaN, negative or huge entries, ragged rows, no
-villages or supercritical sigma; broken options are negative, at or past
-2^60 or 2^63, counts whose seeds would not fit in memory (2^40 and up), or
-not integers.  Valid sizes are small (n <= 200, M <= 1000, trials <= 100),
-so that no draw allocates more than a few MB.  Model entries come from
-fixed pools: a large but finite lambda is a legitimate model whose landlord
-scans take about lambda/2 block reads (a minute at lambda = 1e6), so the
-only huge lambdas drawn are those the simulator refuses.
+Each example runs every subcommand once with nothing broken, once with a
+broken model document, and once with each of its own options broken in
+turn, one thing at a time: so every fault is reached on its own in every
+example, whatever the other draws are.  Broken models hold NaN, negative
+or huge entries, ragged rows, no villages or supercritical sigma; broken
+options are negative, at or past 2^60 or 2^63, counts whose seeds would
+not fit in memory (2^40 and up), or not integers.  Valid sizes are small
+(n <= 200, M <= 1000, trials <= 100), so that no draw allocates more than
+a few MB.  Model entries come from fixed pools: a large but finite lambda
+is a legitimate model whose landlord scans take about lambda/2 block reads
+(a minute at lambda = 1e6), so the only huge lambdas drawn are those the
+simulator refuses.
 """
 
 import contextlib
@@ -101,10 +103,9 @@ def _joined(values) -> str:
 
 
 @st.composite
-def invocations(draw):
-    """(model document, argv without --model and --out)."""
-    command = draw(st.sampled_from(sorted(OPTIONS)))
-    broken = draw(st.sampled_from([None] * (len(OPTIONS[command]) + 1) + ["model", *OPTIONS[command]]))
+def invocations(draw, command: str, broken: str | None):
+    """(model document, argv without --model and --out) of `command`, with
+    `broken` broken: None, "model" or one of the command's OPTIONS."""
     doc = draw(model_documents(broken == "model"))
     try:
         V = len(json.loads(doc)["kernel"]) or 1
@@ -159,19 +160,17 @@ def invocations(draw):
     return doc, argv
 
 
+# What each example breaks, in turn: every subcommand with nothing, its
+# model, and each of its options.
+TURNS = [(command, broken) for command in sorted(OPTIONS) for broken in [None, "model", *OPTIONS[command]]]
+
+
 def _alarm(signum, frame):
     raise _Hang(f"an invocation ran past its {DEADLINE_S} s deadline")
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(invocations())
-@example((NEVER_JUMP, ["simulate", "--n", "3", "--seed", "1"]))
-@example((NEVER_JUMP, ["single-loop", "--n", "3", "--seed", "1", "--M", "0"]))
-@example((ONE_VILLAGE, ["lln", "--n", "10", "--num-seeds", str(2**62)]))
-@example((ONE_VILLAGE, ["kappa-test", "--n", "10", "--M", "5", "--trials", str(2**59)]))
-def test_cli_ends_in_an_exit_code_never_a_traceback_or_a_hang(monkeypatch, invocation):
-    doc, argv = invocation
-    monkeypatch.setenv("VARW_THREADS", "1")  # nothing forks
+def _run(doc: str, argv: list[str]) -> None:
+    """Run one invocation and check how it ends."""
     with tempfile.TemporaryDirectory() as tmp:
         model = Path(tmp) / "model.json"
         model.write_text(doc)
@@ -192,3 +191,17 @@ def test_cli_ends_in_an_exit_code_never_a_traceback_or_a_hang(monkeypatch, invoc
     assert "Traceback" not in out.getvalue() + err
     if code:
         assert err.count("\n") <= 1, (argv, doc, err)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.tuples(*(invocations(command, broken) for command, broken in TURNS)))
+@example([
+    (NEVER_JUMP, ["simulate", "--n", "3", "--seed", "1"]),
+    (NEVER_JUMP, ["single-loop", "--n", "3", "--seed", "1", "--M", "0"]),
+    (ONE_VILLAGE, ["lln", "--n", "10", "--num-seeds", str(2**62)]),
+    (ONE_VILLAGE, ["kappa-test", "--n", "10", "--M", "5", "--trials", str(2**59)]),
+])
+def test_cli_ends_in_an_exit_code_never_a_traceback_or_a_hang(monkeypatch, runs):
+    monkeypatch.setenv("VARW_THREADS", "1")  # nothing forks
+    for doc, argv in runs:
+        _run(doc, argv)

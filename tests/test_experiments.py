@@ -27,6 +27,7 @@ from varw import (
     AcceptanceCheckError,
     ConcentrationConfig,
     LLNConfig,
+    StepCapError,
     ValidationError,
     WorkerLostError,
     run_concentration,
@@ -92,14 +93,14 @@ def test_run_lln_parallel_matches_serial(default_params, tmp_path, monkeypatch):
 def test_run_lln_fails_sweep_on_broken_identity(default_params, monkeypatch):
     import varw.experiments as exp_mod
     from varw import AcceptanceCheckError
+    from varw.simulator import SingleLoopResult
 
-    def broken_task(args):
-        params, n, seeds = args
-        zeros = np.zeros((len(seeds), 2), dtype=np.int64)
-        return zeros, zeros, [False] * len(seeds)
+    def wrong_loop(params, n, src, M):
+        z = np.zeros(params.num_villages, dtype=np.int64)
+        return SingleLoopResult(Phi=z - 1, S=z, I=z, A=z, Q=z, J=z)
 
     monkeypatch.setenv("VARW_THREADS", "1")
-    monkeypatch.setattr(exp_mod, "_lln_task", broken_task)
+    monkeypatch.setattr(exp_mod, "single_loop", wrong_loop)
     with pytest.raises(AcceptanceCheckError, match="fixed-point identity"):
         run_lln(LLNConfig(params=default_params, n_values=[10], seeds=[1]))
 
@@ -354,6 +355,49 @@ def test_run_lln_propagates_a_failed_task(monkeypatch, failing, threads):
         run_lln(config)
     assert len(forks) == (int(threads) - 1 if exp_mod._FORKS else 0)
     assert_reaped(forks)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_lln_raises_a_fixed_point_failure_before_a_later_chunks_error(monkeypatch, threads):
+    """The fixed point of seed 1 at n=50, in task 0, fails its cross-check,
+    and stabilize raises StepCapError on every chunk at n=60, later in task
+    order: the fixed-point failure raises, on one worker (tasks n=50 and
+    n=60 of seeds 1-4) and on two (the caller runs seeds 1-2 at each n)."""
+    real_loop, real_stabilize = exp_mod.single_loop, exp_mod.stabilize
+
+    def single_loop(params, n, src, M):
+        res = real_loop(params, n, src, M)
+        return replace(res, Phi=res.Phi + 1) if (n, src.master_seed) == (50, 1) else res
+
+    def stabilize(params, n, src, *args):
+        if n == 60:
+            raise StepCapError(f"step cap reached at n={n}")
+        return real_stabilize(params, n, src, *args)
+
+    monkeypatch.setattr(exp_mod, "single_loop", single_loop)  # forked workers inherit both
+    monkeypatch.setattr(exp_mod, "stabilize", stabilize)
+    monkeypatch.setenv("VARW_THREADS", threads)
+    config = LLNConfig(params=two_village_params(), n_values=[50, 60], seeds=[1, 2, 3, 4])
+    with pytest.raises(AcceptanceCheckError, match=r"^lln: single-loop fixed-point identity failed at n=50, seed=1, village 0: Phi="):
+        run_lln(config)
+
+
+def test_run_lln_starts_no_more_workers_than_memory_holds_engines(monkeypatch, tmp_path):
+    """On a machine of 4 KiB, one engine of the largest chunk fits and two
+    do not: two seeds of two villages at n=50 are 200 houses, 3200 B at
+    16 B each.  So two workers fork no process, and the CSV bytes are those
+    of one worker."""
+    config = LLNConfig(params=two_village_params(), n_values=[50], seeds=[1, 2, 3, 4])
+    monkeypatch.setenv("VARW_THREADS", "1")
+    run_lln(config, out_dir=tmp_path / "one")  # one chunk of 400 houses, which 4 KiB would refuse
+    real, memory = os.sysconf, {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", lambda name: memory[name] if name in memory else real(name))
+    monkeypatch.setenv("VARW_THREADS", "2")
+    forks = record_forks(monkeypatch)
+    run_lln(config, out_dir=tmp_path / "two")
+    assert forks == []
+    for name in ("lln_rows.csv", "lln_summary.csv"):
+        assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
 @needs_fork
