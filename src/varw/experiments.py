@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .chisq import chdtrc
 from .errors import AcceptanceCheckError, ValidationError, WorkerLostError
 from .limit import DEFAULT_TOL, LimitSolution, phi, sleep_profile, solve_fixed_point
 from .model import ModelParams, SpectralData, compute_spectral, eta_norm, validate_model
@@ -440,12 +441,9 @@ def _pooled_chi_square(sample_a: np.ndarray, sample_b: np.ndarray, min_expected:
         ea = n_a * (oa + ob) / total
         eb = n_b * (oa + ob) / total
         stat += (oa - ea) ** 2 / ea + (ob - eb) ** 2 / eb
-    # scipy.stats.chi2.sf(stat, k - 1) bit for bit; imported here so that
-    # `import varw` loads no scipy
-    from scipy.special import chdtrc
-
-    p = float(chdtrc(k - 1, stat))
-    return float(stat), k - 1, p, k
+    stat = float(stat)
+    # scipy.stats.chi2.sf(stat, k - 1) bit for bit
+    return stat, k - 1, chdtrc(k - 1, stat), k
 
 
 def run_kappa_equivalence(

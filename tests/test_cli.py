@@ -562,6 +562,38 @@ def test_import_loads_no_scipy():
     assert proc.stdout == "[]\n"
 
 
+@pytest.mark.parametrize("model, M", [("one_village_kappa.json", "20"), ("two_village.json", "20,20")])
+def test_kappa_test_runs_without_scipy(tmp_path, model, M):
+    """`varw kappa-test` with scipy unimportable exits 0, loads no scipy
+    module, and prints and writes the bytes of a run with scipy importable."""
+    src = Path(varw.__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        "if sys.argv.pop(1) == 'blocked':\n"
+        "    sys.modules['scipy'] = None\n"
+        "from varw.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(sorted(m for m, module in sys.modules.items() if m.startswith('scipy') and module is not None))\n"
+        "sys.exit(code)\n"
+    )
+    argv = [
+        "kappa-test", "--model", str(src.parent / "models" / model),
+        "--n", "50", "--M", M, "--trials", "1200", "--seed", "7", "--out", "out",
+    ]
+    runs = {}
+    for scipy in ("blocked", "importable"):
+        cwd = tmp_path / scipy
+        cwd.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", code, scipy, *argv],
+            cwd=cwd, env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), scipy
+        runs[scipy] = proc.stdout, (cwd / "out" / "kappa_test.txt").read_bytes()
+    assert runs["blocked"][0].endswith("report: out/kappa_test.txt\n[]\n")
+    assert runs["blocked"] == runs["importable"]
+
+
 def test_import_loads_no_process_pool():
     """`import varw` loads no process pool machinery."""
     src = Path(varw.__file__).resolve().parent.parent
